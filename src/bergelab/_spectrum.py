@@ -1,76 +1,21 @@
-"""Pure-Python spectrum kernel.
+"""Spectrum search kernel.
 
 Exhaustive backtracking over cycle spines in the shadow, with an
 incremental injective edge assignment maintained by augmenting paths.
 Spines are enumerated once per rotation/reflection class: the smallest
 vertex comes first and the second vertex is smaller than the last.
-
-The compiled kernel (_spectrum_cy) implements the same search with the
-same node accounting; results must be identical.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
+
+from .certify import Matcher
 
 
 class _Budget(Exception):
     pass
-
-
-class _Matcher:
-    """Injective pair -> edge assignment with O(path) rollback."""
-
-    def __init__(self, covers: dict[tuple[int, int], list[int]]):
-        self.covers = covers
-        self.pair_at: list[tuple[int, int]] = []
-        self.assign: list[Optional[int]] = []
-        self.owner: dict[int, int] = {}
-        self.trails: list[list[tuple[int, Optional[int], int]]] = []
-
-    def push(self, pair: tuple[int, int]) -> bool:
-        d = len(self.pair_at)
-        self.pair_at.append(pair)
-        self.assign.append(None)
-        trail: list[tuple[int, Optional[int], int]] = []
-        ok = self._augment(d, set(), trail)
-        if ok:
-            self.trails.append(trail)
-            return True
-        self.pair_at.pop()
-        self.assign.pop()
-        return False
-
-    def _augment(self, d: int, visited: set[int], trail) -> bool:
-        for e in self.covers.get(self.pair_at[d], ()):
-            if e in visited:
-                continue
-            visited.add(e)
-            holder = self.owner.get(e)
-            if holder is None or self._augment(holder, visited, trail):
-                trail.append((d, self.assign[d], e))
-                self.assign[d] = e
-                self.owner[e] = d
-                return True
-        return False
-
-    def pop(self) -> None:
-        trail = self.trails.pop()
-        touched_d = set()
-        for d, old, new in trail:
-            touched_d.add(d)
-            self.owner.pop(new, None)
-            if old is not None:
-                self.owner.pop(old, None)
-        for d, old, _ in reversed(trail):
-            self.assign[d] = old
-        top = len(self.pair_at) - 1
-        for d in touched_d:
-            if d != top and self.assign[d] is not None:
-                self.owner[self.assign[d]] = d
-        self.pair_at.pop()
-        self.assign.pop()
 
 
 def _pair_covers(edges: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
@@ -114,7 +59,7 @@ def spectrum_search(
     hits = []
 
     def search_length(L: int):
-        m = _Matcher(cov)
+        m = Matcher(cov)
         path = [0] * L
         used = [False] * n
 

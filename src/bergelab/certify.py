@@ -7,10 +7,10 @@ types; verification never trusts the construction that produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import EdgeNotInShadow
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, pair_covers
 
 
 @dataclass(frozen=True)
@@ -100,39 +100,78 @@ class Extension:
         return dict(self.mapping)
 
 
+class Matcher:
+    """Injective pair -> covering-edge assignment grown one pair at a time.
+
+    Each push finds an augmenting path (covering edges scanned in the order
+    `covers` lists them, a fresh visited set per push); pop undoes the last
+    push along its recorded path.
+    """
+
+    def __init__(self, covers: Mapping[tuple[int, int], Sequence[int]]):
+        self.covers = covers
+        self.pair_at: list[tuple[int, int]] = []
+        self.assign: list[Optional[int]] = []
+        self.owner: dict[int, int] = {}
+        self.trails: list[list[tuple[int, Optional[int], int]]] = []
+
+    def push(self, pair: tuple[int, int]) -> bool:
+        d = len(self.pair_at)
+        self.pair_at.append(pair)
+        self.assign.append(None)
+        trail: list[tuple[int, Optional[int], int]] = []
+        ok = self._augment(d, set(), trail)
+        if ok:
+            self.trails.append(trail)
+            return True
+        self.pair_at.pop()
+        self.assign.pop()
+        return False
+
+    def _augment(self, d: int, visited: set[int], trail) -> bool:
+        for e in self.covers.get(self.pair_at[d], ()):
+            if e in visited:
+                continue
+            visited.add(e)
+            holder = self.owner.get(e)
+            if holder is None or self._augment(holder, visited, trail):
+                trail.append((d, self.assign[d], e))
+                self.assign[d] = e
+                self.owner[e] = d
+                return True
+        return False
+
+    def pop(self) -> None:
+        trail = self.trails.pop()
+        touched_d = set()
+        for d, old, new in trail:
+            touched_d.add(d)
+            self.owner.pop(new, None)
+            if old is not None:
+                self.owner.pop(old, None)
+        for d, old, _ in reversed(trail):
+            self.assign[d] = old
+        top = len(self.pair_at) - 1
+        for d in touched_d:
+            if d != top and self.assign[d] is not None:
+                self.owner[self.assign[d]] = d
+        self.pair_at.pop()
+        self.assign.pop()
+
+
 def extend(H: Hypergraph, pairs: Iterable[tuple[int, int]]) -> Optional[Extension]:
     """Find an extension of a 2-graph inside the shadow of H, if one exists.
 
     Maximum bipartite matching (augmenting paths) between the given pairs
     and the hyperedges containing them; deterministic over sorted indices.
     """
-    from .hypergraph import pair_covers
-
     G = sorted({tuple(sorted(p)) for p in pairs})
     cov = pair_covers(H)
-    cand: list[tuple[int, ...]] = []
     for p in G:
-        ids = cov.get(p)
-        if not ids:
+        if p not in cov:
             raise EdgeNotInShadow(f"pair {p} lies in no hyperedge")
-        cand.append(ids)
-
-    owner: dict[int, int] = {}  # hyperedge index -> pair position
-    assigned: list[Optional[int]] = [None] * len(G)
-
-    def augment(pos: int, visited: set[int]) -> bool:
-        for ei in cand[pos]:
-            if ei in visited:
-                continue
-            visited.add(ei)
-            holder = owner.get(ei)
-            if holder is None or augment(holder, visited):
-                owner[ei] = pos
-                assigned[pos] = ei
-                return True
-        return False
-
-    for pos in range(len(G)):
-        if not augment(pos, set()):
+    m = Matcher(cov)
+    for p in G:
+        if not m.push(p):
             return None
-    return Extension(tuple((p, assigned[i]) for i, p in enumerate(G)))
+    return Extension(tuple(zip(G, m.assign)))

@@ -11,7 +11,7 @@ import sys
 
 from .errors import BergelabError, PreconditionUnmet, VerificationFailure
 from .finder import find_general_3, find_general_r, find_linear_r, skeleton_sweep
-from .generators import GeneratorSpec, generate, random_linear_r
+from .generators import GeneratorSpec, check_params, generate, random_linear_r
 from .hypergraph import Hypergraph, average_degree, is_linear, parse, serialize
 from .oracle import oracle_spectrum
 from .reports import report_run, witness_from_json
@@ -37,12 +37,14 @@ def _cmd_gen(args) -> int:
         if val is not None:
             params[key] = val
     params["seed"] = args.seed
+    spec = GeneratorSpec(args.family, params)
+    check_params(spec)
     if args.family == "randomLinearR":
         H, got = random_linear_r(args.n, args.r, args.m, args.seed)
         if got < args.m:
             print(f"requested {args.m} edges, achieved {got}", file=sys.stderr)
     else:
-        H = generate(GeneratorSpec(args.family, params))
+        H = generate(spec)
     text = serialize(H)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -130,7 +132,7 @@ def _cmd_verify(args) -> int:
                 continue
             try:
                 w = witness_from_json(line)
-            except (VerificationFailure, ValueError, KeyError) as exc:
+            except (VerificationFailure, ValueError, KeyError, TypeError) as exc:
                 print(f"line {lineno}: malformed witness ({exc})", file=sys.stderr)
                 ok = False
                 continue

@@ -29,8 +29,8 @@ from .graphs import Graph, connected_components, long_path_from_density, norm_ed
 from .hypergraph import Hypergraph, average_degree, is_linear
 from .pathtools import (
     ColoredGraph,
-    _covered_vertices,
     consecutive_even_cycles,
+    covered_vertices,
     special_linear_path,
     special_path,
     tripartite_ladder,
@@ -270,7 +270,7 @@ def cycles_or_level_bound(
 
 
 def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
-    verts = _covered_vertices(H, ids)
+    verts = covered_vertices(H, ids)
     n_i = sum(1 for v in verts if level_of.get(v) == i)
     n_i1 = len(verts) - n_i
     frame = frame_from_parent(sk.parent, sorted(verts))
@@ -307,7 +307,7 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
             if run is not None:
                 return run
     if n3:
-        cov3 = _covered_vertices(H, n3)
+        cov3 = covered_vertices(H, n3)
         if Fraction(3 * len(n3), len(cov3)) > Fraction(3 * k, 2):
             return _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of)
     return None
@@ -315,8 +315,9 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
 
 def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
     colors = {}
+    mono_set = set(mono)
     for ei in ids:
-        colors[ei] = 1 if ei in set(mono) else 2
+        colors[ei] = 1 if ei in mono_set else 2
     arr = [0] * len(H.edges)
     for ei, c in colors.items():
         arr[ei] = c
@@ -395,7 +396,7 @@ def _bc_pair_route(H, sk, i, k, cls, own_color, anchor, color_of, level_of):
 
 
 def _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of):
-    cov = _covered_vertices(H, n3)
+    cov = covered_vertices(H, n3)
     parts = (
         sorted(cov & s1),
         sorted(cov & s2),
@@ -432,11 +433,11 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         comp_ids = max(
             comps,
             key=lambda ids: (
-                Fraction(3 * len(ids), len(_covered_vertices(H, ids))),
-                -min(_covered_vertices(H, ids)),
+                Fraction(3 * len(ids), len(covered_vertices(H, ids))),
+                -min(covered_vertices(H, ids)),
             ),
         )
-        root = min(_covered_vertices(H, comp_ids))
+        root = min(covered_vertices(H, comp_ids))
         sk = build_skeleton(H, root, active_edges=comp_ids)
         classes = classify_levels(H, sk, active_edges=comp_ids)
         run = _levels_once(H, sk, k, comp_ids, classes)

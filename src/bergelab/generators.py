@@ -23,19 +23,31 @@ class GeneratorSpec:
     params: dict = field(default_factory=dict)
 
 
-def generate(spec: GeneratorSpec) -> Hypergraph:
-    fams = {
-        "completeR": lambda p: complete_r(p["n"], p["r"]),
-        "steinerTriple": lambda p: steiner_triple(p["n"]),
-        "randomLinearR": lambda p: random_linear_r(
-            p["n"], p["r"], p["m"], p.get("seed", 0)
-        )[0],
-        "tightPath": lambda p: tight_path_hypergraph(p["m"], p["r"]),
-        "bipartiteIncidence": lambda p: complete_bipartite_incidence(p["a"], p["b"]),
-    }
-    if spec.family not in fams:
+# family -> (required parameters, builder)
+_FAMILIES = {
+    "completeR": (("n", "r"), lambda p: complete_r(p["n"], p["r"])),
+    "steinerTriple": (("n",), lambda p: steiner_triple(p["n"])),
+    "randomLinearR": (
+        ("n", "r", "m"),
+        lambda p: random_linear_r(p["n"], p["r"], p["m"], p.get("seed", 0))[0],
+    ),
+    "tightPath": (("m", "r"), lambda p: tight_path_hypergraph(p["m"], p["r"])),
+    "bipartiteIncidence": (("a", "b"), lambda p: complete_bipartite_incidence(p["a"], p["b"])),
+}
+
+
+def check_params(spec: GeneratorSpec) -> None:
+    """Raise InvalidParameters for an unknown family or a missing parameter."""
+    if spec.family not in _FAMILIES:
         raise InvalidParameters(f"unknown family {spec.family!r}")
-    return fams[spec.family](spec.params)
+    missing = [k for k in _FAMILIES[spec.family][0] if spec.params.get(k) is None]
+    if missing:
+        raise InvalidParameters(f"family {spec.family} needs parameter(s) {', '.join(missing)}")
+
+
+def generate(spec: GeneratorSpec) -> Hypergraph:
+    check_params(spec)
+    return _FAMILIES[spec.family][1](spec.params)
 
 
 def complete_r(n: int, r: int) -> Hypergraph:

@@ -14,9 +14,8 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 from typing import Iterable, Optional, Sequence
@@ -38,6 +37,16 @@ class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
     uniformity: Optional[int] = None
+    # Derived indexes, each built once by incidence() / pair_covers() and
+    # freed with the instance. Declared as fields (left out of __init__, ==,
+    # hash and repr) so that every instance keeps one attribute layout:
+    # adding attributes later would slow every read of `H.edges`.
+    _incidence: Optional[tuple[tuple[int, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _pair_covers: Optional[dict[tuple[int, int], tuple[int, ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_edges(
@@ -173,24 +182,26 @@ def serialize(H: Hypergraph) -> str:
     return "\n".join(out) + "\n"
 
 
-@lru_cache(maxsize=256)
 def incidence(H: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """For each vertex, the sorted tuple of incident edge indices."""
-    inc: list[list[int]] = [[] for _ in range(H.n)]
-    for i, e in enumerate(H.edges):
-        for v in e:
-            inc[v].append(i)
-    return tuple(tuple(lst) for lst in inc)
+    if H._incidence is None:
+        inc: list[list[int]] = [[] for _ in range(H.n)]
+        for i, e in enumerate(H.edges):
+            for v in e:
+                inc[v].append(i)
+        object.__setattr__(H, "_incidence", tuple(tuple(lst) for lst in inc))
+    return H._incidence
 
 
-@lru_cache(maxsize=256)
 def pair_covers(H: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
     """Map each vertex pair inside some edge to its covering edge indices."""
-    cov: dict[tuple[int, int], list[int]] = {}
-    for i, e in enumerate(H.edges):
-        for p in combinations(e, 2):
-            cov.setdefault(p, []).append(i)
-    return {p: tuple(ids) for p, ids in sorted(cov.items())}
+    if H._pair_covers is None:
+        cov: dict[tuple[int, int], list[int]] = {}
+        for i, e in enumerate(H.edges):
+            for p in combinations(e, 2):
+                cov.setdefault(p, []).append(i)
+        object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in sorted(cov.items())})
+    return H._pair_covers
 
 
 def profile(H: Hypergraph) -> DegreeProfile:

@@ -11,7 +11,7 @@ from typing import Optional
 from .errors import InternalProofFailure, NotLinear, PreconditionUnmet
 from .finder import ConsecutiveRun, cycles_from_down_edges, cycles_or_level_bound
 from .hypergraph import Hypergraph, is_linear
-from .pathtools import _peel_view
+from .pathtools import peel_view
 from .skeleton import build_skeleton, classify_levels
 
 
@@ -68,7 +68,7 @@ def length_controlled_search(
     if not all_ids:
         report = LevelGrowthReport(H.n, 0, k, h, met, 0, (), None)
         return None, report
-    core_v, core_ids = _peel_view(H, all_ids)
+    core_v, core_ids = peel_view(H, all_ids)
     deg = {v: 0 for v in core_v}
     for ei in core_ids:
         for v in H.edges[ei]:

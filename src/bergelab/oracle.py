@@ -1,40 +1,18 @@
-"""Brute-force Berge-cycle spectrum oracle.
-
-The kernel is selected at import: the compiled extension when it is built
-(and the instance fits its limits), the pure-Python twin otherwise. Set
-BERGELAB_PURE=1 to force the pure kernel.
-"""
+"""Brute-force Berge-cycle spectrum oracle over the `_spectrum` kernel."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
+from ._spectrum import spectrum_search
 from .certify import BergeCycleWitness, verify_cycle
 from .errors import InternalProofFailure, PreconditionUnmet
 from .hypergraph import Hypergraph
-from . import _spectrum as _pure
-
-_compiled = None
-if not os.environ.get("BERGELAB_PURE"):
-    try:
-        from . import _spectrum_cy as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-_COMPILED_MAX_N = 64
 
 
 def kernel_in_use(n: int = 0) -> str:
-    if _compiled is not None and n <= _COMPILED_MAX_N:
-        return "compiled"
+    """Name of the spectrum kernel that searches an n-vertex instance."""
     return "pure"
-
-
-def _run_kernel(n, edges, min_len, max_len, budget):
-    if _compiled is not None and n <= _COMPILED_MAX_N:
-        return _compiled.spectrum_search(n, edges, min_len, max_len, budget)
-    return _pure.spectrum_search(n, edges, min_len, max_len, budget)
 
 
 @dataclass(frozen=True)
@@ -56,7 +34,7 @@ def oracle_spectrum(H: Hypergraph, max_len: int, budget: int = 10**7) -> CycleSp
     """
     if max_len > H.n:
         raise PreconditionUnmet(f"max_len {max_len} exceeds vertex count {H.n}")
-    hits, _nodes, exhausted = _run_kernel(H.n, H.edges, 3, max_len, budget)
+    hits, _nodes, exhausted = spectrum_search(H.n, H.edges, 3, max_len, budget)
     lens, wits = [], []
     for L, spine, assign in hits:
         w = BergeCycleWitness(spine=spine, edges=assign)
@@ -80,7 +58,7 @@ def cycle_of_length(H: Hypergraph, length: int, budget: int = 10**7):
     """
     if length < 3:
         raise PreconditionUnmet("spine cycles have length at least 3")
-    hits, _nodes, exhausted = _run_kernel(H.n, H.edges, length, length, budget)
+    hits, _nodes, exhausted = spectrum_search(H.n, H.edges, length, length, budget)
     if not hits:
         return None, exhausted
     L, spine, assign = hits[0]

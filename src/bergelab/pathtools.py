@@ -101,7 +101,7 @@ def linear_path_spine(H: Hypergraph, edge_ids: Sequence[int], start: int, end: i
     return [start] + shared + [end]
 
 
-def _covered_vertices(H: Hypergraph, edge_ids: Iterable[int]) -> set[int]:
+def covered_vertices(H: Hypergraph, edge_ids: Iterable[int]) -> set[int]:
     out: set[int] = set()
     for i in edge_ids:
         out.update(H.edges[i])
@@ -302,7 +302,7 @@ def special_linear_path(
     twos = [i for i in ids if colors[i] == 2]
     if not ones or not twos:
         raise PreconditionUnmet("both colors must appear")
-    covered = _covered_vertices(H, ids)
+    covered = covered_vertices(H, ids)
     n_cov = len(covered)
     if not _view_is_connected(H, ids):
         raise PreconditionUnmet("hypergraph must be connected")
@@ -315,7 +315,7 @@ def special_linear_path(
     u0 = min(H.edges[h])
     stripped = set(H.edges[h]) - {u0}
     ones_p = [i for i in ones if not stripped & set(H.edges[i])]
-    core_v, core_ids = _peel_view(H, ones_p)
+    core_v, core_ids = peel_view(H, ones_p)
     core_min = min(
         sum(1 for i in core_ids if v in H.edges[i]) for v in core_v
     )
@@ -346,7 +346,7 @@ def special_linear_path(
         for v in H.edges[i]:
             core_inc.setdefault(v, []).append(i)
     while len(good) < p:
-        blocked = _covered_vertices(H, good) - {z}
+        blocked = covered_vertices(H, good) - {z}
         for ei in core_inc.get(z, ()):
             if ei in good:
                 continue
@@ -369,12 +369,12 @@ def special_linear_path(
     return out
 
 
-def _peel_view(H: Hypergraph, edge_ids: Sequence[int]):
+def peel_view(H: Hypergraph, edge_ids: Sequence[int]):
     """Label-preserving min-degree core of an edge-subset view."""
     ids = sorted(edge_ids)
     if not ids:
         raise InternalProofFailure("peeling", "empty view")
-    covered = _covered_vertices(H, ids)
+    covered = covered_vertices(H, ids)
     threshold = Fraction(len(ids), len(covered))
     deg: dict[int, int] = {v: 0 for v in covered}
     for i in ids:
@@ -406,7 +406,7 @@ def _peel_view(H: Hypergraph, edge_ids: Sequence[int]):
                         heapq.heappush(heap, w)
     if not alive_e:
         raise InternalProofFailure("peeling", "view peeled to nothing")
-    alive_v = _covered_vertices(H, alive_e)
+    alive_v = covered_vertices(H, alive_e)
     return alive_v, sorted(alive_e)
 
 
@@ -440,7 +440,7 @@ def tripartite_ladder(
             len(set(e) & V1) == 1 and len(set(e) & V2) == 1 and len(set(e) & V3) == 1
         ):
             raise PreconditionUnmet(f"edge {e} is not transversal to the parts")
-    covered = _covered_vertices(H, ids)
+    covered = covered_vertices(H, ids)
     if 2 * len(ids) < p * len(covered):
         raise PreconditionUnmet(
             f"need d >= {Fraction(3 * p, 2)}, have {Fraction(3 * len(ids), len(covered))}"

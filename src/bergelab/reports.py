@@ -27,6 +27,8 @@ def witness_to_json(w: BergeCycleWitness) -> str:
 
 def witness_from_json(line: str) -> BergeCycleWitness:
     doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise VerificationFailure(f"witness line is a JSON {type(doc).__name__}, not an object")
     if doc.get("type") != "berge-cycle":
         raise VerificationFailure(f"unknown witness type {doc.get('type')!r}")
     spine = tuple(int(v) for v in doc["spine"])

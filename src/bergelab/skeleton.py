@@ -15,13 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClassificationFailure, PreconditionUnmet, WNotInTree
+from .graphs import Pair, norm_edge
 from .hypergraph import Hypergraph, incidence
-
-Pair = tuple[int, int]
-
-
-def _norm(u: int, v: int) -> Pair:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class Skeleton:
 
     def spine_edges(self, vertex_path: Sequence[int]) -> list[int]:
         """Hyperedge images of consecutive tree edges along a vertex path."""
-        return [self.edge_for[_norm(a, b)] for a, b in zip(vertex_path, vertex_path[1:])]
+        return [self.edge_for[norm_edge(a, b)] for a, b in zip(vertex_path, vertex_path[1:])]
 
 
 @dataclass(frozen=True)
@@ -124,7 +119,7 @@ def build_skeleton(
                 v = min(fresh)
                 parent[v] = u
                 level[v] = level[u] + 1
-                edge_for[_norm(u, v)] = ei
+                edge_for[norm_edge(u, v)] = ei
                 log.append((v, level[v], ei))
                 q.append(v)
             processed.add(ei)

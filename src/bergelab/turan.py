@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._spectrum import spectrum_search
 from .errors import PreconditionUnmet
 from .hypergraph import Hypergraph
-from .oracle import _run_kernel
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def _free_of_length(n: int, edges: list[tuple[int, ...]], ell: int) -> bool:
                     return False
                 seen.add(p)
         return True
-    hits, _, exhausted = _run_kernel(n, tuple(edges), ell, ell, _KERNEL_BUDGET)
+    hits, _, exhausted = spectrum_search(n, tuple(edges), ell, ell, _KERNEL_BUDGET)
     if exhausted:
         raise PreconditionUnmet("freeness check ran out of budget")
     return not hits
@@ -97,7 +97,7 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     if ell == 2:
         assert _free_of_length(n, list(best), 2)
     else:
-        hits, _, _ = _run_kernel(n, extremal.edges, ell, ell, _KERNEL_BUDGET)
+        hits, _, _ = spectrum_search(n, extremal.edges, ell, ell, _KERNEL_BUDGET)
         assert not hits, "extremal example fails the oracle freeness check"
     return TuranRecord(
         n=n,

@@ -30,6 +30,17 @@ class TestGen:
         )
         assert code == 2
 
+    def test_missing_param(self, capsys):
+        code, out, err = run_cli(["gen", "--family", "completeR", "--r", "3"], capsys)
+        assert code == 2
+        assert "needs parameter(s) n" in err
+        code, out, err = run_cli(["gen", "--family", "tightPath", "--r", "3"], capsys)
+        assert code == 2
+        assert "needs parameter(s) m" in err
+        code, out, err = run_cli(["gen", "--family", "randomLinearR", "--n", "7"], capsys)
+        assert code == 2
+        assert "needs parameter(s) r, m" in err
+
     def test_shortfall_reported(self, capsys, tmp_path):
         out_path = tmp_path / "g.hg"
         code, out, err = run_cli(
@@ -77,6 +88,22 @@ class TestFindVerify:
         )
         assert code == 1
         assert "SpineNotDistinct" in err
+
+    def test_verify_rejects_non_object_line(self, capsys, tmp_path):
+        hg = tmp_path / "k5.hg"
+        code, out, _ = run_cli(["gen", "--family", "completeR", "--n", "5", "--r", "3"], capsys)
+        hg.write_text(out)
+        wpath = tmp_path / "null.jsonl"
+        wpath.write_text(
+            'null\n[1, 2]\n{"type":"berge-cycle","length":1,"spine":5,"edges":[]}\n'
+        )
+        code, out, err = run_cli(
+            ["verify", "--input", str(hg), "--witnesses", str(wpath)], capsys
+        )
+        assert code == 1
+        assert "line 1: malformed witness" in err
+        assert "line 2: malformed witness" in err
+        assert "line 3: malformed witness" in err
 
     def test_absent_run_exits_zero(self, capsys, tmp_path):
         hg = tmp_path / "fano.hg"

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -216,3 +218,35 @@ class TestRPartite:
         for e in sub.edges:
             assert len({part_of[v] for v in e}) == 3
         assert len(sub.edges) * 27 >= factorial(3) * len(H.edges)
+
+
+class TestDerivedIndex:
+    def test_built_once_per_instance(self):
+        H = fano()
+        assert hg.incidence(H) is hg.incidence(H)
+        assert hg.pair_covers(H) is hg.pair_covers(H)
+
+    def test_equal_instance_gets_equal_index(self):
+        H, twin = fano(), fano()
+        assert H == twin and H is not twin
+        inc, cov = hg.incidence(H), hg.pair_covers(H)
+        assert hg.incidence(twin) == inc and hg.incidence(twin) is not inc
+        assert hg.pair_covers(twin) == cov and hg.pair_covers(twin) is not cov
+        assert hash(H) == hash(twin)
+
+    def test_index_values(self):
+        H = hg.Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+        assert hg.incidence(H) == ((0,), (0, 1), (0, 1), (1,))
+        assert hg.pair_covers(H) == {
+            (0, 1): (0,), (0, 2): (0,), (1, 2): (0, 1), (1, 3): (1,), (2, 3): (1,)
+        }
+
+    def test_index_does_not_outlive_instance(self):
+        # an instance no other test builds, so no equal value is indexed
+        H = hg.Hypergraph.from_edges(11, [(0, 4, 9), (1, 4, 10), (2, 3, 10)])
+        hg.incidence(H)
+        hg.pair_covers(H)
+        ref = weakref.ref(H)
+        del H
+        gc.collect()
+        assert ref() is None

@@ -107,12 +107,12 @@ class TestLinearXYPath:
         H, _ = random_linear_r(n, 3, rng.randrange(4, n), seed=seed)
         if not H.edges:
             return
-        from bergelab.pathtools import _covered_vertices, _view_is_connected
+        from bergelab.pathtools import covered_vertices, _view_is_connected
 
         ids = list(range(len(H.edges)))
         if not _view_is_connected(H, ids):
             return
-        cov = sorted(_covered_vertices(H, ids))
+        cov = sorted(covered_vertices(H, ids))
         if len(cov) < 4:
             return
         X = {cov[0]}
