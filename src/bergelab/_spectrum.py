@@ -4,6 +4,15 @@ Exhaustive backtracking over cycle spines in the shadow, with an
 incremental injective edge assignment maintained by augmenting paths.
 Spines are enumerated once per rotation/reflection class: the smallest
 vertex comes first and the second vertex is smaller than the last.
+
+A spine is a cycle of the shadow, so it lies in one shadow component, and
+in a bipartite component it alternates sides: its length is even and at
+most 2*min(side sizes). When every edge is a pair, each component is
+2-coloured once per call and a start vertex whose component cannot hold
+the length being searched is skipped. Only subtrees without a witness are
+cut, so the first witness found for each length stays the same. An edge
+of 3 or more vertices spans a triangle of the shadow, so such inputs are
+not coloured and their search and node counts are unchanged.
 """
 
 from __future__ import annotations
@@ -26,6 +35,33 @@ def _pair_covers(edges: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list
     return cov
 
 
+def _bipartite_caps(n: int, adj: list[list[int]]) -> list[int]:
+    """Per vertex, 2*min(side sizes) of its shadow component when that
+    component is bipartite, else 0."""
+    side = [-1] * n
+    caps = [0] * n
+    for s in range(n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        comp = [s]
+        sizes = [1, 0]
+        bipartite = True
+        for u in comp:  # grows while iterated: breadth-first order
+            for w in adj[u]:
+                if side[w] < 0:
+                    side[w] = 1 - side[u]
+                    sizes[side[w]] += 1
+                    comp.append(w)
+                elif side[w] == side[u]:
+                    bipartite = False
+        if bipartite:
+            cap = 2 * min(sizes)
+            for u in comp:
+                caps[u] = cap
+    return caps
+
+
 def spectrum_search(
     n: int,
     edges: Sequence[tuple[int, ...]],
@@ -46,6 +82,8 @@ def spectrum_search(
         adj[v].append(u)
     for lst in adj:
         lst.sort()
+    starts = [v for v in range(n) if len(adj[v]) >= 2]
+    caps = _bipartite_caps(n, adj) if all(len(e) == 2 for e in edges) else None
 
     state = {"nodes": 0, "exhausted": False}
     limit = budget
@@ -58,7 +96,7 @@ def spectrum_search(
 
     hits = []
 
-    def search_length(L: int):
+    def search_length(L: int, firsts: list[int]):
         m = Matcher(cov)
         path = [0] * L
         used = [False] * n
@@ -90,9 +128,7 @@ def spectrum_search(
                     return found
             return None
 
-        for v1 in range(n):
-            if len(adj[v1]) < 2:
-                continue
+        for v1 in firsts:
             path[0] = v1
             used[v1] = True
             found = dfs(1)
@@ -106,7 +142,11 @@ def spectrum_search(
         for L in range(lo, max_len + 1):
             if L > n or L > len(edges):
                 break
-            found = search_length(L)
+            firsts = starts
+            if caps is not None:
+                # a start v has caps[v] == 0 exactly when its component is not bipartite
+                firsts = [v for v in starts if not caps[v] or (L % 2 == 0 and L <= caps[v])]
+            found = search_length(L, firsts)
             if found:
                 spine, assign = found
                 hits.append((L, spine, assign))

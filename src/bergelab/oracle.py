@@ -21,6 +21,7 @@ class CycleSpectrum:
     searched_up_to: int
     budget_exhausted: bool
     witnesses: tuple[BergeCycleWitness, ...]
+    nodes: int  # kernel nodes spent: attempted pair pushes
 
     def witness_for(self, length: int) -> BergeCycleWitness:
         return self.witnesses[self.lengths.index(length)]
@@ -32,9 +33,11 @@ def oracle_spectrum(H: Hypergraph, max_len: int, budget: int = 10**7) -> CycleSp
     The node budget is a hard cap on attempted spine extensions; hitting it
     flags the spectrum as partial instead of erring.
     """
+    if budget < 0:
+        raise PreconditionUnmet(f"budget {budget} is negative")
     if max_len > H.n:
         raise PreconditionUnmet(f"max_len {max_len} exceeds vertex count {H.n}")
-    hits, _nodes, exhausted = spectrum_search(H.n, H.edges, 3, max_len, budget)
+    hits, nodes, exhausted = spectrum_search(H.n, H.edges, 3, max_len, budget)
     lens, wits = [], []
     for L, spine, assign in hits:
         w = BergeCycleWitness(spine=spine, edges=assign)
@@ -48,6 +51,7 @@ def oracle_spectrum(H: Hypergraph, max_len: int, budget: int = 10**7) -> CycleSp
         searched_up_to=max_len,
         budget_exhausted=exhausted,
         witnesses=tuple(wits),
+        nodes=nodes,
     )
 
 
@@ -58,6 +62,8 @@ def cycle_of_length(H: Hypergraph, length: int, budget: int = 10**7):
     """
     if length < 3:
         raise PreconditionUnmet("spine cycles have length at least 3")
+    if budget < 0:
+        raise PreconditionUnmet(f"budget {budget} is negative")
     hits, _nodes, exhausted = spectrum_search(H.n, H.edges, length, length, budget)
     if not hits:
         return None, exhausted

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from ._spectrum import spectrum_search
-from .errors import PreconditionUnmet
+from .errors import InternalProofFailure, PreconditionUnmet
 from .hypergraph import Hypergraph
 
 
@@ -55,6 +55,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         raise PreconditionUnmet("desk-scale ceiling: n <= 9 for r = 3")
     if ell < 2:
         raise PreconditionUnmet("forbidden length must be at least 2")
+    if budget < 0:
+        raise PreconditionUnmet(f"budget {budget} is negative")
     universe = list(combinations(range(n), r))
     per_edge_pairs = comb(r, 2)
     total_pairs = comb(n, 2)
@@ -94,11 +96,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
 
     dfs(0, 0, 0)
     extremal = Hypergraph.from_edges(n, best, uniformity=r)
-    if ell == 2:
-        assert _free_of_length(n, list(best), 2)
-    else:
-        hits, _, _ = spectrum_search(n, extremal.edges, ell, ell, _KERNEL_BUDGET)
-        assert not hits, "extremal example fails the oracle freeness check"
+    if not _free_of_length(n, list(extremal.edges), ell):
+        raise InternalProofFailure("turan extremal example", f"has a Berge {ell}-cycle")
     return TuranRecord(
         n=n,
         r=r,

@@ -145,6 +145,23 @@ class TestOtherCommands:
         )
         assert code == 3
 
+    def test_spectrum_negative_budget(self, capsys, tmp_path):
+        hg = tmp_path / "k5.hg"
+        code, out, _ = run_cli(["gen", "--family", "completeR", "--n", "5", "--r", "3"], capsys)
+        hg.write_text(out)
+        code, out, err = run_cli(
+            ["spectrum", "--input", str(hg), "--budget", "-5"], capsys
+        )
+        assert code == 2
+        assert "budget -5 is negative" in err
+
+    def test_turan_negative_budget(self, capsys):
+        code, out, err = run_cli(
+            ["turan", "--n", "5", "--r", "3", "--ell", "3", "--budget", "-1"], capsys
+        )
+        assert code == 2
+        assert "budget -1 is negative" in err
+
     def test_turan(self, capsys):
         code, out, err = run_cli(
             ["turan", "--n", "7", "--r", "3", "--ell", "2"], capsys

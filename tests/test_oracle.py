@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bergelab.certify import verify_cycle
 from bergelab.errors import PreconditionUnmet
+from bergelab.generators import complete_bipartite_incidence
 from bergelab.hypergraph import Hypergraph
 from bergelab.oracle import cycle_of_length, oracle_spectrum
 
@@ -53,6 +54,17 @@ class TestSpectrum:
         with pytest.raises(PreconditionUnmet):
             oracle_spectrum(complete3(4), max_len=5)
 
+    def test_negative_budget(self):
+        with pytest.raises(PreconditionUnmet):
+            oracle_spectrum(complete3(5), max_len=5, budget=-1)
+
+    def test_nodes_kept(self):
+        H = complete3(6)
+        full = oracle_spectrum(H, 6)
+        assert 0 < full.nodes <= 10**7
+        tiny = oracle_spectrum(H, 6, budget=2)
+        assert tiny.nodes == 3  # the push past the budget is counted
+
     def test_budget_monotone(self):
         H = complete3(6)
         prev: set[int] = set()
@@ -82,6 +94,66 @@ class TestSpectrum:
         assert all(L >= 3 for L in spec.lengths)
 
 
+@st.composite
+def _pair_graphs(draw):
+    """Random 2-graphs on at most 7 vertices: a random bipartite part,
+    optionally an odd cycle on the remaining vertices, a few extra random
+    pairs; the parts are disconnected unless an extra pair joins them."""
+    n = draw(st.integers(3, 7))
+    a = draw(st.integers(1, n - 1))
+    b = draw(st.integers(1, n - a))
+    edges = {(i, a + j) for i in range(a) for j in range(b) if draw(st.booleans())}
+    rest = list(range(a + b, n))
+    if len(rest) >= 3 and draw(st.booleans()):
+        k = len(rest) if len(rest) % 2 else len(rest) - 1
+        cyc = rest[:k]
+        edges |= {tuple(sorted((cyc[i], cyc[(i + 1) % k]))) for i in range(k)}
+    edges |= set(draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=2)))
+    return Hypergraph.from_edges(n, edges, uniformity=2)
+
+
+class TestBipartiteCut:
+    """Lengths a bipartite shadow component cannot hold are skipped per
+    component: odd lengths and even lengths above 2*min(side sizes)."""
+
+    @given(_pair_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_pair_graphs_match_naive(self, H):
+        spec = oracle_spectrum(H, max_len=H.n)
+        assert list(spec.lengths) == naive_spectrum(H.n, H.edges, H.n)
+        for w in spec.witnesses:
+            assert verify_cycle(H, w)
+
+    def test_odd_cycle_beside_bipartite_component(self):
+        # C_5 on 0..4 and K_3,3 on 5..10: 5 comes from the odd component
+        # only, 4 and 6 from the bipartite one, nothing longer from either.
+        c5 = [(i, (i + 1) % 5) for i in range(5)]
+        k33 = [(5 + i, 8 + j) for i in range(3) for j in range(3)]
+        H = Hypergraph.from_edges(11, c5 + k33)
+        spec = oracle_spectrum(H, max_len=11)
+        assert spec.lengths == (4, 5, 6)
+        assert not spec.budget_exhausted
+        # Searching K_3,3 start vertices at every length costs 438 nodes.
+        assert spec.nodes == 120
+
+    def test_k16_16_within_small_budget(self):
+        spec = oracle_spectrum(complete_bipartite_incidence(16, 16), 12, budget=10**4)
+        assert spec.lengths == (4, 6, 8, 10, 12)
+        assert not spec.budget_exhausted
+
+    @pytest.mark.parametrize("a,b", [(1, 5), (2, 2), (2, 5), (3, 4), (4, 4), (4, 9), (5, 7), (6, 6)])
+    def test_complete_bipartite_closed_form(self, a, b):
+        H = complete_bipartite_incidence(a, b)
+        spec = oracle_spectrum(H, max_len=a + b)
+        assert list(spec.lengths) == list(range(4, 2 * min(a, b) + 1, 2))
+        assert not spec.budget_exhausted
+        # each possible length is found without backtracking, and no
+        # impossible one costs a node
+        assert spec.nodes == sum(spec.lengths)
+        for w in spec.witnesses:
+            assert verify_cycle(H, w)
+
+
 class TestCycleOfLength:
     def test_present(self):
         w, exhausted = cycle_of_length(complete3(5), 4)
@@ -93,3 +165,7 @@ class TestCycleOfLength:
         assert 4 not in naive_spectrum(4, H.edges, 4)
         w, _ = cycle_of_length(H, 4)
         assert w is None
+
+    def test_negative_budget(self):
+        with pytest.raises(PreconditionUnmet):
+            cycle_of_length(complete3(5), 4, budget=-1)

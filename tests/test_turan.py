@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from bergelab import turan
 from bergelab.errors import PreconditionUnmet
 from bergelab.hypergraph import profile
 from bergelab.turan import turan_exhaustive
@@ -66,6 +67,18 @@ class TestExactness:
         assert not rec.exact
         full = turan_exhaustive(6, 3, 3)
         assert rec.value <= full.value
+
+    def test_negative_budget(self):
+        with pytest.raises(PreconditionUnmet):
+            turan_exhaustive(5, 3, 3, budget=-1)
+
+    def test_exhausted_extremal_check_raises(self, monkeypatch):
+        # budget 0 stops the search at once, so the only kernel call is the
+        # final check of the (empty) extremal example; it must not pass
+        # unsearched when the kernel runs out.
+        monkeypatch.setattr(turan, "spectrum_search", lambda *a: ([], 1, True))
+        with pytest.raises(PreconditionUnmet):
+            turan_exhaustive(5, 3, 3, budget=0)
 
     def test_ceiling(self):
         with pytest.raises(PreconditionUnmet):
