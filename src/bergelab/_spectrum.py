@@ -13,26 +13,30 @@ the length being searched is skipped. Only subtrees without a witness are
 cut, so the first witness found for each length stays the same. An edge
 of 3 or more vertices spans a triangle of the shadow, so such inputs are
 not coloured and their search and node counts are unchanged.
+
+Anchored mode (`through`). When a caller knows that `edges` without one
+edge e has no Berge cycle of any searched length, a cycle of `edges` must
+assign e to one of its spine pairs, and that pair lies inside e. So the
+search starts each spine at a pair (a, b) of e, in `combinations` order:
+the pair is pushed first and the path is fixed to begin a, b. Every vertex
+may then follow, so the smallest-vertex-first and reflection rules are
+dropped and the closing pair is normalised. A hit is always a real cycle of
+`edges`; finding one exactly when the full search does holds only under
+that free-prefix invariant, which the exact Turán search keeps by adding
+an edge only to a family already checked free.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .certify import Matcher
+from .hypergraph import cover_lists
 
 
 class _Budget(Exception):
     pass
-
-
-def _pair_covers(edges: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
-    cov: dict[tuple[int, int], list[int]] = {}
-    for i, e in enumerate(edges):
-        for p in combinations(e, 2):
-            cov.setdefault(p, []).append(i)
-    return cov
 
 
 def _bipartite_caps(n: int, adj: list[list[int]]) -> list[int]:
@@ -68,14 +72,17 @@ def spectrum_search(
     min_len: int,
     max_len: int,
     budget: int,
+    through: Optional[tuple[int, ...]] = None,
 ):
     """Search one witness per spine length in [min_len, max_len].
 
     Returns (hits, nodes, exhausted) where hits is a list of
     (length, spine, assignment) triples sorted by length. A node is one
-    attempted pair push (path extension or closure).
+    attempted pair push (path extension or closure, or an anchor pair).
+    With `through`, an edge of `edges`, only spines starting at a pair of
+    it are searched (anchored mode, see the module docstring).
     """
-    cov = _pair_covers(edges)
+    cov = cover_lists(edges)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in cov:
         adj[u].append(v)
@@ -84,6 +91,7 @@ def spectrum_search(
         lst.sort()
     starts = [v for v in range(n) if len(adj[v]) >= 2]
     caps = _bipartite_caps(n, adj) if all(len(e) == 2 for e in edges) else None
+    anchors = list(combinations(through, 2)) if through is not None else None
 
     state = {"nodes": 0, "exhausted": False}
     limit = budget
@@ -100,20 +108,27 @@ def spectrum_search(
         m = Matcher(cov)
         path = [0] * L
         used = [False] * n
+        floor = -1  # later spine vertices exceed it: path[0] unless anchored
 
         def dfs(depth: int):
             last = path[depth - 1]
             v1 = path[0]
             if depth == L:
-                if path[1] < path[L - 1] and (v1, last) in cov:
+                if anchors is not None:
+                    closing = (v1, last) if v1 < last else (last, v1)
+                elif path[1] < last:
+                    closing = (v1, last)
+                else:
+                    return None
+                if closing in cov:
                     spend()
-                    if m.push((v1, last)):
+                    if m.push(closing):
                         result = (tuple(path), tuple(m.assign))  # copy now
                         m.pop()
                         return result
                 return None
             for w in adj[last]:
-                if w <= v1 or used[w]:
+                if w <= floor or used[w]:
                     continue
                 spend()
                 pair = (last, w) if last < w else (w, last)
@@ -128,7 +143,23 @@ def spectrum_search(
                     return found
             return None
 
+        if anchors is not None:
+            for a, b in anchors:
+                if a not in firsts:
+                    continue
+                spend()
+                if not m.push((a, b)):
+                    continue
+                path[0], path[1] = a, b
+                used[a] = used[b] = True
+                found = dfs(2)
+                used[a] = used[b] = False
+                m.pop()
+                if found:
+                    return found
+            return None
         for v1 in firsts:
+            floor = v1
             path[0] = v1
             used[v1] = True
             found = dfs(1)

@@ -9,7 +9,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import BergelabError, PreconditionUnmet, VerificationFailure
+from .errors import (
+    ArityTooLarge,
+    BergelabError,
+    DuplicateEdge,
+    EdgeSizeMismatch,
+    MalformedLine,
+    PreconditionUnmet,
+    VerificationFailure,
+    VertexOutOfRange,
+)
 from .finder import find_general_3, find_general_r, find_linear_r, skeleton_sweep
 from .generators import GeneratorSpec, check_params, generate, random_linear_r
 from .hypergraph import Hypergraph, average_degree, is_linear, parse, serialize
@@ -23,6 +32,21 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
+
+# Error type -> (message prefix, exit code); the first row the error is an
+# instance of wins. Input that does not parse is a precondition (2); a
+# failed check of a result (verification, proof step, classification) is 1.
+_ERRORS = (
+    (VerificationFailure, "verification failure: ", EXIT_VERIFY),
+    (PreconditionUnmet, "precondition unmet: ", EXIT_PRECONDITION),
+    (FileNotFoundError, "", EXIT_PRECONDITION),
+    (
+        (MalformedLine, DuplicateEdge, VertexOutOfRange, EdgeSizeMismatch, ArityTooLarge),
+        "invalid input: ",
+        EXIT_PRECONDITION,
+    ),
+    (BergelabError, "error: ", EXIT_VERIFY),
+)
 
 
 def _read_hypergraph(path: str) -> Hypergraph:
@@ -208,18 +232,10 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     try:
         return args.fn(args)
-    except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except PreconditionUnmet as exc:
-        print(f"precondition unmet: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BergelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+    except (BergelabError, FileNotFoundError) as exc:
+        prefix, code = next(row for kind, *row in _ERRORS if isinstance(exc, kind))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

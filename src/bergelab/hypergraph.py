@@ -193,13 +193,21 @@ def incidence(H: Hypergraph) -> tuple[tuple[int, ...], ...]:
     return H._incidence
 
 
+def cover_lists(edges: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
+    """Map each vertex pair inside some edge to the indices of the edges
+    covering it, in edge order; pairs appear in first-seen order."""
+    cov: dict[tuple[int, int], list[int]] = {}
+    for i, e in enumerate(edges):
+        for p in combinations(e, 2):
+            cov.setdefault(p, []).append(i)
+    return cov
+
+
 def pair_covers(H: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Map each vertex pair inside some edge to its covering edge indices."""
+    """Map each vertex pair inside some edge to its covering edge indices,
+    sorted by pair; built once per instance."""
     if H._pair_covers is None:
-        cov: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(H.edges):
-            for p in combinations(e, 2):
-                cov.setdefault(p, []).append(i)
+        cov = cover_lists(H.edges)
         object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in sorted(cov.items())})
     return H._pair_covers
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 from ._spectrum import spectrum_search
 from .errors import InternalProofFailure, PreconditionUnmet
@@ -32,7 +33,12 @@ class TuranRecord:
 _KERNEL_BUDGET = 10**7  # per freeness check; instances here are tiny
 
 
-def _free_of_length(n: int, edges: list[tuple[int, ...]], ell: int) -> bool:
+def _free_of_length(
+    n: int, edges: list[tuple[int, ...]], ell: int, through: Optional[tuple[int, ...]] = None
+) -> bool:
+    """True when `edges` has no Berge cycle of length ell. With `through`,
+    `edges` minus that edge must already be known free, and only cycles
+    assigning it are searched."""
     if ell == 2:
         seen: set[tuple[int, int]] = set()
         for e in edges:
@@ -41,7 +47,7 @@ def _free_of_length(n: int, edges: list[tuple[int, ...]], ell: int) -> bool:
                     return False
                 seen.add(p)
         return True
-    hits, _, exhausted = spectrum_search(n, tuple(edges), ell, ell, _KERNEL_BUDGET)
+    hits, _, exhausted = spectrum_search(n, tuple(edges), ell, ell, _KERNEL_BUDGET, through)
     if exhausted:
         raise PreconditionUnmet("freeness check ran out of budget")
     return not hits
@@ -89,7 +95,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         ordered = fresh == list(range(frontier, frontier + len(fresh)))
         if ordered:
             chosen.append(e)
-            if _free_of_length(n, chosen, ell):
+            # chosen[:-1] passed this check when each edge was kept
+            if _free_of_length(n, chosen, ell, e):
                 dfs(pos + 1, frontier + len(fresh), used_pairs + per_edge_pairs)
             chosen.pop()
         dfs(pos + 1, frontier, used_pairs)

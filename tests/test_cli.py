@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from bergelab import cli
 from bergelab.cli import main
+from bergelab.errors import ArityTooLarge
 from bergelab.hypergraph import parse
 
 PKG = str(Path(__file__).resolve().parent.parent / "src")
@@ -179,6 +183,41 @@ class TestOtherCommands:
             ["find", "--k", "1", "--mode", "linear3", "--input", str(hg)], capsys
         )
         assert code == 2
+
+
+# One document per parse error, with the message it must report.
+BAD_INPUTS = {
+    "MalformedLine": ("garbage line\n", "header must be 'r n m'"),
+    "DuplicateEdge": ("3 5 2\n0 1 2\n2 1 0\n", "appears twice"),
+    "VertexOutOfRange": ("3 5 1\n0 1 5\n", "leaves 0..4"),
+    "EdgeSizeMismatch": ("3 5 1\n0 1 2 3\n", "is not a 3-set"),
+}
+INPUT_COMMANDS = (["find", "--k", "2"], ["spectrum"])
+
+
+class TestParseErrors:
+    """Input that does not parse is a precondition failure: exit 2."""
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("kind", sorted(BAD_INPUTS))
+    def test_bad_document_exits_2(self, capsys, tmp_path, kind, command):
+        text, message = BAD_INPUTS[kind]
+        hg = tmp_path / "bad.hg"
+        hg.write_text(text)
+        code, out, err = run_cli(command + ["--input", str(hg)], capsys)
+        assert code == 2
+        assert err.startswith("invalid input: ") and message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda c: c[0])
+    def test_arity_too_large_exits_2(self, capsys, monkeypatch, command):
+        def refuse(path):
+            raise ArityTooLarge("arity 3 is not below the maximum edge size 3")
+
+        monkeypatch.setattr(cli, "_read_hypergraph", refuse)
+        code, out, err = run_cli(command + ["--input", "unused.hg"], capsys)
+        assert code == 2
+        assert err.startswith("invalid input: arity 3")
 
 
 class TestDeterminism:
