@@ -82,7 +82,7 @@ def spectrum_search(
     With `through`, an edge of `edges`, only spines starting at a pair of
     it are searched (anchored mode, see the module docstring).
     """
-    cov = cover_lists(edges)
+    cov = cover_lists(edges, 2)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in cov:
         adj[u].append(v)

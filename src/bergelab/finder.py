@@ -26,11 +26,17 @@ from .errors import (
     PreconditionUnmet,
 )
 from .graphs import Graph, connected_components, long_path_from_density, norm_edge
-from .hypergraph import Hypergraph, average_degree, is_linear
+from .hypergraph import (
+    Hypergraph,
+    average_degree,
+    cover_lists,
+    covered_vertices,
+    edge_components,
+    is_linear,
+)
 from .pathtools import (
     ColoredGraph,
     consecutive_even_cycles,
-    covered_vertices,
     special_linear_path,
     special_path,
     tripartite_ladder,
@@ -142,30 +148,6 @@ def _close_through_tree(
     return w
 
 
-def _edge_components(H: Hypergraph, edge_ids: Sequence[int]) -> list[list[int]]:
-    """Partition edge ids into shadow-connected groups (sorted, deterministic)."""
-    parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for ei in edge_ids:
-        for v in H.edges[ei]:
-            parent.setdefault(v, v)
-        vs = H.edges[ei]
-        for w in vs[1:]:
-            ra, rb = find(vs[0]), find(w)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for ei in sorted(edge_ids):
-        groups.setdefault(find(H.edges[ei][0]), []).append(ei)
-    return [groups[r] for r in sorted(groups)]
-
-
 # ---------------------------------------------------------------------------
 # the two per-level routes
 
@@ -260,7 +242,7 @@ def cycles_or_level_bound(
     li1 = set(sk.levels[i + 1]) if i + 1 <= sk.height else set()
     bound = Fraction(7 * k, 2) * len(li) + len(li) + (Fraction(5 * k, 2) + 2) * len(li1)
     level_of = sk.level_of()
-    for comp_ids in _edge_components(H, ids):
+    for comp_ids in edge_components(H, ids):
         run = _bc_component_routes(H, sk, i, k, comp_ids, set(up), level_of)
         if run is not None:
             validate_run(H, run)
@@ -429,7 +411,7 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     guaranteed = average_degree(H) >= 21 * (k + 1)
     alive = set(range(len(H.edges)))
     while alive:
-        comps = _edge_components(H, sorted(alive))
+        comps = edge_components(H, sorted(alive))
         comp_ids = max(
             comps,
             key=lambda ids: (
@@ -481,20 +463,12 @@ def find_linear_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         run = skeleton_sweep(H, k)
         guaranteed = average_degree(H) >= 21 * (k + 1)
     else:
-        triples = [e[:3] for e in H.edges]
-        back: dict[tuple[int, ...], int] = {}
-        for idx, t in enumerate(triples):
-            back[t] = idx
-        H3 = Hypergraph.from_edges(H.n, triples, uniformity=3)
-        lift = [back[t] for t in H3.edges]
-        run3 = skeleton_sweep(H3, k)
-        run = None
-        if run3 is not None:
-            cycles = tuple(
-                BergeCycleWitness(w.spine, tuple(lift[e] for e in w.edges))
-                for w in run3.cycles
-            )
-            run = ConsecutiveRun(k=k, cycles=cycles, shortest_bound=run3.shortest_bound)
+        # H's edges are sorted and pairwise share at most one vertex, so
+        # their 3-prefixes are distinct and already sorted: edge i of H3 is
+        # the prefix of edge i of H, and H3's witnesses are H's.
+        H3 = Hypergraph.from_edges(H.n, [e[:3] for e in H.edges], uniformity=3)
+        run = skeleton_sweep(H3, k)
+        if run is not None:
             validate_run(H, run)
         guaranteed = average_degree(H) >= 7 * H.uniformity * (k + 1)
     if run is None and guaranteed:
@@ -515,12 +489,8 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
     r = H.uniformity
-    count: dict[tuple[int, ...], int] = {}
-    members: dict[tuple[int, ...], list[int]] = {}
-    for ei, e in enumerate(H.edges):
-        for sub in combinations(e, r - 1):
-            count[sub] = count.get(sub, 0) + 1
-            members.setdefault(sub, []).append(ei)
+    members = cover_lists(H.edges, r - 1)
+    count = {sub: len(ids) for sub, ids in members.items()}
     alive = set(range(len(H.edges)))
     heap: list[tuple[int, tuple[int, ...]]] = []
     for ei, e in enumerate(H.edges):
@@ -549,13 +519,10 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     if len(slice_entries) * k < len(H.edges):
         raise InternalProofFailure("slice count", "fewer than |H|/k representatives")
     # re-mark with slice-co-degree-1 subsets when available
-    slice_count: dict[tuple[int, ...], int] = {}
-    for ei, _ in slice_entries:
-        for sub in combinations(H.edges[ei], r - 1):
-            slice_count[sub] = slice_count.get(sub, 0) + 1
+    slice_covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
     out = []
     for ei, sub0 in sorted(slice_entries):
-        fresh = [s for s in combinations(H.edges[ei], r - 1) if slice_count[s] == 1]
+        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(slice_covers[s]) == 1]
         if fresh:
             out.append((ei, fresh[0], True))
         else:
@@ -588,13 +555,9 @@ def tight_path_cycles(P: TightPath) -> list[BergeCycleWitness]:
     return out
 
 
-def _codegree_subsets(H: Hypergraph):
-    r = H.uniformity
-    count: dict[tuple[int, ...], int] = {}
-    for e in H.edges:
-        for sub in combinations(e, r - 1):
-            count[sub] = count.get(sub, 0) + 1
-    return count
+def _codegree_subsets(H: Hypergraph) -> dict[tuple[int, ...], int]:
+    """Co-degree of each (r-1)-subset of an edge."""
+    return {sub: len(ids) for sub, ids in cover_lists(H.edges, H.uniformity - 1).items()}
 
 
 def min_codegree_cycles(H: Hypergraph, k: int) -> list[BergeCycleWitness]:
@@ -606,21 +569,19 @@ def min_codegree_cycles(H: Hypergraph, k: int) -> list[BergeCycleWitness]:
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
     r = H.uniformity
-    counts = _codegree_subsets(H)
-    if not counts or min(counts.values()) < k + 1:
+    covers = cover_lists(H.edges, r - 1)
+    if not covers or min(len(ids) for ids in covers.values()) < k + 1:
         raise PreconditionUnmet(f"minimum nonzero co-degree below {k + 1}")
     index_of = {e: i for i, e in enumerate(H.edges)}
-    extras: dict[tuple[int, ...], list[int]] = {}
-    for e in H.edges:
-        for sub in combinations(e, r - 1):
-            extras.setdefault(sub, []).append(next(v for v in e if v not in sub))
+    # tails and heads lie on the path, so an edge covering one offers only
+    # the vertex it adds
     path = list(H.edges[0])
     onpath = set(path)
     grown = True
     while grown:
         grown = False
         tail = tuple(sorted(path[-(r - 1) :]))
-        cands = sorted(w for w in extras.get(tail, ()) if w not in onpath)
+        cands = sorted(w for i in covers.get(tail, ()) for w in H.edges[i] if w not in onpath)
         if cands:
             path.append(cands[0])
             onpath.add(cands[0])
@@ -629,7 +590,7 @@ def min_codegree_cycles(H: Hypergraph, k: int) -> list[BergeCycleWitness]:
     while grown:
         grown = False
         head = tuple(sorted(path[: r - 1]))
-        cands = sorted(w for w in extras.get(head, ()) if w not in onpath)
+        cands = sorted(w for i in covers.get(head, ()) for w in H.edges[i] if w not in onpath)
         if cands:
             path.insert(0, cands[0])
             onpath.add(cands[0])
@@ -691,15 +652,21 @@ def min_codegree_cycles(H: Hypergraph, k: int) -> list[BergeCycleWitness]:
 # general finders
 
 
+def _lift_run(H: Hypergraph, lift: Sequence[int], run: ConsecutiveRun) -> ConsecutiveRun:
+    """A run found in a hypergraph whose edge j stands for edge lift[j] of H,
+    carried over to H and re-verified there."""
+    cycles = tuple(
+        BergeCycleWitness(w.spine, tuple(lift[e] for e in w.edges)) for w in run.cycles
+    )
+    lifted = ConsecutiveRun(k=run.k, cycles=cycles, shortest_bound=run.shortest_bound)
+    validate_run(H, lifted)
+    return lifted
+
+
 def _run_from_core(H: Hypergraph, core_ids: Sequence[int], k: int) -> ConsecutiveRun:
     sub, idx = H.restrict(core_ids)
-    cycles = min_codegree_cycles(sub, k)
-    lifted = tuple(
-        BergeCycleWitness(w.spine, tuple(idx[e] for e in w.edges)) for w in cycles
-    )
-    run = ConsecutiveRun(k=k, cycles=lifted, shortest_bound=3)
-    validate_run(H, run)
-    return run
+    cycles = tuple(min_codegree_cycles(sub, k))
+    return _lift_run(H, idx, ConsecutiveRun(k=k, cycles=cycles, shortest_bound=3))
 
 
 def general_3_threshold(k: int) -> int:
@@ -716,29 +683,29 @@ def find_general_3(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     split = split_by_codegree(H, k)
     if isinstance(split, DenseCore):
         return _run_from_core(H, split.edge_ids, k)
-    run = _case_high_pairs(H, split, k)
+    reps = [ei for ei, _, _ in split.entries]
+    slice_covers = cover_lists([H.edges[ei] for ei in reps], 2)
+    run = _case_high_pairs(H, split, reps, slice_covers, k)
     if run is None:
-        run = _case_low_pairs(H, split, k)
+        run = _case_low_pairs(H, reps, slice_covers, k)
     if run is None and average_degree(H) >= general_3_threshold(k):
         raise InternalProofFailure("general 3-graph", "no run above the threshold")
     return run
 
 
-def _slice_pair_codegrees(H: Hypergraph, reps: Sequence[int]):
-    count: dict[tuple[int, int], int] = {}
-    for ei in reps:
-        for p in combinations(H.edges[ei], 2):
-            count[p] = count.get(p, 0) + 1
-    return count
-
-
-def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[ConsecutiveRun]:
-    reps = [ei for ei, _, _ in sl.entries]
-    cod = _slice_pair_codegrees(H, reps)
+def _case_high_pairs(
+    H: Hypergraph,
+    sl: MarkedSlice,
+    reps: Sequence[int],
+    slice_covers: dict[tuple[int, ...], list[int]],
+    k: int,
+) -> Optional[ConsecutiveRun]:
+    """`reps` lists the slice's edges in index order; `slice_covers` maps
+    each pair inside one to the positions in `reps` of the edges covering it."""
     good_entries = [
         (ei, mark)
         for ei, mark, c1 in sl.entries
-        if c1 and any(cod[p] >= 3 for p in combinations(H.edges[ei], 2))
+        if c1 and any(len(slice_covers[p]) >= 3 for p in combinations(H.edges[ei], 2))
     ]
     if not good_entries:
         return None
@@ -747,10 +714,6 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
     chosen = _derandomized_good_set(H, good_entries)
     if 27 * len(chosen) < 4 * len(good_entries):
         raise InternalProofFailure("good set", "conditional expectation under 4/27")
-    rep_pairs: dict[tuple[int, int], list[int]] = {}
-    for ei in reps:
-        for p in combinations(H.edges[ei], 2):
-            rep_pairs.setdefault(p, []).append(ei)
     pair_to_edge: dict[tuple[int, int], int] = {}
     third: dict[tuple[int, int], int] = {}
     for ei, mark in chosen:
@@ -771,7 +734,7 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
         pairs = [norm_edge(cyc[j], cyc[(j + 1) % L]) for j in range(L)]
         eids = [pair_to_edge[p] for p in pairs]
         by_len[L] = BergeCycleWitness(tuple(cyc), tuple(eids))
-        aug = _augment_through_high_pair(H, cod, rep_pairs, pair_to_edge, third, cyc)
+        aug = _augment_through_high_pair(H, reps, slice_covers, pair_to_edge, third, cyc)
         by_len[L + 1] = aug
     lens = sorted(by_len)
     lo = lens[0]
@@ -787,7 +750,7 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
     return run
 
 
-def _augment_through_high_pair(H, cod, rep_pairs, pair_to_edge, third, cyc):
+def _augment_through_high_pair(H, reps, slice_covers, pair_to_edge, third, cyc):
     """Insert the third vertex of the first cycle edge's hyperedge, rerouting
     through a high pair; lengthens the Berge cycle by exactly one."""
     L = len(cyc)
@@ -795,16 +758,17 @@ def _augment_through_high_pair(H, cod, rep_pairs, pair_to_edge, third, cyc):
     key = norm_edge(a, b)
     base = pair_to_edge[key]
     w = third[key]
-    if cod.get(norm_edge(a, w), 0) >= 3:
+    if len(slice_covers.get(norm_edge(a, w), ())) >= 3:
         hi, banned = a, {b, cyc[-1]}
         rest = list(cyc[1:])  # b, u2, .., u_{L-1}
-    elif cod.get(norm_edge(b, w), 0) >= 3:
+    elif len(slice_covers.get(norm_edge(b, w), ())) >= 3:
         hi, banned = b, {a, cyc[2 % L]}
         rest = [a] + list(reversed(cyc[2:]))  # a, u_{L-1}, .., u_2
     else:
         raise InternalProofFailure("augmentation", "no high pair beside the mark")
     cand = None
-    for ei in rep_pairs.get(norm_edge(hi, w), ()):
+    for j in slice_covers.get(norm_edge(hi, w), ()):
+        ei = reps[j]
         z = next(v for v in H.edges[ei] if v not in (hi, w))
         if z not in banned and ei != base:
             cand = ei
@@ -822,13 +786,8 @@ def _augment_through_high_pair(H, cod, rep_pairs, pair_to_edge, third, cyc):
 def _derandomized_good_set(H: Hypergraph, entries):
     """Choose S by conditional expectation so that at least 4/27 of the
     entries become good (marked pair inside S, third vertex outside)."""
-    touch: dict[int, list[int]] = {}
-    info = []
-    for idx, (ei, mark) in enumerate(entries):
-        t = next(v for v in H.edges[ei] if v not in mark)
-        info.append((mark, t))
-        for v in H.edges[ei]:
-            touch.setdefault(v, []).append(idx)
+    info = [(mark, next(v for v in H.edges[ei] if v not in mark)) for ei, mark in entries]
+    touch = cover_lists([H.edges[ei] for ei, _ in entries], 1)
     state: dict[int, bool] = {}
 
     def prob(idx) -> Fraction:
@@ -847,9 +806,9 @@ def _derandomized_good_set(H: Hypergraph, entries):
             p *= Fraction(1, 3)
         return p
 
-    for v in sorted(touch):
+    for (v,), idxs in sorted(touch.items()):
         gain_in = gain_out = Fraction(0)
-        for idx in touch[v]:
+        for idx in idxs:
             base = prob(idx)
             state[v] = True
             gain_in += prob(idx) - base
@@ -877,41 +836,37 @@ def _greedy_bipartite_subgraph(G: Graph) -> Graph:
     return Graph.build(G.vertices, edges)
 
 
-def _case_low_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[ConsecutiveRun]:
-    reps = [ei for ei, _, _ in sl.entries]
-    cod = _slice_pair_codegrees(H, reps)
+def _case_low_pairs(
+    H: Hypergraph,
+    reps: Sequence[int],
+    slice_covers: dict[tuple[int, ...], list[int]],
+    k: int,
+) -> Optional[ConsecutiveRun]:
+    """Greedy linear subfamily of the slice edges whose pairs all have
+    slice co-degree at most 2, swept as a linear 3-graph (`reps` and
+    `slice_covers` as in `_case_high_pairs`)."""
     low = [
-        ei
-        for ei in reps
-        if all(cod[p] <= 2 for p in combinations(H.edges[ei], 2))
+        j
+        for j, ei in enumerate(reps)
+        if all(len(slice_covers[p]) <= 2 for p in combinations(H.edges[ei], 2))
     ]
     if not low:
         return None
-    pair_members: dict[tuple[int, int], list[int]] = {}
-    for ei in low:
-        for p in combinations(H.edges[ei], 2):
-            pair_members.setdefault(p, []).append(ei)
     chosen: list[int] = []
     banned: set[int] = set()
-    for ei in sorted(low):
-        if ei in banned:
+    for j in low:
+        if j in banned:
             continue
-        chosen.append(ei)
-        for p in combinations(H.edges[ei], 2):
-            for other in pair_members[p]:
-                banned.add(other)
+        chosen.append(reps[j])
+        for p in combinations(H.edges[reps[j]], 2):
+            banned.update(slice_covers[p])
     sub, idx = H.restrict(chosen)
     if average_degree(sub) < 21 * (k + 1):
         return None
     run3 = skeleton_sweep(sub, k)
     if run3 is None:
         return None
-    cycles = tuple(
-        BergeCycleWitness(w.spine, tuple(idx[e] for e in w.edges)) for w in run3.cycles
-    )
-    run = ConsecutiveRun(k=k, cycles=cycles, shortest_bound=run3.shortest_bound)
-    validate_run(H, run)
-    return run
+    return _lift_run(H, idx, run3)
 
 
 def general_r_threshold(r: int, k: int) -> int:
@@ -935,16 +890,9 @@ def find_general_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     marks = sorted(m for _, m, _ in split.entries)
     rep_of = {m: ei for ei, m, _ in split.entries}
     G = Hypergraph.from_edges(H.n, marks, uniformity=r - 1)
-    lift = [rep_of[m] for m in G.edges]
     sub_run = find_general_r(G, k)
     if sub_run is None:
         if average_degree(H) >= general_r_threshold(r, k):
             raise InternalProofFailure("general r-graph", "no run above the threshold")
         return None
-    cycles = tuple(
-        BergeCycleWitness(w.spine, tuple(lift[e] for e in w.edges))
-        for w in sub_run.cycles
-    )
-    run = ConsecutiveRun(k=k, cycles=cycles, shortest_bound=sub_run.shortest_bound)
-    validate_run(H, run)
-    return run
+    return _lift_run(H, [rep_of[m] for m in G.edges], sub_run)

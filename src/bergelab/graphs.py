@@ -521,7 +521,7 @@ def _any_cycle(G: Graph) -> Optional[list[int]]:
     for root in G.vertices:
         if root in seen:
             continue
-        parent, depth, order = bfs_tree(G.subgraph(_component_of(adj, root)), root)
+        parent, depth, order = bfs_tree(G, root)
         seen.update(depth)
         for u, v in G.edges:
             if u not in depth or v not in depth:
@@ -547,18 +547,6 @@ def _any_cycle(G: Graph) -> Optional[list[int]]:
                 if _cycle_is_valid(adj, cyc):
                     return cyc
     return None
-
-
-def _component_of(adj: dict[int, list[int]], s: int) -> set[int]:
-    comp = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return comp
 
 
 def _best_component(G: Graph, bound) -> Graph:

@@ -1,5 +1,6 @@
 """Immutable hypergraphs over dense integer vertex ids, with the degree,
-shadow, and density-preserving subgraph machinery everything else builds on.
+shadow, subset-cover, shadow-component and peeling machinery everything
+else builds on.
 
 Conventions
 -----------
@@ -14,6 +15,7 @@ Conventions
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -24,6 +26,7 @@ from .errors import (
     ArityTooLarge,
     DuplicateEdge,
     EdgeSizeMismatch,
+    InternalProofFailure,
     MalformedLine,
     PreconditionUnmet,
     VertexOutOfRange,
@@ -62,9 +65,10 @@ class Hypergraph:
         canon: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         for raw in edges:
+            raw = tuple(raw)
             e = tuple(sorted(set(raw)))
-            if len(e) != len(list(raw)):
-                raise MalformedLine(f"edge {tuple(raw)} repeats a vertex")
+            if len(e) != len(raw):
+                raise MalformedLine(f"edge {raw} repeats a vertex")
             if len(e) < 2:
                 raise EdgeSizeMismatch(f"edge {e} has fewer than 2 vertices")
             if e[0] < 0 or e[-1] >= n:
@@ -193,13 +197,15 @@ def incidence(H: Hypergraph) -> tuple[tuple[int, ...], ...]:
     return H._incidence
 
 
-def cover_lists(edges: Sequence[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
-    """Map each vertex pair inside some edge to the indices of the edges
-    covering it, in edge order; pairs appear in first-seen order."""
-    cov: dict[tuple[int, int], list[int]] = {}
+def cover_lists(
+    edges: Sequence[tuple[int, ...]], k: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Map each k-subset inside some edge to the positions in `edges` of the
+    edges covering it, in edge order; subsets appear in first-seen order."""
+    cov: dict[tuple[int, ...], list[int]] = {}
     for i, e in enumerate(edges):
-        for p in combinations(e, 2):
-            cov.setdefault(p, []).append(i)
+        for s in combinations(e, k):
+            cov.setdefault(s, []).append(i)
     return cov
 
 
@@ -207,7 +213,7 @@ def pair_covers(H: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
     """Map each vertex pair inside some edge to its covering edge indices,
     sorted by pair; built once per instance."""
     if H._pair_covers is None:
-        cov = cover_lists(H.edges)
+        cov = cover_lists(H.edges, 2)
         object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in sorted(cov.items())})
     return H._pair_covers
 
@@ -244,12 +250,7 @@ def shadow(H: Hypergraph, k: int) -> Shadow:
     max_size = max((len(e) for e in H.edges), default=0)
     if k >= max_size:
         raise ArityTooLarge(f"arity {k} is not below the maximum edge size {max_size}")
-    cov: dict[tuple[int, ...], list[int]] = {}
-    for i, e in enumerate(H.edges):
-        if len(e) < k:
-            continue
-        for s in combinations(e, k):
-            cov.setdefault(s, []).append(i)
+    cov = cover_lists(H.edges, k)
     keys = sorted(cov)
     return Shadow(
         k=k,
@@ -258,47 +259,77 @@ def shadow(H: Hypergraph, k: int) -> Shadow:
     )
 
 
-def peel_min_degree_core(H: Hypergraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Label-preserving core of the average-degree peeling.
+def covered_vertices(H: Hypergraph, edge_ids: Iterable[int]) -> set[int]:
+    out: set[int] = set()
+    for i in edge_ids:
+        out.update(H.edges[i])
+    return out
 
-    Repeatedly deletes the smallest-id vertex of degree < d(H)/r together
-    with its edges. Returns (surviving vertices, surviving edge indices).
-    For uniform H the threshold d(H)/r equals |H|/n exactly.
+
+def edge_components(H: Hypergraph, edge_ids: Sequence[int]) -> list[list[int]]:
+    """Partition edge ids into shadow-connected groups: each group sorted,
+    groups ordered by their smallest vertex."""
+    parent: dict[int, int] = {}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for ei in edge_ids:
+        for v in H.edges[ei]:
+            parent.setdefault(v, v)
+        vs = H.edges[ei]
+        for w in vs[1:]:
+            ra, rb = find(vs[0]), find(w)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for ei in sorted(edge_ids):
+        groups.setdefault(find(H.edges[ei][0]), []).append(ei)
+    return [groups[r] for r in sorted(groups)]
+
+
+def peel(
+    H: Hypergraph, edge_ids: Sequence[int], threshold: Fraction
+) -> tuple[dict[int, int], list[int]]:
+    """Min-degree core of an edge-subset view, by threshold peeling.
+
+    Repeatedly deletes the smallest-id vertex whose degree in the view is
+    below `threshold`, together with its edges; the survivors do not depend
+    on the deletion order. Returns (each vertex covered by the surviving
+    edges -> its degree among them, the sorted surviving edge ids). A
+    positive threshold at most the view's |E|/|V| never empties the view:
+    deleting a vertex of degree below that ratio does not lower the ratio.
     """
-    if H.uniformity is None or not H.edges:
-        raise PreconditionUnmet("peeling needs a uniform, nonempty hypergraph")
-    threshold = Fraction(len(H.edges), H.n)
-    deg = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    alive_v = set(range(H.n))
-    alive_e = set(range(len(H.edges)))
+    deg: dict[int, int] = {}
+    for i in edge_ids:
+        for v in H.edges[i]:
+            deg[v] = deg.get(v, 0) + 1
+    alive_e = set(edge_ids)
     inc = incidence(H)
-    # queue of candidates below threshold; re-examined after degree drops
-    import heapq
-
-    heap = [v for v in range(H.n) if deg[v] < threshold]
+    heap = [v for v, d in deg.items() if d < threshold]
     heapq.heapify(heap)
-    dead_e: set[int] = set()
+    dead: set[int] = set()
     while heap:
         v = heapq.heappop(heap)
-        if v not in alive_v or deg[v] >= threshold:
+        if v in dead or deg[v] >= threshold:
             continue
-        alive_v.discard(v)
+        dead.add(v)
         for i in inc[v]:
-            if i in dead_e or i not in alive_e:
+            if i not in alive_e:
                 continue
             alive_e.discard(i)
-            dead_e.add(i)
             for u in H.edges[i]:
-                if u in alive_v:
+                if u not in dead:
                     deg[u] -= 1
                     if deg[u] < threshold:
                         heapq.heappush(heap, u)
     if not alive_e:
-        raise PreconditionUnmet("peeling emptied the hypergraph; impossible when d > 0")
-    return tuple(sorted(alive_v)), tuple(sorted(alive_e))
+        raise InternalProofFailure("peeling", "view peeled to nothing")
+    # a survivor keeps degree >= threshold > 0, so it lies in a surviving edge
+    return {v: d for v, d in deg.items() if v not in dead}, sorted(alive_e)
 
 
 def min_degree_subgraph(H: Hypergraph) -> Hypergraph:
@@ -307,12 +338,14 @@ def min_degree_subgraph(H: Hypergraph) -> Hypergraph:
     Surviving vertices are relabeled densely (order preserving); H itself is
     returned unchanged when nothing peels.
     """
-    verts, eids = peel_min_degree_core(H)
-    if len(verts) == H.n and len(eids) == len(H.edges):
+    if H.uniformity is None or not H.edges:
+        raise PreconditionUnmet("peeling needs a uniform, nonempty hypergraph")
+    deg, eids = peel(H, range(len(H.edges)), Fraction(len(H.edges), H.n))
+    if len(deg) == H.n and len(eids) == len(H.edges):
         return H
-    relabel = {v: i for i, v in enumerate(verts)}
+    relabel = {v: i for i, v in enumerate(sorted(deg))}
     new_edges = [tuple(relabel[v] for v in H.edges[i]) for i in eids]
-    return Hypergraph.from_edges(len(verts), new_edges)
+    return Hypergraph.from_edges(len(deg), new_edges)
 
 
 def r_partite_subgraph(H: Hypergraph, seed: int = 0) -> tuple[Hypergraph, tuple[tuple[int, ...], ...]]:

@@ -68,13 +68,9 @@ def length_controlled_search(
     if not all_ids:
         report = LevelGrowthReport(H.n, 0, k, h, met, 0, (), None)
         return None, report
-    core_v, core_ids = peel_view(H, all_ids)
-    deg = {v: 0 for v in core_v}
-    for ei in core_ids:
-        for v in H.edges[ei]:
-            deg[v] += 1
-    core_min = min(deg.values())
-    root = min(core_v)
+    core_deg, core_ids = peel_view(H, all_ids)
+    core_min = min(core_deg.values())
+    root = min(core_deg)
     sk = build_skeleton(H, root, active_edges=core_ids)
     classes = classify_levels(H, sk, active_edges=core_ids)
 

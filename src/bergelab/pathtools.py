@@ -27,8 +27,8 @@ from .graphs import (
     min_degree_core,
     norm_edge,
 )
-from .hypergraph import Hypergraph
-from .skeleton import frame_from_parent
+from .hypergraph import Hypergraph, covered_vertices, edge_components, peel
+from .skeleton import frame_from_parent, path_to_root
 
 
 @dataclass(frozen=True)
@@ -90,43 +90,6 @@ def check_linear_path(H: Hypergraph, edge_ids: Sequence[int]) -> bool:
     return True
 
 
-def linear_path_spine(H: Hypergraph, edge_ids: Sequence[int], start: int, end: int):
-    """Spine start .. shared vertices .. end of a linear path."""
-    if len(edge_ids) == 1:
-        return [start, end]
-    shared = [
-        min(set(H.edges[a]) & set(H.edges[b]))
-        for a, b in zip(edge_ids, edge_ids[1:])
-    ]
-    return [start] + shared + [end]
-
-
-def covered_vertices(H: Hypergraph, edge_ids: Iterable[int]) -> set[int]:
-    out: set[int] = set()
-    for i in edge_ids:
-        out.update(H.edges[i])
-    return out
-
-
-def _shadow_graph(H: Hypergraph, edge_ids: Iterable[int]) -> Graph:
-    pairs = set()
-    verts = set()
-    for i in edge_ids:
-        e = H.edges[i]
-        verts.update(e)
-        for a in range(len(e)):
-            for b in range(a + 1, len(e)):
-                pairs.add((e[a], e[b]))
-    return Graph.build(verts, pairs)
-
-
-def _view_is_connected(H: Hypergraph, edge_ids: Sequence[int]) -> bool:
-    if not edge_ids:
-        return True
-    sg = _shadow_graph(H, edge_ids)
-    return len(connected_components(sg)) == 1
-
-
 def linear_xy_path(
     H: Hypergraph,
     X: Iterable[int],
@@ -169,10 +132,7 @@ def linear_xy_path(
                 q.append(w)
     if goal is None:
         raise Disconnected("no shadow path between X and Y")
-    spine = [goal]
-    while prev[spine[-1]] != -1:
-        spine.append(prev[spine[-1]])
-    spine.reverse()
+    spine = path_to_root(prev, goal)[::-1]
     eids = [cov[norm_edge(a, b)][0] for a, b in zip(spine, spine[1:])]
     # collapse accidental repeats (consecutive spine pairs inside one edge)
     dedup: list[int] = []
@@ -253,10 +213,7 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
                 q.append(w)
     if z is None:
         raise InternalProofFailure("special path", "cycle unreachable in a connected graph")
-    connector = [z]
-    while prev[connector[-1]] != -1:
-        connector.append(prev[connector[-1]])
-    connector.reverse()  # starts at x or y, ends at z
+    connector = path_to_root(prev, z)[::-1]  # starts at x or y, ends at z
     zi = cyc.index(z)
     rot = cyc[zi:] + cyc[:zi]
     walk = rot  # z .. around the cycle, omitting the closing edge back to z
@@ -304,7 +261,7 @@ def special_linear_path(
         raise PreconditionUnmet("both colors must appear")
     covered = covered_vertices(H, ids)
     n_cov = len(covered)
-    if not _view_is_connected(H, ids):
+    if len(edge_components(H, ids)) > 1:
         raise PreconditionUnmet("hypergraph must be connected")
     need = Fraction(r * (r - 1) * (p - 1) + 2 * r)
     have = Fraction(r * len(ones), n_cov)
@@ -315,10 +272,9 @@ def special_linear_path(
     u0 = min(H.edges[h])
     stripped = set(H.edges[h]) - {u0}
     ones_p = [i for i in ones if not stripped & set(H.edges[i])]
-    core_v, core_ids = peel_view(H, ones_p)
-    core_min = min(
-        sum(1 for i in core_ids if v in H.edges[i]) for v in core_v
-    )
+    core_deg, core_ids = peel_view(H, ones_p)
+    core_v = set(core_deg)
+    core_min = min(core_deg.values())
     if core_min < (r - 1) * (p - 1) + 2:
         raise InternalProofFailure(
             "core degree", f"min degree {core_min} below {(r - 1) * (p - 1) + 2}"
@@ -369,45 +325,13 @@ def special_linear_path(
     return out
 
 
-def peel_view(H: Hypergraph, edge_ids: Sequence[int]):
-    """Label-preserving min-degree core of an edge-subset view."""
+def peel_view(H: Hypergraph, edge_ids: Sequence[int]) -> tuple[dict[int, int], list[int]]:
+    """Label-preserving min-degree core of an edge-subset view: `peel` at
+    the view's |edges|/|covered vertices|."""
     ids = sorted(edge_ids)
     if not ids:
         raise InternalProofFailure("peeling", "empty view")
-    covered = covered_vertices(H, ids)
-    threshold = Fraction(len(ids), len(covered))
-    deg: dict[int, int] = {v: 0 for v in covered}
-    for i in ids:
-        for v in H.edges[i]:
-            deg[v] += 1
-    alive_e = set(ids)
-    alive_v = set(covered)
-    import heapq
-
-    heap = [v for v in sorted(covered) if deg[v] < threshold]
-    heapq.heapify(heap)
-    inc: dict[int, list[int]] = {}
-    for i in ids:
-        for v in H.edges[i]:
-            inc.setdefault(v, []).append(i)
-    while heap:
-        v = heapq.heappop(heap)
-        if v not in alive_v or deg[v] >= threshold:
-            continue
-        alive_v.discard(v)
-        for i in inc.get(v, ()):
-            if i not in alive_e:
-                continue
-            alive_e.discard(i)
-            for w in H.edges[i]:
-                if w in alive_v:
-                    deg[w] -= 1
-                    if deg[w] < threshold:
-                        heapq.heappush(heap, w)
-    if not alive_e:
-        raise InternalProofFailure("peeling", "view peeled to nothing")
-    alive_v = covered_vertices(H, alive_e)
-    return alive_v, sorted(alive_e)
+    return peel(H, ids, Fraction(len(ids), len(covered_vertices(H, ids))))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +422,8 @@ def _ladder_cycles(parent, level, anchor, walk, positions):
     out = []
     for l in positions:
         w0, wl = walk[0], walk[l]
-        X = _tree_path_up(parent, w0)  # w0 .. root
-        Y = _tree_path_up(parent, wl)
+        X = path_to_root(parent, w0)  # w0 .. root
+        Y = path_to_root(parent, wl)
         if anchor not in X or anchor not in Y:
             return None
         X = X[: X.index(anchor) + 1]  # w0 .. anchor
@@ -509,13 +433,6 @@ def _ladder_cycles(parent, level, anchor, walk, positions):
             return None
         out.append(tuple(cyc))
     return out
-
-
-def _tree_path_up(parent, v):
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
 
 
 def consecutive_even_cycles(G: Graph, k: int, budget: int = 10**7) -> EvenCycleRun:

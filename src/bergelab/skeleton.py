@@ -44,15 +44,9 @@ class Skeleton:
     def tree_edge_images(self) -> set[int]:
         return set(self.edge_for.values())
 
-    def path_to_root(self, v: int) -> list[int]:
-        path = [v]
-        while self.parent[path[-1]] != -1:
-            path.append(self.parent[path[-1]])
-        return path
-
     def tree_path(self, anc: int, v: int) -> list[int]:
         """Vertices from anc down to v along the tree; anc must be an ancestor."""
-        up = self.path_to_root(v)
+        up = path_to_root(self.parent, v)
         if anc not in up:
             raise WNotInTree(f"{anc} is not an ancestor of {v}")
         return list(reversed(up[: up.index(anc) + 1]))
@@ -72,11 +66,13 @@ class LevelEdgeClasses:
     within: tuple[tuple[int, ...], ...]
     up: tuple[tuple[int, ...], ...]
 
-    def sizes(self) -> list[tuple[int, int, int, int]]:
-        return [
-            (i, len(self.down[i]), len(self.within[i]), len(self.up[i]))
-            for i in range(len(self.down))
-        ]
+
+def path_to_root(parent: dict[int, int], v: int) -> list[int]:
+    """Vertices from v up to the root of a parent map (the root maps to -1)."""
+    path = [v]
+    while parent[path[-1]] != -1:
+        path.append(parent[path[-1]])
+    return path
 
 
 @dataclass(frozen=True)
@@ -187,12 +183,7 @@ def frame_from_parent(
     vertex on an anchor-to-W path except the anchor, split 1 vs 2 by
     whether it descends through the smallest child.
     """
-    paths = {}
-    for w in sorted(set(W)):
-        up = [w]
-        while parent[up[-1]] != -1:
-            up.append(parent[up[-1]])
-        paths[w] = up[::-1]  # root .. w
+    paths = {w: path_to_root(parent, w)[::-1] for w in sorted(set(W))}  # root .. w
     depth = 0
     while True:
         tokens = {p[depth] if depth < len(p) else None for p in paths.values()}

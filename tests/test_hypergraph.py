@@ -14,6 +14,7 @@ from bergelab.errors import (
     DuplicateEdge,
     EdgeSizeMismatch,
     MalformedLine,
+    PreconditionUnmet,
     VertexOutOfRange,
 )
 
@@ -75,6 +76,16 @@ class TestParse:
         H = hg.parse("0 5 2\n0 1\n0 1 2 3\n")
         assert H.uniformity is None
         assert H.edges == ((0, 1), (0, 1, 2, 3))
+
+
+class TestFromEdges:
+    def test_one_shot_edge_iterables(self):
+        H = hg.Hypergraph.from_edges(4, [iter((0, 1, 2)), (v for v in (3, 1, 2))])
+        assert H == hg.Hypergraph.from_edges(4, [(0, 1, 2), (1, 2, 3)])
+
+    def test_one_shot_repeat_reported(self):
+        with pytest.raises(MalformedLine, match=r"edge \(0, 0, 1\) repeats"):
+            hg.Hypergraph.from_edges(3, [iter((0, 0, 1))])
 
 
 class TestSerialize:
@@ -144,7 +155,50 @@ class TestShadow:
         assert sum(len(c) for c in S.covers) == len(H.edges) * comb(3, k)
 
 
+class TestCoverLists:
+    def test_positions_in_edge_order(self):
+        cov = hg.cover_lists([(0, 1, 2), (0, 1, 3), (1, 3)], 2)
+        assert cov == {(0, 1): [0, 1], (0, 2): [0], (1, 2): [0], (0, 3): [1], (1, 3): [1, 2]}
+        assert list(cov) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+
+    def test_vertices(self):
+        assert hg.cover_lists([(0, 2), (1, 2)], 1) == {(0,): [0], (2,): [0, 1], (1,): [1]}
+
+
+def naive_peel(edges, threshold):
+    """Delete any vertex of degree below threshold until none is left;
+    `edges` maps edge ids to edges."""
+    alive = set(edges)
+    while True:
+        deg = {}
+        for i in alive:
+            for v in edges[i]:
+                deg[v] = deg.get(v, 0) + 1
+        low = [v for v, d in deg.items() if d < threshold]
+        if not low:
+            return deg, sorted(alive)
+        alive = {i for i in alive if low[-1] not in edges[i]}
+
+
+class TestPeel:
+    @given(st.sets(st.integers(0, 34), min_size=1, max_size=20), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_fixed_point(self, idxs, rnd):
+        universe = list(combinations(range(7), 3))
+        H = hg.Hypergraph.from_edges(8, {universe[i] for i in idxs})
+        ids = [i for i in range(len(H.edges)) if rnd.random() < 0.8] or [0]
+        covered = hg.covered_vertices(H, ids)
+        threshold = Fraction(len(ids), len(covered))
+        assert hg.peel(H, ids, threshold) == naive_peel(
+            {i: H.edges[i] for i in ids}, threshold
+        )
+
+
 class TestMinDegreeSubgraph:
+    def test_empty_rejected(self):
+        with pytest.raises(PreconditionUnmet):
+            hg.min_degree_subgraph(hg.Hypergraph.from_edges(3, []))
+
     def test_k4_returned_unchanged(self):
         H = complete3(4)
         assert hg.min_degree_subgraph(H) is H
