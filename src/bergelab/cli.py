@@ -34,14 +34,16 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 
 # Error type -> (message prefix, exit code); the first row the error is an
-# instance of wins. Input that does not parse is a precondition (2); a
-# failed check of a result (verification, proof step, classification) is 1.
+# instance of wins. Input that cannot be read or does not parse is a
+# precondition (2); a failed check of a result (verification, proof step,
+# classification) is 1.
 _ERRORS = (
     (VerificationFailure, "verification failure: ", EXIT_VERIFY),
     (PreconditionUnmet, "precondition unmet: ", EXIT_PRECONDITION),
-    (FileNotFoundError, "", EXIT_PRECONDITION),
+    (OSError, "", EXIT_PRECONDITION),
     (
-        (MalformedLine, DuplicateEdge, VertexOutOfRange, EdgeSizeMismatch, ArityTooLarge),
+        (MalformedLine, DuplicateEdge, VertexOutOfRange, EdgeSizeMismatch, ArityTooLarge,
+         UnicodeDecodeError),
         "invalid input: ",
         EXIT_PRECONDITION,
     ),
@@ -232,7 +234,7 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     try:
         return args.fn(args)
-    except (BergelabError, FileNotFoundError) as exc:
+    except (BergelabError, OSError, UnicodeDecodeError) as exc:
         prefix, code = next(row for kind, *row in _ERRORS if isinstance(exc, kind))
         print(f"{prefix}{exc}", file=sys.stderr)
         return code

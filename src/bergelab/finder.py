@@ -9,11 +9,21 @@ splitting, tight paths) bring general r-graphs down to that engine.
 
 Runs are certificates: every cycle is re-verified before a run is
 returned, and dichotomies surface their counting as exact inequalities.
+
+The sweep never recomputes components. `_SweepComponents` builds them once
+and keeps them under deletion: each iteration pops the densest component
+from a heap, reads only the incidence lists of the tree it builds, and
+splits what the deletion left by lockstep probes that stop as soon as a
+single probe is still running, so only the smaller pieces are explored.
+A sweep costs O(m log m) for the heaps plus the probes plus the skeleton
+and classification work, which is proportional to the edges deleted; the
+component picks, roots and trees are those of a full recompute.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +42,7 @@ from .hypergraph import (
     cover_lists,
     covered_vertices,
     edge_components,
+    incidence,
     is_linear,
 )
 from .pathtools import (
@@ -398,10 +409,139 @@ def _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of):
 # sweeps and reductions
 
 
+class _SweepComponents:
+    """Shadow components of a 3-graph whose edges are only ever deleted.
+
+    Holds the alive edge set, each vertex's alive degree, and per component
+    label its edge count, vertex count and a lazy min-heap of its vertices
+    (entries whose vertex lost its edges or moved to another label are
+    dropped when they surface). One global heap orders the live components
+    by (-3|E|/|V|, smallest vertex); components are vertex-disjoint, so the
+    key is unique and each live label has exactly one entry, pushed after
+    its last change.
+
+    `delete` splits the component that lost edges by lockstep BFS probes
+    from the deletion frontier; probes that meet merge, a probe that runs
+    out is a new component, and the last probe still running keeps the old
+    label, its counts obtained by subtraction. Only the smaller pieces are
+    explored (Even and Shiloach, "An on-line edge-deletion problem",
+    J. ACM 1981).
+    """
+
+    def __init__(self, H: Hypergraph):
+        self.H = H
+        self.inc = incidence(H)
+        self.alive = set(range(len(H.edges)))
+        self.deg = [len(ids) for ids in self.inc]
+        self.label = [-1] * H.n
+        self.n_edges: list[int] = []
+        self.n_verts: list[int] = []
+        self.vheap: list[list[int]] = []
+        self.heap: list[tuple[Fraction, int, int]] = []
+        for ids in edge_components(H, range(len(H.edges))):
+            self._add(list(covered_vertices(H, ids)), len(ids))
+
+    def _add(self, verts: list[int], n_edges: int) -> None:
+        c = len(self.n_edges)
+        for v in verts:
+            self.label[v] = c
+        heapq.heapify(verts)
+        self.n_edges.append(n_edges)
+        self.n_verts.append(len(verts))
+        self.vheap.append(verts)
+        self._push(c)
+
+    def _push(self, c: int) -> None:
+        vh = self.vheap[c]
+        while self.deg[vh[0]] == 0 or self.label[vh[0]] != c:
+            heapq.heappop(vh)
+        heapq.heappush(self.heap, (-Fraction(3 * self.n_edges[c], self.n_verts[c]), vh[0], c))
+
+    def pop_densest(self) -> tuple[int, int]:
+        """(label, smallest vertex) of the densest component, ties to the
+        smallest vertex; the label is off the heap until `delete`."""
+        _, root, c = heapq.heappop(self.heap)
+        return c, root
+
+    def incident(self, vertices: Iterable[int]) -> set[int]:
+        alive, inc = self.alive, self.inc
+        return {ei for v in vertices for ei in inc[v] if ei in alive}
+
+    def delete(self, c: int, dead: set[int]) -> None:
+        """Delete alive edges, all in component c, and relabel its pieces."""
+        self.alive -= dead
+        touched: set[int] = set()
+        for ei in dead:
+            for v in self.H.edges[ei]:
+                self.deg[v] -= 1
+                touched.add(v)
+        self.n_edges[c] -= len(dead)
+        frontier = sorted(v for v in touched if self.deg[v])
+        self.n_verts[c] -= len(touched) - len(frontier)
+        # every remaining piece holds a frontier vertex
+        if len(frontier) > 1:
+            self._split(c, frontier)
+        if self.n_edges[c]:
+            self._push(c)
+
+    def _split(self, c: int, frontier: list[int]) -> None:
+        edges, inc, alive = self.H.edges, self.inc, self.alive
+        up = list(range(len(frontier)))  # union-find over probes
+
+        def find(p: int) -> int:
+            while up[p] != p:
+                up[p] = up[up[p]]
+                p = up[p]
+            return p
+
+        owner = {v: p for p, v in enumerate(frontier)}
+        queues = [deque([v]) for v in frontier]
+        members = [[v] for v in frontier]
+        live = set(range(len(frontier)))
+        finished: list[int] = []
+        while len(live) > 1:
+            for p in sorted(live):
+                if p not in live:
+                    continue  # merged into another probe this round
+                u = queues[p].popleft()
+                for ei in inc[u]:
+                    if ei not in alive:
+                        continue
+                    for w in edges[ei]:
+                        o = owner.get(w)
+                        if o is None:
+                            owner[w] = p
+                            queues[p].append(w)
+                            members[p].append(w)
+                            continue
+                        o = find(o)
+                        if o == p:
+                            continue
+                        # same piece: fold the smaller probe into the larger
+                        big, small = (p, o) if len(members[p]) >= len(members[o]) else (o, p)
+                        up[small] = big
+                        queues[big].extend(queues[small])
+                        members[big].extend(members[small])
+                        live.discard(small)
+                        p = big
+                if not queues[p]:
+                    live.discard(p)
+                    finished.append(p)
+                if len(live) <= 1:
+                    break
+        for p in finished:
+            verts = members[p]
+            n_edges = sum(self.deg[v] for v in verts) // 3
+            self.n_edges[c] -= n_edges
+            self.n_verts[c] -= len(verts)
+            self._add(verts, n_edges)
+
+
 def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     """Build a skeleton on the densest remaining component, try every level,
-    delete the tree and repeat. Guaranteed to find a run when the average
-    degree is at least 21(k+1)."""
+    delete the tree's incident edges and repeat. Guaranteed to find a run
+    when the average degree is at least 21(k+1). Components are kept under
+    deletion by `_SweepComponents`, never recomputed."""
     if H.uniformity != 3:
         raise PreconditionUnmet("sweep needs a 3-graph")
     if not is_linear(H):
@@ -409,31 +549,23 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
     guaranteed = average_degree(H) >= 21 * (k + 1)
-    alive = set(range(len(H.edges)))
-    while alive:
-        comps = edge_components(H, sorted(alive))
-        comp_ids = max(
-            comps,
-            key=lambda ids: (
-                Fraction(3 * len(ids), len(covered_vertices(H, ids))),
-                -min(covered_vertices(H, ids)),
-            ),
-        )
-        root = min(covered_vertices(H, comp_ids))
-        sk = build_skeleton(H, root, active_edges=comp_ids)
-        classes = classify_levels(H, sk, active_edges=comp_ids)
-        run = _levels_once(H, sk, k, comp_ids, classes)
+    comps = _SweepComponents(H)
+    while comps.heap:
+        c, root = comps.pop_densest()
+        sk = build_skeleton(H, root, active_edges=comps.alive)
+        classes = classify_levels(H, sk, active_edges=comps.alive)
+        run = _levels_once(H, sk, k, comps.alive, classes)
         if run is not None:
             return run
         vt = sk.tree_vertices()
-        incident = {ei for ei in alive if set(H.edges[ei]) & vt}
+        incident = comps.incident(vt)
         if len(incident) >= 7 * (k + 1) * len(vt):
             raise InternalProofFailure(
                 "sweep counting",
                 f"{len(incident)} incident edges on a {len(vt)}-vertex tree "
                 f"despite certified levels",
             )
-        alive -= incident
+        comps.delete(c, incident)
     if guaranteed:
         raise InternalProofFailure(
             "sweep exhaustion", "edges ran out above the density threshold"

@@ -40,9 +40,9 @@ class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
     uniformity: Optional[int] = None
-    # Derived indexes, each built once by incidence() / pair_covers() and
-    # freed with the instance. Declared as fields (left out of __init__, ==,
-    # hash and repr) so that every instance keeps one attribute layout:
+    # Derived indexes, each built once by incidence() / pair_covers() /
+    # is_linear() and freed with the instance. Declared as fields (left out
+    # of __init__, ==, hash and repr) so that every instance keeps one attribute layout:
     # adding attributes later would slow every read of `H.edges`.
     _incidence: Optional[tuple[tuple[int, ...], ...]] = field(
         default=None, init=False, repr=False, compare=False
@@ -50,6 +50,7 @@ class Hypergraph:
     _pair_covers: Optional[dict[tuple[int, int], tuple[int, ...]]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _linear: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_edges(
@@ -225,12 +226,11 @@ def profile(H: Hypergraph) -> DegreeProfile:
             deg[v] += 1
     total = sum(len(e) for e in H.edges)
     avg = Fraction(total, H.n) if H.n else Fraction(0)
-    linear = all(len(ids) <= 1 for ids in pair_covers(H).values())
     return DegreeProfile(
         per_vertex_degree=tuple(deg),
         average_degree=avg,
         min_degree=min(deg) if deg else 0,
-        is_linear=linear,
+        is_linear=is_linear(H),
     )
 
 
@@ -241,7 +241,23 @@ def average_degree(H: Hypergraph) -> Fraction:
 
 
 def is_linear(H: Hypergraph) -> bool:
-    return all(len(ids) <= 1 for ids in pair_covers(H).values())
+    """True when no two edges share two vertices; the scan stops at the first
+    pair met twice, builds no pair index, and runs once per instance."""
+    if H._linear is None:
+        object.__setattr__(H, "_linear", no_pair_twice(H.edges))
+    return H._linear
+
+
+def no_pair_twice(edges: Iterable[tuple[int, ...]]) -> bool:
+    """True when no vertex pair lies in two of the edges; stops at the first
+    pair met twice."""
+    seen: set[tuple[int, ...]] = set()
+    for e in edges:
+        for p in combinations(e, 2):
+            if p in seen:
+                return False
+            seen.add(p)
+    return True
 
 
 def shadow(H: Hypergraph, k: int) -> Shadow:

@@ -11,7 +11,7 @@ common-ancestor frame used by the cycle builders all live here.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClassificationFailure, PreconditionUnmet, WNotInTree
@@ -26,6 +26,10 @@ class Skeleton:
     edge_for: dict[Pair, int]         # tree edge -> consumed hyperedge index
     levels: tuple[tuple[int, ...], ...]
     attach_log: tuple[tuple[int, int, int], ...]  # (vertex, level, via edge)
+    # vertex -> level, built once by level_of(); left out of __init__ and ==
+    _level_of: Optional[dict[int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def height(self) -> int:
@@ -35,11 +39,11 @@ class Skeleton:
         return set(self.parent)
 
     def level_of(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, lv in enumerate(self.levels):
-            for v in lv:
-                out[v] = i
-        return out
+        """Vertex -> level; one shared map per skeleton, not to be mutated."""
+        if self._level_of is None:
+            out = {v: i for i, lv in enumerate(self.levels) for v in lv}
+            object.__setattr__(self, "_level_of", out)
+        return self._level_of
 
     def tree_edge_images(self) -> set[int]:
         return set(self.edge_for.values())
@@ -84,6 +88,15 @@ class AncestorColoring:
     branch_children: tuple[int, ...]
 
 
+def _active_set(H: Hypergraph, active_edges: Optional[Iterable[int]]):
+    """Membership view of the active edge ids; a set is used as given."""
+    if active_edges is None:
+        return range(len(H.edges))
+    if isinstance(active_edges, (set, frozenset)):
+        return active_edges
+    return set(active_edges)
+
+
 def build_skeleton(
     H: Hypergraph, root: int, active_edges: Optional[Iterable[int]] = None
 ) -> Skeleton:
@@ -96,7 +109,7 @@ def build_skeleton(
         raise PreconditionUnmet("skeletons are built on 3-graphs")
     if not (0 <= root < H.n):
         raise PreconditionUnmet(f"root {root} out of range")
-    active = set(range(len(H.edges))) if active_edges is None else set(active_edges)
+    active = _active_set(H, active_edges)
     inc = incidence(H)
     parent: dict[int, int] = {root: -1}
     level: dict[int, int] = {root: 0}
@@ -120,13 +133,14 @@ def build_skeleton(
                 q.append(v)
             processed.add(ei)
         q.popleft()
-    height = max(level.values())
-    levels = [sorted(v for v, l in level.items() if l == i) for i in range(height + 1)]
+    levels: list[list[int]] = [[] for _ in range(max(level.values()) + 1)]
+    for v, l in level.items():
+        levels[l].append(v)
     return Skeleton(
         root=root,
         parent=parent,
         edge_for=edge_for,
-        levels=tuple(tuple(lv) for lv in levels),
+        levels=tuple(tuple(sorted(lv)) for lv in levels),
         attach_log=tuple(log),
     )
 
@@ -134,23 +148,26 @@ def build_skeleton(
 def classify_levels(
     H: Hypergraph, sk: Skeleton, active_edges: Optional[Iterable[int]] = None
 ) -> LevelEdgeClasses:
-    """Assign every non-tree edge meeting the tree to its unique level class."""
-    active = set(range(len(H.edges))) if active_edges is None else set(active_edges)
+    """Assign every non-tree edge meeting the tree to its unique level class.
+
+    Only the tree vertices' incidence lists are read, so the cost follows the
+    edges meeting the tree, not the size of `active_edges`.
+    """
+    active = _active_set(H, active_edges)
     tree_images = sk.tree_edge_images()
     level_of = sk.level_of()
+    inc = incidence(H)
+    meeting = sorted({ei for v in level_of for ei in inc[v] if ei in active})
     h = sk.height
     down: list[list[int]] = [[] for _ in range(h + 2)]
     within: list[list[int]] = [[] for _ in range(h + 2)]
     up: list[list[int]] = [[] for _ in range(h + 2)]
     residual: list[int] = []
-    for ei in sorted(active):
+    for ei in meeting:
         if ei in tree_images:
             continue
-        e = H.edges[ei]
-        lv = [level_of.get(v) for v in e]
-        if all(l is None for l in lv):
-            continue  # does not meet the tree
-        if any(l is None for l in lv):
+        lv = [level_of.get(v) for v in H.edges[ei]]
+        if None in lv:
             residual.append(ei)
             continue
         lv.sort()

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ._spectrum import spectrum_search
 from .errors import InternalProofFailure, PreconditionUnmet
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, no_pair_twice
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,7 @@ def _free_of_length(
     `edges` minus that edge must already be known free, and only cycles
     assigning it are searched."""
     if ell == 2:
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            for p in combinations(e, 2):
-                if p in seen:
-                    return False
-                seen.add(p)
-        return True
+        return no_pair_twice(edges)
     hits, _, exhausted = spectrum_search(n, tuple(edges), ell, ell, _KERNEL_BUDGET, through)
     if exhausted:
         raise PreconditionUnmet("freeness check ran out of budget")
@@ -57,6 +51,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     """Maximum edge count of an n-vertex r-graph with no Berge cycle of
     length ell, plus one extremal example. `exact` is False only when the
     node budget ran out; the best found is then a lower bound."""
+    if r < 2:
+        raise PreconditionUnmet(f"edge size r = {r} is below 2")
     if r == 3 and n > 9:
         raise PreconditionUnmet("desk-scale ceiling: n <= 9 for r = 3")
     if ell < 2:

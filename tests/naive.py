@@ -2,10 +2,14 @@
 
 These deliberately share no code with the package's search paths: spines
 are enumerated by raw permutation, assignments by exhaustive recursion.
+The exception is `naive_sweep`, the skeleton sweep's loop as it was before
+its components were kept under deletion: it recomputes every component on
+every iteration and reuses the package's per-skeleton steps.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 
@@ -78,3 +82,37 @@ def naive_shortest_cycle(adj_pairs, n):
                     if best is None or cand < best:
                         best = cand
     return best
+
+
+def naive_sweep(H, k):
+    """Skeleton sweep that recomputes the shadow components of all alive
+    edges on every iteration; Theta(iterations * m)."""
+    from bergelab import finder as fd
+    from bergelab.errors import InternalProofFailure
+    from bergelab.hypergraph import average_degree, covered_vertices, edge_components
+
+    guaranteed = average_degree(H) >= 21 * (k + 1)
+    alive = set(range(len(H.edges)))
+    while alive:
+        comps = edge_components(H, sorted(alive))
+        comp_ids = max(
+            comps,
+            key=lambda ids: (
+                Fraction(3 * len(ids), len(covered_vertices(H, ids))),
+                -min(covered_vertices(H, ids)),
+            ),
+        )
+        root = min(covered_vertices(H, comp_ids))
+        sk = fd.build_skeleton(H, root, active_edges=comp_ids)
+        classes = fd.classify_levels(H, sk, active_edges=comp_ids)
+        run = fd._levels_once(H, sk, k, comp_ids, classes)
+        if run is not None:
+            return run
+        vt = sk.tree_vertices()
+        incident = {ei for ei in alive if set(H.edges[ei]) & vt}
+        if len(incident) >= 7 * (k + 1) * len(vt):
+            raise InternalProofFailure("sweep counting", "naive")
+        alive -= incident
+    if guaranteed:
+        raise InternalProofFailure("sweep exhaustion", "naive")
+    return None

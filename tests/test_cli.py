@@ -175,6 +175,12 @@ class TestOtherCommands:
         assert rows[0] == "n,r,forbidden_length,value,exact,nodes"
         assert rows[1].startswith("7,3,2,7,1,")
 
+    def test_turan_r_below_2(self, capsys):
+        code, out, err = run_cli(["turan", "--n", "6", "--r", "1", "--ell", "3"], capsys)
+        assert code == 2
+        assert err == "precondition unmet: edge size r = 1 is below 2\n"
+        assert out == ""
+
     def test_precondition_exit(self, capsys, tmp_path):
         hg = tmp_path / "k5.hg"
         code, out, _ = run_cli(["gen", "--family", "completeR", "--n", "5", "--r", "3"], capsys)
@@ -218,6 +224,55 @@ class TestParseErrors:
         code, out, err = run_cli(command + ["--input", "unused.hg"], capsys)
         assert code == 2
         assert err.startswith("invalid input: arity 3")
+
+
+class TestUnreadableInput:
+    """A file that cannot be read as text is a precondition failure: a
+    one-line message and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda c: c[0])
+    def test_non_utf8_input_exits_2(self, capsys, tmp_path, command):
+        hg = tmp_path / "latin1.hg"
+        hg.write_bytes(b"3 3 1\n0 1 \xff\n")
+        code, out, err = run_cli(command + ["--input", str(hg)], capsys)
+        assert code == 2
+        assert err.startswith("invalid input: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1 and out == ""
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda c: c[0])
+    def test_directory_input_exits_2(self, capsys, tmp_path, command):
+        code, out, err = run_cli(command + ["--input", str(tmp_path)], capsys)
+        assert code == 2
+        assert "Is a directory" in err and err.count("\n") == 1 and out == ""
+
+    def test_directory_witnesses_exits_2(self, capsys, tmp_path):
+        hg = tmp_path / "one.hg"
+        hg.write_text("3 3 1\n0 1 2\n")
+        code, out, err = run_cli(
+            ["verify", "--input", str(hg), "--witnesses", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "Is a directory" in err and err.count("\n") == 1
+
+    def test_non_utf8_witnesses_exits_2(self, capsys, tmp_path):
+        hg = tmp_path / "one.hg"
+        hg.write_text("3 3 1\n0 1 2\n")
+        w = tmp_path / "w.jsonl"
+        w.write_bytes(b"\xff\n")
+        code, out, err = run_cli(["verify", "--input", str(hg), "--witnesses", str(w)], capsys)
+        assert code == 2
+        assert err.startswith("invalid input: ")
+
+    def test_no_traceback_in_a_real_process(self, tmp_path):
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, %r); "
+             "from bergelab.cli import main; sys.exit(main(sys.argv[1:]))" % PKG,
+             "find", "--k", "2", "--input", str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr and res.stderr.count("\n") == 1
 
 
 class TestDeterminism:

@@ -10,13 +10,16 @@ from bergelab.certify import verify_cycle
 from bergelab.errors import NotLinear, PreconditionUnmet
 from bergelab.generators import (
     complete_r,
+    permuted,
     random_linear_r,
     steiner_triple,
     tight_path_hypergraph,
 )
-from bergelab.hypergraph import Hypergraph, average_degree
+from bergelab.hypergraph import Hypergraph, average_degree, edge_components
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
+
+from naive import naive_sweep
 
 
 def down_heavy_fixture(seed=0):
@@ -425,6 +428,128 @@ class TestSkeletonSweep:
         H = complete_r(5, 3)
         with pytest.raises(NotLinear):
             fd.skeleton_sweep(H, 1)
+
+
+def _union(parts, seed):
+    """Disjoint union of hypergraphs, relabelled by a seeded permutation."""
+    edges, base = [], 0
+    for P in parts:
+        edges.extend(tuple(v + base for v in e) for e in P.edges)
+        base += P.n
+    return permuted(Hypergraph.from_edges(base, edges, uniformity=3), seed)
+
+
+def _loose_cycle(L):
+    return Hypergraph.from_edges(
+        2 * L, [(2 * i, 2 * i + 1, (2 * i + 2) % (2 * L)) for i in range(L)], uniformity=3
+    )
+
+
+def _loose_path(m):
+    return Hypergraph.from_edges(
+        2 * m + 1, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(m)], uniformity=3
+    )
+
+
+def _sweep_trace(monkeypatch, sweep, H, k):
+    """(root, sorted tree vertices) per skeleton the sweep builds, and its
+    result or the repr of the error it raised."""
+    seq = []
+    build = fd.build_skeleton
+
+    def recording(H_, root, active_edges=None):
+        sk = build(H_, root, active_edges)
+        seq.append((root, tuple(sorted(sk.parent))))
+        return sk
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fd, "build_skeleton", recording)
+        try:
+            out = sweep(H, k)
+        except Exception as exc:  # compared by value against the reference
+            out = repr(exc)
+    return seq, out
+
+
+def _sparse_union(seed):
+    rng = random.Random(seed)
+    parts = []
+    for j in range(rng.randint(2, 5)):
+        if rng.random() < 0.25:
+            parts.append(steiner_triple(rng.choice((7, 9, 13))))
+        else:
+            n = rng.randint(6, 40)
+            parts.append(random_linear_r(n, 3, rng.randint(1, 2 * n), 100 * seed + j)[0])
+    return _union(parts, seed)
+
+
+class TestSweepIdentity:
+    """The kept-under-deletion sweep picks the same components and roots, in
+    the same order, as the loop that recomputes every component."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sparse_unions(self, monkeypatch, seed):
+        H = _sparse_union(seed)
+        assert len(edge_components(H, range(len(H.edges)))) >= 2
+        for k in (1, 2):
+            got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
+            assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
+            assert got[0]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_permuted_loose_paths(self, monkeypatch, seed):
+        m = random.Random(seed).randint(1, 150)
+        H = permuted(_loose_path(m), seed)
+        got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 2)
+        assert got == _sweep_trace(monkeypatch, naive_sweep, H, 2)
+        assert got[1] is None
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_loose_cycle_unions(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        H = _union([_loose_cycle(rng.randint(3, 40)) for _ in range(rng.randint(1, 6))], seed)
+        for k in (1, 2):
+            got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
+            assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
+
+    def test_run_found_after_sparse_components(self, monkeypatch):
+        # only the STS(13) part yields a run; both sweeps reach it by the same picks
+        H = _union([_loose_path(30), steiner_triple(13), _loose_cycle(9)], 5)
+        got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 1)
+        assert got == _sweep_trace(monkeypatch, naive_sweep, H, 1)
+        assert isinstance(got[1], fd.ConsecutiveRun)
+
+
+class TestSweepWorkBound:
+    """Deterministic cost check: the component set-up the sweep hands to the
+    shadow primitives totals O(m), not O(iterations * m)."""
+
+    def test_natural_loose_path(self, monkeypatch):
+        m = 3000
+        H = _loose_path(m)
+        handed = {"edge_components": 0, "covered_vertices": 0, "skeletons": 0}
+
+        def counting(name, fn):
+            def wrapper(H_, ids, *rest):
+                ids = list(ids)
+                handed[name] += len(ids)
+                return fn(H_, ids, *rest)
+
+            return wrapper
+
+        build = fd.build_skeleton
+
+        def build_counted(*args, **kwargs):
+            handed["skeletons"] += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(fd, "edge_components", counting("edge_components", fd.edge_components))
+        monkeypatch.setattr(fd, "covered_vertices", counting("covered_vertices", fd.covered_vertices))
+        monkeypatch.setattr(fd, "build_skeleton", build_counted)
+        assert fd.skeleton_sweep(H, 2) is None
+        # one skeleton per edge: each tree is {2i, 2i+1} and removes edge i
+        assert handed["skeletons"] == m
+        assert handed["edge_components"] + handed["covered_vertices"] <= 4 * m
 
 
 class TestFindLinearR:

@@ -124,6 +124,31 @@ class TestProfile:
         assert p.is_linear
 
 
+class TestIsLinear:
+    @given(st.integers(3, 8), st.sets(st.lists(st.integers(0, 7), min_size=2, max_size=4)
+                                      .map(lambda e: tuple(sorted(set(e)))), max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pair_cover_definition(self, n, edges):
+        edges = {e for e in edges if len(e) >= 2 and e[-1] < n}
+        H = hg.Hypergraph.from_edges(n, sorted(edges))
+        want = all(len(ids) <= 1 for ids in hg.pair_covers(H).values())
+        twin = hg.Hypergraph.from_edges(n, sorted(edges))
+        assert hg.is_linear(twin) is want
+        assert hg.profile(twin).is_linear is want
+
+    def test_builds_no_pair_index(self):
+        H, K = fano(), complete3(5)
+        assert hg.is_linear(H) and not hg.is_linear(K)
+        hg.profile(H)
+        assert H._pair_covers is None and K._pair_covers is None
+
+    def test_scanned_once_per_instance(self, monkeypatch):
+        H = fano()
+        assert hg.is_linear(H)
+        monkeypatch.setattr(hg, "no_pair_twice", lambda edges: pytest.fail("rescanned"))
+        assert hg.is_linear(H) and hg.profile(H).is_linear
+
+
 class TestShadow:
     def test_single_edge(self):
         S = hg.shadow(hg.Hypergraph.from_edges(3, [(0, 1, 2)]), 2)

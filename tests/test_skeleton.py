@@ -89,6 +89,40 @@ class TestClassify:
         assert set(classified) == expect
 
 
+    @given(st.integers(5, 10), st.integers(1, 25), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_active_subset(self, n, m, seed):
+        H = random_3graph(n, m, seed)
+        rng = random.Random(seed)
+        active = rng.sample(range(len(H.edges)), rng.randint(1, len(H.edges)))
+        S = sk.build_skeleton(H, H.edges[active[0]][0], active)
+        cl = sk.classify_levels(H, S, active)
+        assert sk.classify_levels(H, S, set(active)) == cl
+        classified = [e for grp in (cl.down, cl.within, cl.up) for lv in grp for e in lv]
+        assert all(list(lv) == sorted(lv) for grp in (cl.down, cl.within, cl.up) for lv in grp)
+        expect = {
+            ei
+            for ei in active
+            if ei not in S.tree_edge_images() and set(H.edges[ei]) & S.tree_vertices()
+        }
+        assert sorted(classified) == sorted(expect)
+
+    def test_active_set_used_as_given(self):
+        class Probed(set):
+            hits = 0
+
+            def __contains__(self, ei):
+                Probed.hits += 1
+                return set.__contains__(self, ei)
+
+        H = Hypergraph.from_edges(7, FANO)
+        S = sk.build_skeleton(H, 0, Probed(range(6)))
+        after_build = Probed.hits
+        sk.classify_levels(H, S, Probed(range(6)))
+        assert 0 < after_build < Probed.hits
+        assert 6 not in S.tree_edge_images()
+
+
 class TestAncestorFrame:
     def test_two_branches(self):
         H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (1, 5, 6)])

@@ -148,6 +148,15 @@ class TestExactness:
         with pytest.raises(PreconditionUnmet):
             turan_exhaustive(5, 3, 3, budget=0)
 
+    @pytest.mark.parametrize("r", [1, 0, -1])
+    def test_r_below_2_rejected_before_any_edge(self, monkeypatch, r):
+        def no_edges(*args):
+            raise AssertionError("an edge was built")
+
+        monkeypatch.setattr(turan, "combinations", no_edges)
+        with pytest.raises(PreconditionUnmet, match=f"edge size r = {r} is below 2"):
+            turan_exhaustive(6, r, 3)
+
     def test_ceiling(self):
         with pytest.raises(PreconditionUnmet):
             turan_exhaustive(10, 3, 2)
