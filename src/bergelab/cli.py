@@ -156,9 +156,13 @@ def _cmd_verify(args) -> int:
             line = line.strip()
             if not line:
                 continue
+            # json.loads raises RecursionError on deep nesting, and int() of
+            # an infinite float raises OverflowError
             try:
                 w = witness_from_json(line)
-            except (VerificationFailure, ValueError, KeyError, TypeError) as exc:
+            except (
+                VerificationFailure, ValueError, KeyError, TypeError, OverflowError, RecursionError
+            ) as exc:
                 print(f"line {lineno}: malformed witness ({exc})", file=sys.stderr)
                 ok = False
                 continue

@@ -2,9 +2,11 @@
 
 These deliberately share no code with the package's search paths: spines
 are enumerated by raw permutation, assignments by exhaustive recursion.
-The exception is `naive_sweep`, the skeleton sweep's loop as it was before
+The exceptions are `naive_sweep`, the skeleton sweep's loop as it was before
 its components were kept under deletion: it recomputes every component on
-every iteration and reuses the package's per-skeleton steps.
+every iteration and reuses the package's per-skeleton steps; and
+`naive_turan`, the exact Turán search as it was before freeness answers
+were filed: it calls the package's kernel for every check.
 """
 
 from __future__ import annotations
@@ -116,3 +118,58 @@ def naive_sweep(H, k):
     if guaranteed:
         raise InternalProofFailure("sweep exhaustion", "naive")
     return None
+
+
+def naive_turan(n, r, ell, budget=10**8):
+    """The exact Turán search with one kernel call per freeness check and no
+    cache; returns (value, nodes, exact, extremal edges)."""
+    from math import comb
+
+    from bergelab._spectrum import spectrum_search
+    from bergelab.hypergraph import no_pair_twice
+
+    def free(edges, through):
+        if ell == 2:
+            return no_pair_twice(edges)
+        hits, _, exhausted = spectrum_search(n, tuple(edges), ell, ell, 10**7, through)
+        assert not exhausted
+        return not hits
+
+    universe = list(combinations(range(n), r))
+    per_edge_pairs = comb(r, 2)
+    total_pairs = comb(n, 2)
+    best = []
+    nodes = 0
+    exhausted = False
+    chosen = []
+
+    def dfs(pos, frontier, used_pairs):
+        nonlocal best, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if pos == len(universe):
+            return
+        remaining = len(universe) - pos
+        if ell == 2:
+            cap = (total_pairs - used_pairs) // per_edge_pairs
+            if len(chosen) + min(cap, remaining) <= len(best):
+                return
+        elif len(chosen) + remaining <= len(best):
+            return
+        e = universe[pos]
+        fresh = [v for v in e if v >= frontier]
+        if fresh == list(range(frontier, frontier + len(fresh))):
+            chosen.append(e)
+            if free(chosen, e):
+                dfs(pos + 1, frontier + len(fresh), used_pairs + per_edge_pairs)
+            chosen.pop()
+        dfs(pos + 1, frontier, used_pairs)
+
+    dfs(0, 0, 0)
+    return len(best), nodes, not exhausted, sorted(best)

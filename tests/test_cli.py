@@ -109,6 +109,22 @@ class TestFindVerify:
         assert "line 2: malformed witness" in err
         assert "line 3: malformed witness" in err
 
+    def test_verify_rejects_infinite_and_deeply_nested_lines(self, capsys, tmp_path):
+        hg = tmp_path / "k5.hg"
+        code, out, _ = run_cli(["gen", "--family", "completeR", "--n", "5", "--r", "3"], capsys)
+        hg.write_text(out)
+        wpath = tmp_path / "odd.jsonl"
+        wpath.write_text(
+            '{"type":"berge-cycle","length":1,"spine":[Infinity],"edges":[0]}\n'
+            + "[" * 100000 + "]" * 100000 + "\n"
+        )
+        code, out, err = run_cli(
+            ["verify", "--input", str(hg), "--witnesses", str(wpath)], capsys
+        )
+        assert code == 1
+        assert "line 1: malformed witness (cannot convert float infinity" in err
+        assert "line 2: malformed witness (maximum recursion depth" in err
+
     def test_absent_run_exits_zero(self, capsys, tmp_path):
         hg = tmp_path / "fano.hg"
         code, out, _ = run_cli(["gen", "--family", "steinerTriple", "--n", "7"], capsys)
@@ -174,6 +190,12 @@ class TestOtherCommands:
         rows = out.strip().splitlines()
         assert rows[0] == "n,r,forbidden_length,value,exact,nodes"
         assert rows[1].startswith("7,3,2,7,1,")
+
+    def test_turan_negative_n(self, capsys):
+        code, out, err = run_cli(["turan", "--n", "-1", "--r", "2", "--ell", "3"], capsys)
+        assert code == 2
+        assert err == "precondition unmet: vertex count n = -1 is negative\n"
+        assert out == ""
 
     def test_turan_r_below_2(self, capsys):
         code, out, err = run_cli(["turan", "--n", "6", "--r", "1", "--ell", "3"], capsys)

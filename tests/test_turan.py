@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from bergelab import turan
 from bergelab._spectrum import spectrum_search
 from bergelab.certify import BergeCycleWitness, verify_cycle
-from bergelab.errors import PreconditionUnmet
+from bergelab.errors import InternalProofFailure, PreconditionUnmet
 from bergelab.hypergraph import Hypergraph, profile
 from bergelab.turan import turan_exhaustive
 
-from naive import naive_spectrum
+from naive import naive_spectrum, naive_turan
 
 
 def bruteforce_turan(n, r, ell):
@@ -160,3 +160,77 @@ class TestExactness:
     def test_ceiling(self):
         with pytest.raises(PreconditionUnmet):
             turan_exhaustive(10, 3, 2)
+
+
+def _row(rec):
+    return rec.value, rec.nodes, rec.exact, list(rec.extremal.edges)
+
+
+def _counting_kernel(monkeypatch):
+    """Count the kernel calls turan_exhaustive makes; returns the counter."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return spectrum_search(*args)
+
+    monkeypatch.setattr(turan, "spectrum_search", counted)
+    return calls
+
+
+class TestCheckCache:
+    """Freeness answers filed from earlier checks decide exactly as the
+    kernel would: the search is the uncached one, with fewer kernel calls."""
+
+    @pytest.mark.parametrize("ell", [3, 4, 5, 6])
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matches_uncached_search(self, r, ell):
+        for n in range(r, 8):
+            if (n, r, ell) == (7, 3, 6):
+                continue  # the uncached reference takes 11 s; see below
+            assert _row(turan_exhaustive(n, r, ell)) == naive_turan(n, r, ell), n
+
+    def test_7_3_6_pinned_from_uncached_search(self):
+        # naive_turan(7, 3, 6), run once
+        extremal = [
+            (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 2, 3),
+            (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+        ]
+        assert _row(turan_exhaustive(7, 3, 6)) == (12, 181265, True, extremal)
+
+    @pytest.mark.parametrize("budget", [10, 100, 1000])
+    @pytest.mark.parametrize("n,r,ell", [(8, 3, 3), (7, 3, 4), (7, 3, 5), (7, 3, 6), (7, 2, 5)])
+    def test_matches_uncached_search_under_budget(self, n, r, ell, budget):
+        rec = turan_exhaustive(n, r, ell, budget=budget)
+        assert not rec.exact
+        assert _row(rec) == naive_turan(n, r, ell, budget=budget)
+
+    def test_kernel_calls_bounded_and_reported(self, monkeypatch):
+        # the uncached search makes 3,608 kernel calls here
+        calls = _counting_kernel(monkeypatch)
+        rec = turan_exhaustive(8, 3, 3)
+        assert rec.kernel_calls == calls[0] <= 1000
+        assert rec.cache_hits > 0
+
+    def test_9_3_3_kernel_calls(self, monkeypatch):
+        # the uncached search makes 22,076 kernel calls here
+        calls = _counting_kernel(monkeypatch)
+        rec = turan_exhaustive(9, 3, 3)
+        assert (rec.value, rec.nodes) == (10, 25959)
+        assert rec.kernel_calls == calls[0] < 4000
+
+    def test_ell_2_calls_no_kernel(self, monkeypatch):
+        calls = _counting_kernel(monkeypatch)
+        rec = turan_exhaustive(7, 3, 2)
+        assert rec.kernel_calls == calls[0] == rec.cache_hits == 0
+
+    def test_bad_witness_is_not_filed(self, monkeypatch):
+        # a witness that uses one edge for every spine pair must stop the
+        # search instead of deciding later checks
+        def one_edge(*args):
+            hits, nodes, exhausted = spectrum_search(*args)
+            return [(L, spine, (assign[0],) * L) for L, spine, assign in hits], nodes, exhausted
+
+        monkeypatch.setattr(turan, "spectrum_search", one_edge)
+        with pytest.raises(InternalProofFailure, match="not a Berge 3-cycle"):
+            turan_exhaustive(6, 3, 3)
