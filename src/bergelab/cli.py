@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     f.add_argument("--input", required=True)
     f.add_argument("--emit-witnesses")
-    f.add_argument("--seed", type=int, default=0)
     f.set_defaults(fn=_cmd_find)
 
     s = sub.add_parser("skeleton", help="dump skeleton levels and class sizes as CSV")

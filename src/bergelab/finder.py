@@ -35,7 +35,7 @@ from .errors import (
     NotLinear,
     PreconditionUnmet,
 )
-from .graphs import Graph, connected_components, long_path_from_density, norm_edge
+from .graphs import Graph, densest_component, long_path_from_density, norm_edge
 from .hypergraph import (
     Hypergraph,
     average_degree,
@@ -196,10 +196,7 @@ def cycles_from_down_edges(
         pair_to_edge[key] = ei
         third[key] = below[0]
     proj = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
-    comps = sorted(
-        connected_components(proj), key=lambda c: (-c.average_degree(), c.vertices[0])
-    )
-    comp = comps[0]
+    comp = densest_component(proj)
     if comp.average_degree() < 2 * k + 4:
         raise InternalProofFailure("component density", f"d = {comp.average_degree()}")
     conbrs = sorted({third[e] for e in comp.edges})
@@ -370,9 +367,7 @@ def _bc_pair_route(H, sk, i, k, cls, own_color, anchor, color_of, level_of):
             raise InternalProofFailure("linearity", f"pair {pair} repeats")
         pair_to_edge[pair] = ei
     proj = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
-    comp = max(
-        connected_components(proj), key=lambda c: (c.average_degree(), -c.vertices[0])
-    )
+    comp = densest_component(proj)
     if 2 * comp.e <= (k - 1) * comp.n:
         return None
     path = long_path_from_density(comp, k - 1)[: k + 1]

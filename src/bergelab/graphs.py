@@ -1,5 +1,5 @@
 """2-graph toolkit: density-driven long paths and cycles, blocks,
-disjoint paths, and BFS trees.
+disjoint paths, BFS trees, components and shortest paths.
 
 The long-path/long-cycle extractors realize the classical density bounds
 constructively: peel low-degree vertices (the bound is preserved), recurse
@@ -14,7 +14,8 @@ instances and InternalProofFailure surfaces anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -33,6 +34,11 @@ class Graph:
 
     vertices: tuple[int, ...]
     edges: tuple[Pair, ...]
+    # Built once by adjacency(); a declared field left out of __init__, ==,
+    # hash and repr, like the indexes on `Hypergraph`.
+    _adjacency: Optional[dict[int, list[int]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def build(vertices: Iterable[int], edges: Iterable[Pair]) -> "Graph":
@@ -56,13 +62,17 @@ class Graph:
         return Fraction(2 * self.e, self.n) if self.n else Fraction(0)
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj.values():
-            lst.sort()
-        return adj
+        """Each vertex -> its sorted neighbours; built once, shared, not to
+        be mutated."""
+        if self._adjacency is None:
+            adj: dict[int, list[int]] = {v: [] for v in self.vertices}
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            for lst in adj.values():
+                lst.sort()
+            object.__setattr__(self, "_adjacency", adj)
+        return self._adjacency
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
         keep = set(vertices)
@@ -77,29 +87,24 @@ class Graph:
 
 
 def connected_components(G: Graph) -> list[Graph]:
-    adj = G.adjacency()
+    """Components in order of their smallest vertex (for sorted vertices)."""
     seen: set[int] = set()
     comps: list[Graph] = []
     for s in G.vertices:
-        if s in seen:
-            continue
-        stack, comp = [s], {s}
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(G.subgraph(comp))
+        if s not in seen:
+            order = bfs_tree(G, s)[2]
+            seen.update(order)
+            comps.append(G.subgraph(order))
     return comps
+
+
+def densest_component(G: Graph) -> Graph:
+    """The component of largest average degree, ties to the smallest vertex."""
+    return max(connected_components(G), key=lambda c: (c.average_degree(), -c.vertices[0]))
 
 
 def bfs_tree(G: Graph, root: int):
     """Deterministic BFS: returns (parent, level, order); parent[root] = -1."""
-    from collections import deque
-
     adj = G.adjacency()
     parent = {root: -1}
     level = {root: 0}
@@ -117,23 +122,47 @@ def bfs_tree(G: Graph, root: int):
 
 
 def bipartition(G: Graph) -> Optional[dict[int, int]]:
-    """2-coloring of each component, or None when an odd cycle exists."""
-    adj = G.adjacency()
+    """2-coloring of each component by BFS level parity, or None when an
+    edge joins two vertices of one parity (an odd cycle exists)."""
     side: dict[int, int] = {}
     for s in G.vertices:
-        if s in side:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in side:
-                    side[w] = 1 - side[u]
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    return None
+        if s not in side:
+            for v, lvl in bfs_tree(G, s)[1].items():
+                side[v] = lvl & 1
+    if any(side[u] == side[v] for u, v in G.edges):
+        return None
     return side
+
+
+def shortest_path(
+    adj: dict[int, list[int]],
+    sources: Iterable[int],
+    targets: Iterable[int],
+    avoid: Iterable[int] = (),
+) -> Optional[list[int]]:
+    """Shortest source-target path by BFS over `adj`, as a vertex list, or
+    None. The path meets the sources only at its start and never meets
+    `avoid`; sources in `avoid` or missing from `adj` are skipped. Ties go
+    to the smallest source, then to adjacency order."""
+    goal, bad = set(targets), set(avoid)
+    prev: dict[int, int] = {}
+    q: deque[int] = deque()
+    for s in sorted(set(sources) - bad):
+        if s in adj:
+            prev[s] = -1
+            q.append(s)
+    while q:
+        u = q.popleft()
+        if u in goal:
+            path = [u]
+            while prev[path[-1]] != -1:
+                path.append(prev[path[-1]])
+            return path[::-1]
+        for w in adj[u]:
+            if w not in prev and w not in bad:
+                prev[w] = u
+                q.append(w)
+    return None
 
 
 def blocks(G: Graph) -> list[tuple[Pair, ...]]:
@@ -196,15 +225,13 @@ def blocks(G: Graph) -> list[tuple[Pair, ...]]:
 # density peeling
 
 
-def _peel(G: Graph, threshold: Fraction, strict: bool = False) -> Graph:
-    """Repeatedly delete the smallest vertex of degree <= threshold
-    (degree < threshold when strict)."""
+def _peel(G: Graph, threshold: Fraction) -> Graph:
+    """Repeatedly delete the smallest vertex of degree < threshold."""
     adj = {v: set(ns) for v, ns in G.adjacency().items()}
     import heapq
 
     def low(v: int) -> bool:
-        d = len(adj[v])
-        return d < threshold if strict else d <= threshold
+        return len(adj[v]) < threshold
 
     heap = [v for v in G.vertices if low(v)]
     heapq.heapify(heap)
@@ -227,7 +254,7 @@ def min_degree_core(G: Graph) -> Graph:
     """Subgraph with average degree >= d(G) and min degree >= d(G)/2."""
     if G.e == 0:
         return G
-    return _peel(G, G.average_degree() / 2, strict=True)
+    return _peel(G, G.average_degree() / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +351,6 @@ def two_disjoint_paths(G: Graph, A: Iterable[int], B: Iterable[int]):
         add(("out", b), "T", 1)
 
     def bfs_augment() -> bool:
-        from collections import deque
-
         prev: dict = {"S": None}
         q = deque(["S"])
         while q:
@@ -370,34 +395,6 @@ def two_disjoint_paths(G: Graph, A: Iterable[int], B: Iterable[int]):
     if len(paths) != 2 or len({p[0] for p in paths}) != 2 or len({p[-1] for p in paths}) != 2:
         return None
     return paths[0], paths[1]
-
-
-def _path_between_avoiding(G: Graph, A, B, forbidden) -> Optional[list[int]]:
-    """Shortest A-B path avoiding `forbidden`, interiors outside A and B."""
-    from collections import deque
-
-    adj = G.adjacency()
-    Aset, Bset, bad = set(A), set(B), set(forbidden)
-    prev: dict[int, int] = {}
-    q = deque()
-    for a in sorted(Aset - bad):
-        prev[a] = -1
-        q.append(a)
-    while q:
-        u = q.popleft()
-        if u in Bset:
-            path = [u]
-            while prev[path[-1]] != -1:
-                path.append(prev[path[-1]])
-            return path[::-1]
-        for w in adj[u]:
-            if w in bad or w in prev:
-                continue
-            if w in Aset:
-                continue
-            prev[w] = u
-            q.append(w)
-    return None
 
 
 def _stuck_candidates(G: Graph, adj, path: list[int]) -> list[list[int]]:
@@ -447,7 +444,7 @@ def _stuck_candidates(G: Graph, adj, path: list[int]) -> list[list[int]]:
                     cands.append(cyc)
         else:
             t = path[i_star]
-            r = _path_between_avoiding(G, [v for v in c0 if v != t], [v for v in cp if v != t], {t})
+            r = shortest_path(adj, [v for v in c0 if v != t], [v for v in cp if v != t], {t})
             if r:
                 arc0 = _longer_arc(c0, r[0], t)
                 arcp = _longer_arc(cp, t, r[-1])
@@ -563,7 +560,7 @@ def long_path_from_density(G: Graph, m: int) -> list[int]:
         raise PreconditionUnmet(f"need e > m*n/2 = {Fraction(m * G.n, 2)}, have {G.e}")
     if m < 0:
         raise PreconditionUnmet("m must be nonnegative")
-    core = _peel(G, Fraction(m, 2))
+    core = _peel(G, Fraction(m + 1, 2))  # degree <= m/2
     comp = _best_component(core, lambda n: Fraction(m * n))
     adj = comp.adjacency()
     path = _maximal_extend(adj, [comp.vertices[0]])
@@ -607,7 +604,7 @@ def long_cycle_from_density(G: Graph, m: int) -> list[int]:
     work = G
     H: Optional[Graph] = None
     for _ in range(G.n + 2):
-        peeled = _peel(work, Fraction(m, 2))
+        peeled = _peel(work, Fraction(m + 1, 2))  # degree <= m/2
         comp = _best_component(peeled, lambda n: Fraction(m * (n - 1)))
         blks = blocks(comp)
         if len(blks) == 1:

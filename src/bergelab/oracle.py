@@ -35,6 +35,8 @@ def oracle_spectrum(H: Hypergraph, max_len: int, budget: int = 10**7) -> CycleSp
     """
     if budget < 0:
         raise PreconditionUnmet(f"budget {budget} is negative")
+    if max_len < 0:
+        raise PreconditionUnmet(f"max_len {max_len} is negative")
     if max_len > H.n:
         raise PreconditionUnmet(f"max_len {max_len} exceeds vertex count {H.n}")
     hits, nodes, exhausted = spectrum_search(H.n, H.edges, 3, max_len, budget)

@@ -5,9 +5,9 @@ cycles in bipartite graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .certify import BergePathWitness, verify_path
@@ -22,12 +22,21 @@ from .graphs import (
     bfs_tree,
     bipartition,
     connected_components,
+    densest_component,
     long_cycle_from_density,
     long_path_from_density,
     min_degree_core,
     norm_edge,
+    shortest_path,
 )
-from .hypergraph import Hypergraph, covered_vertices, edge_components, peel
+from .hypergraph import (
+    Hypergraph,
+    cover_lists,
+    covered_vertices,
+    edge_components,
+    incidence,
+    peel,
+)
 from .skeleton import frame_from_parent, path_to_root
 
 
@@ -102,38 +111,17 @@ def linear_xy_path(
     Xs, Ys = set(X), set(Y)
     if not Xs or not Ys or Xs & Ys:
         raise PreconditionUnmet("X and Y must be disjoint and nonempty")
-    cov: dict[tuple[int, int], list[int]] = {}
-    adj: dict[int, set[int]] = {}
-    for i in ids:
-        e = H.edges[i]
-        for a in range(len(e)):
-            for b in range(a + 1, len(e)):
-                p = (e[a], e[b])
-                if len(cov.setdefault(p, [])) == 1:
-                    raise NotLinear(f"pair {p} has co-degree above 1")
-                cov[p].append(i)
-                adj.setdefault(e[a], set()).add(e[b])
-                adj.setdefault(e[b], set()).add(e[a])
-    prev: dict[int, int] = {}
-    q: deque[int] = deque()
-    for x in sorted(Xs):
-        if x in adj:
-            prev[x] = -1
-            q.append(x)
-    goal = None
-    while q:
-        u = q.popleft()
-        if u in Ys:
-            goal = u
-            break
-        for w in sorted(adj.get(u, ())):
-            if w not in prev and w not in Xs:
-                prev[w] = u
-                q.append(w)
-    if goal is None:
+    view = [H.edges[i] for i in ids]
+    cov = cover_lists(view, 2)
+    for j, e in enumerate(view):
+        for p in combinations(e, 2):
+            if cov[p][0] != j:
+                raise NotLinear(f"pair {p} has co-degree above 1")
+    shadow = Graph(tuple(sorted({v for e in view for v in e})), tuple(sorted(cov)))
+    spine = shortest_path(shadow.adjacency(), Xs, Ys)
+    if spine is None:
         raise Disconnected("no shadow path between X and Y")
-    spine = path_to_root(prev, goal)[::-1]
-    eids = [cov[norm_edge(a, b)][0] for a, b in zip(spine, spine[1:])]
+    eids = [ids[cov[norm_edge(a, b)][0]] for a, b in zip(spine, spine[1:])]
     # collapse accidental repeats (consecutive spine pairs inside one edge)
     dedup: list[int] = []
     for e in eids:
@@ -193,27 +181,10 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
         [e for e in ones if x not in e],
     )
     cyc = long_cycle_from_density(g1p, p - 1)
-    cyc_set = set(cyc)
-    # shortest connector from {x, y} to the cycle
-    prev: dict[int, int] = {x: -1, y: -1}
-    q: deque[int] = deque()
-    for s in sorted((x, y)):
-        q.append(s)
-    z = None
-    if y in cyc_set:
-        z = y
-    while z is None and q:
-        u = q.popleft()
-        if u in cyc_set:
-            z = u
-            break
-        for w in adj[u]:
-            if w not in prev:
-                prev[w] = u
-                q.append(w)
-    if z is None:
+    connector = shortest_path(adj, (x, y), cyc)  # starts at x or y, ends on the cycle
+    if connector is None:
         raise InternalProofFailure("special path", "cycle unreachable in a connected graph")
-    connector = path_to_root(prev, z)[::-1]  # starts at x or y, ends at z
+    z = connector[-1]
     zi = cyc.index(z)
     rot = cyc[zi:] + cyc[:zi]
     walk = rot  # z .. around the cycle, omitting the closing edge back to z
@@ -297,14 +268,12 @@ def special_linear_path(
         if not check_linear_path(H, good):
             raise InternalProofFailure("good path seed", "seed is not linear")
 
-    core_inc: dict[int, list[int]] = {}
-    for i in sorted(core_ids):
-        for v in H.edges[i]:
-            core_inc.setdefault(v, []).append(i)
+    core_set = set(core_ids)
+    inc = incidence(H)
     while len(good) < p:
         blocked = covered_vertices(H, good) - {z}
-        for ei in core_inc.get(z, ()):
-            if ei in good:
+        for ei in inc[z]:
+            if ei not in core_set or ei in good:
                 continue
             if not blocked & set(H.edges[ei]):
                 good.append(ei)
@@ -454,14 +423,11 @@ def consecutive_even_cycles(G: Graph, k: int, budget: int = 10**7) -> EvenCycleR
             f"need average degree >= {6 * k}, have {G.average_degree()}"
         )
     core = min_degree_core(G)
-    comp = max(connected_components(core), key=lambda c: (c.average_degree(), -c.vertices[0]))
+    comp = densest_component(core)
     degs = {v: len(ns) for v, ns in comp.adjacency().items()}
     root = min(v for v in comp.vertices if degs[v] == max(degs.values()))
     parent, level, _ = bfs_tree(comp, root)
     h = max(level.values())
-    lvl_sets: dict[int, list[int]] = {}
-    for v, l in level.items():
-        lvl_sets.setdefault(l, []).append(v)
 
     for i in range(h):
         cross = [

@@ -35,6 +35,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from ._spectrum import spectrum_search
+from .certify import BergeCycleWitness, verify_cycle
 from .errors import InternalProofFailure, PreconditionUnmet
 from .hypergraph import Hypergraph, no_pair_twice
 
@@ -65,26 +66,6 @@ def _find_cycle(
     if exhausted:
         raise PreconditionUnmet("freeness check ran out of budget")
     return hits[0][1:] if hits else None
-
-
-def _check_witness(edges: Sequence[tuple[int, ...]], ell: int, spine, assign, new: int) -> None:
-    """Raise unless (spine, assign) is a Berge ell-cycle of `edges` that
-    assigns edge index `new`: ell distinct vertices, ell distinct edges,
-    each containing its spine pair."""
-    ok = (
-        len(spine) == len(assign) == ell
-        and len(set(spine)) == ell
-        and len(set(assign)) == ell
-        and new in assign
-        and all(
-            0 <= ei < len(edges) and spine[i] in edges[ei] and spine[(i + 1) % ell] in edges[ei]
-            for i, ei in enumerate(assign)
-        )
-    )
-    if not ok:
-        raise InternalProofFailure(
-            "turan freeness check", f"kernel witness {spine} / {assign} is not a Berge {ell}-cycle"
-        )
 
 
 def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranRecord:
@@ -137,7 +118,15 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
             free[p].append(mask)
             return True
         spine, assign = found
-        _check_witness(chosen, ell, spine, assign, len(chosen) - 1)
+        if (
+            len(spine) != ell
+            or len(chosen) - 1 not in assign
+            or not verify_cycle(Hypergraph(n, tuple(chosen)), BergeCycleWitness(spine, assign))
+        ):
+            raise InternalProofFailure(
+                "turan freeness check",
+                f"kernel witness {spine} / {assign} is not a Berge {ell}-cycle",
+            )
         c = sum(1 << chosen_pos[ei] for ei in assign if chosen_pos[ei] != p)
         cycles[p] = [d for d in cycles[p] if d & c != c]
         cycles[p].append(c)

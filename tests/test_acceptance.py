@@ -333,7 +333,7 @@ class TestAcceptance:
             wfile = tmp_path / f"w{trial}.jsonl"
             res = subprocess.run(
                 [sys.executable, "-c", script, "find", "--k", "2",
-                 "--mode", "linear3", "--input", str(hg), "--seed", "0",
+                 "--mode", "linear3", "--input", str(hg),
                  "--emit-witnesses", str(wfile)],
                 capture_output=True,
             )

@@ -175,6 +175,23 @@ class TestOtherCommands:
         assert code == 2
         assert "budget -5 is negative" in err
 
+    def test_spectrum_negative_max_len(self, capsys, tmp_path):
+        hg = tmp_path / "k5.hg"
+        code, out, _ = run_cli(["gen", "--family", "completeR", "--n", "5", "--r", "3"], capsys)
+        hg.write_text(out)
+        code, out, err = run_cli(["spectrum", "--input", str(hg), "--max-len", "-3"], capsys)
+        assert code == 2
+        assert err == "precondition unmet: max_len -3 is negative\n"
+        assert out == "" and "Traceback" not in err
+
+    def test_find_has_no_seed_option(self, capsys, tmp_path):
+        hg = tmp_path / "fano.hg"
+        hg.write_text("3 7 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["find", "--k", "1", "--input", str(hg), "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
     def test_turan_negative_budget(self, capsys):
         code, out, err = run_cli(
             ["turan", "--n", "5", "--r", "3", "--ell", "3", "--budget", "-1"], capsys

@@ -1,5 +1,6 @@
 """The hand-written graph primitives against networkx on small random inputs."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -7,8 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab.certify import extend
-from bergelab.graphs import Graph, bipartition, blocks, connected_components, norm_edge
+from bergelab.errors import NotLinear
+from bergelab.graphs import (
+    Graph,
+    bipartition,
+    blocks,
+    connected_components,
+    densest_component,
+    norm_edge,
+    shortest_path,
+)
 from bergelab.hypergraph import Hypergraph, edge_components, pair_covers
+from bergelab.pathtools import linear_xy_path
 
 nx = pytest.importorskip("networkx")
 
@@ -53,6 +64,50 @@ def test_bipartition(G):
     assert (side is not None) == nx.is_bipartite(to_nx(G))
     if side is not None:
         assert all(side[u] != side[v] for u, v in G.edges)
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_shortest_path(G, rnd):
+    A = [v for v in G.vertices if rnd.random() < 0.3]
+    B = [v for v in G.vertices if v not in A and rnd.random() < 0.3]
+    avoid = [v for v in G.vertices if v not in A and v not in B and rnd.random() < 0.2]
+    path = shortest_path(G.adjacency(), A, B, avoid)
+    g = to_nx(G).subgraph(set(G.vertices) - set(avoid))
+    dist = nx.multi_source_dijkstra_path_length(g, set(A)) if A else {}
+    reach = [dist[b] for b in B if b in dist]
+    if not reach:
+        assert path is None
+        return
+    assert path is not None
+    assert path[0] in A and path[-1] in B
+    assert not (set(A) | set(B) | set(avoid)) & set(path[1:-1])
+    assert len(set(path)) == len(path)
+    assert all(norm_edge(u, v) in G.edges for u, v in zip(path, path[1:]))
+    assert len(path) - 1 == min(reach)
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_densest_component(G):
+    g = to_nx(G)
+    best = max(
+        nx.connected_components(g),
+        key=lambda c: (Fraction(2 * g.subgraph(c).number_of_edges(), len(c)), -min(c)),
+    )
+    comp = densest_component(G)
+    assert comp.vertices == tuple(sorted(best))
+    assert comp.edges == tuple(sorted(norm_edge(u, v) for u, v in g.subgraph(best).edges))
+
+
+def test_linear_xy_path_names_the_first_pair_met_twice():
+    # (1, 2) is seen first, but (0, 3) is the first pair met a second time
+    # in edge order; a view without edge 1 meets (1, 2) twice instead
+    H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 3, 5), (1, 2, 6)])
+    with pytest.raises(NotLinear, match=r"^pair \(0, 3\) has co-degree above 1$"):
+        linear_xy_path(H, [0], [6])
+    with pytest.raises(NotLinear, match=r"^pair \(1, 2\) has co-degree above 1$"):
+        linear_xy_path(H, [0], [6], edge_ids=[3, 2, 0])
 
 
 @given(graphs())
