@@ -619,15 +619,28 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     members = cover_lists(H.edges, r - 1)
     count = {sub: len(ids) for sub, ids in members.items()}
     alive = set(range(len(H.edges)))
+    # The initial (edge, subset) entries are generated in sorted order, so a
+    # cursor walks them and the heap holds only the later pushes; taking the
+    # smaller head each step gives the order of one heap holding both. As
+    # `count` only falls, and a subset whose count drops to k pushes its alive
+    # edges, an entry this lazy filter admits that an up-front filter would
+    # not is a copy of a pushed entry: the copies are taken in a row and the
+    # second is skipped.
+    initial = (
+        (ei, sub)
+        for ei, e in enumerate(H.edges)
+        for sub in combinations(e, r - 1)
+        if count[sub] <= k
+    )
+    head = next(initial, None)
     heap: list[tuple[int, tuple[int, ...]]] = []
-    for ei, e in enumerate(H.edges):
-        for sub in combinations(e, r - 1):
-            if count[sub] <= k:
-                heap.append((ei, sub))
-    heapq.heapify(heap)
     slice_entries: list[tuple[int, tuple[int, ...]]] = []
-    while heap:
-        ei, sub = heapq.heappop(heap)
+    while head is not None or heap:
+        if heap and (head is None or heap[0] < head):
+            ei, sub = heapq.heappop(heap)
+        else:
+            ei, sub = head
+            head = next(initial, None)
         if ei not in alive or count[sub] > k or count[sub] < 1:
             continue
         slice_entries.append((ei, sub))

@@ -14,6 +14,7 @@ instances and InternalProofFailure surfaces anything else.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,7 +31,14 @@ def norm_edge(u: int, v: int) -> Pair:
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on an explicit (not necessarily dense) vertex set."""
+    """Undirected simple graph on an explicit (not necessarily dense) vertex set.
+
+    `build` is the one validating constructor. Every `Graph` keeps the
+    invariant it establishes: `vertices` sorted and unique, `edges`
+    normalised (u < v), sorted and unique, with both ends in `vertices`.
+    Derived views (`subgraph`, `edge_subgraph`, components, peeled cores)
+    rely on it and call the plain constructor on already-valid data.
+    """
 
     vertices: tuple[int, ...]
     edges: tuple[Pair, ...]
@@ -75,15 +83,19 @@ class Graph:
         return self._adjacency
 
     def subgraph(self, vertices: Iterable[int]) -> "Graph":
+        """The graph on `vertices` (kept even when outside this graph) with
+        this graph's edges that have both ends among them."""
         keep = set(vertices)
-        return Graph.build(
-            keep, [e for e in self.edges if e[0] in keep and e[1] in keep]
+        return Graph(
+            tuple(sorted(keep)),
+            tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
 
     def edge_subgraph(self, edges: Iterable[Pair]) -> "Graph":
-        es = sorted({norm_edge(u, v) for u, v in edges})
-        vs = sorted({v for e in es for v in e})
-        return Graph.build(vs, es)
+        """The graph formed by some of this graph's edges, in either
+        orientation, and their endpoints."""
+        es = tuple(sorted({norm_edge(u, v) for u, v in edges}))
+        return Graph(tuple(sorted({v for e in es for v in e})), es)
 
 
 def connected_components(G: Graph) -> list[Graph]:
@@ -93,6 +105,8 @@ def connected_components(G: Graph) -> list[Graph]:
     for s in G.vertices:
         if s not in seen:
             order = bfs_tree(G, s)[2]
+            if len(order) == G.n:
+                return [G]  # connected: G itself, with its adjacency
             seen.update(order)
             comps.append(G.subgraph(order))
     return comps
@@ -100,6 +114,8 @@ def connected_components(G: Graph) -> list[Graph]:
 
 def densest_component(G: Graph) -> Graph:
     """The component of largest average degree, ties to the smallest vertex."""
+    if G.n == 0:
+        raise PreconditionUnmet("the graph has no vertices")
     return max(connected_components(G), key=lambda c: (c.average_degree(), -c.vertices[0]))
 
 
@@ -228,7 +244,6 @@ def blocks(G: Graph) -> list[tuple[Pair, ...]]:
 def _peel(G: Graph, threshold: Fraction) -> Graph:
     """Repeatedly delete the smallest vertex of degree < threshold."""
     adj = {v: set(ns) for v, ns in G.adjacency().items()}
-    import heapq
 
     def low(v: int) -> bool:
         return len(adj[v]) < threshold
@@ -246,8 +261,9 @@ def _peel(G: Graph, threshold: Fraction) -> Graph:
             if w not in dead and low(w):
                 heapq.heappush(heap, w)
         adj[v] = set()
-    alive = [v for v in G.vertices if v not in dead]
-    return Graph.build(alive, [e for e in G.edges if e[0] not in dead and e[1] not in dead])
+    if not dead:
+        return G
+    return G.subgraph(v for v in G.vertices if v not in dead)
 
 
 def min_degree_core(G: Graph) -> Graph:
@@ -590,6 +606,8 @@ def long_cycle_from_density(G: Graph, m: int) -> list[int]:
 
     The closing edge (last vertex back to first) is implicit.
     """
+    if G.n == 0:
+        raise PreconditionUnmet("the graph has no vertices")
     if not (2 * G.e > m * (G.n - 1)):
         raise PreconditionUnmet(
             f"need e > m*(n-1)/2 = {Fraction(m * (G.n - 1), 2)}, have {G.e}"

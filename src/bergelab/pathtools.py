@@ -149,7 +149,7 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
     twos = cg.color_class(2)
     if not ones or not twos:
         raise PreconditionUnmet("both colors must appear")
-    if len(connected_components(G)) != 1:
+    if len(bfs_tree(G, G.vertices[0])[2]) != G.n:
         raise PreconditionUnmet("graph must be connected")
     adj = G.adjacency()
     if p <= 1:
@@ -176,9 +176,9 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
             f"need d(G_1) >= {p + 1}, have {Fraction(2 * len(ones), G.n)}"
         )
     x, y = twos[0]
-    g1p = Graph.build(
-        [v for v in G.vertices if v != x],
-        [e for e in ones if x not in e],
+    g1p = Graph(  # a filter of G's valid vertices and edges, so no re-validation
+        tuple(v for v in G.vertices if v != x),
+        tuple(e for e in ones if x not in e),
     )
     cyc = long_cycle_from_density(g1p, p - 1)
     connector = shortest_path(adj, (x, y), cyc)  # starts at x or y, ends on the cycle
@@ -418,7 +418,7 @@ def consecutive_even_cycles(G: Graph, k: int, budget: int = 10**7) -> EvenCycleR
         raise PreconditionUnmet("k must be at least 1")
     if bipartition(G) is None:
         raise PreconditionUnmet("graph must be bipartite")
-    if 2 * G.e < 6 * k * G.n:
+    if G.n == 0 or 2 * G.e < 6 * k * G.n:
         raise PreconditionUnmet(
             f"need average degree >= {6 * k}, have {G.average_degree()}"
         )

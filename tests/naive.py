@@ -6,11 +6,15 @@ The exceptions are `naive_sweep`, the skeleton sweep's loop as it was before
 its components were kept under deletion: it recomputes every component on
 every iteration and reuses the package's per-skeleton steps; and
 `naive_turan`, the exact Turán search as it was before freeness answers
-were filed: it calls the package's kernel for every check.
+were filed: it calls the package's kernel for every check; and
+`naive_split_by_codegree`, the co-degree split with every (edge, subset)
+entry on one heap, as it was before the initial entries were walked by a
+cursor.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -118,6 +122,49 @@ def naive_sweep(H, k):
     if guaranteed:
         raise InternalProofFailure("sweep exhaustion", "naive")
     return None
+
+
+def naive_split_by_codegree(H, k):
+    """`finder.split_by_codegree` with all initial entries heapified up front
+    and one heap serving them and the later pushes."""
+    from bergelab import finder as fd
+    from bergelab.hypergraph import cover_lists
+
+    r = H.uniformity
+    members = cover_lists(H.edges, r - 1)
+    count = {sub: len(ids) for sub, ids in members.items()}
+    alive = set(range(len(H.edges)))
+    heap = [
+        (ei, sub)
+        for ei, e in enumerate(H.edges)
+        for sub in combinations(e, r - 1)
+        if count[sub] <= k
+    ]
+    heapq.heapify(heap)
+    slice_entries = []
+    while heap:
+        ei, sub = heapq.heappop(heap)
+        if ei not in alive or count[sub] > k or count[sub] < 1:
+            continue
+        slice_entries.append((ei, sub))
+        for dead in members[sub]:
+            if dead not in alive:
+                continue
+            alive.discard(dead)
+            for s2 in combinations(H.edges[dead], r - 1):
+                count[s2] -= 1
+                if count[s2] == k:
+                    for cand in members[s2]:
+                        if cand in alive:
+                            heapq.heappush(heap, (cand, s2))
+    if alive:
+        return fd.DenseCore(edge_ids=tuple(sorted(alive)))
+    slice_covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
+    out = []
+    for ei, sub0 in sorted(slice_entries):
+        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(slice_covers[s]) == 1]
+        out.append((ei, fresh[0], True) if fresh else (ei, sub0, False))
+    return fd.MarkedSlice(entries=tuple(out))
 
 
 def naive_turan(n, r, ell, budget=10**8):

@@ -19,7 +19,7 @@ from bergelab.hypergraph import Hypergraph, average_degree, edge_components
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
 
-from naive import naive_sweep
+from naive import naive_split_by_codegree, naive_sweep
 
 
 def down_heavy_fixture(seed=0):
@@ -153,6 +153,41 @@ class TestSplitByCodegree:
             assert len(set(marks)) == len(marks)
             for ei, m, _ in out.entries:
                 assert set(m) <= set(H.edges[ei])
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
+        st.integers(3, 4),
+        st.sampled_from(("linear", "random", "planted")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_single_heap(self, seed, k, r, kind):
+        rng = random.Random(seed)
+        if kind == "linear":
+            n = rng.randrange(r + 2, 40)
+            H, _ = random_linear_r(n, r, rng.randrange(1, 3 * n), seed=seed)
+            if not H.edges:
+                return
+        else:
+            n = rng.randrange(r + k + 1, 11)
+            universe = list(combinations(range(n), r))
+            rng.shuffle(universe)
+            edges = set(universe[: rng.randrange(1, len(universe))])
+            if kind == "planted":  # a complete r-graph whose co-degrees exceed k
+                edges |= set(combinations(range(r + k), r))
+            H = Hypergraph.from_edges(n, sorted(edges), uniformity=r)
+        assert fd.split_by_codegree(H, k) == naive_split_by_codegree(H, k)
+
+    def test_matches_single_heap_both_outcomes(self):
+        H = steiner_triple(31)
+        for k in (1, 2, 3):
+            out = fd.split_by_codegree(H, k)
+            assert isinstance(out, fd.MarkedSlice)
+            assert out == naive_split_by_codegree(H, k)
+        H = complete_r(7, 3)
+        out = fd.split_by_codegree(H, 3)
+        assert isinstance(out, fd.DenseCore)
+        assert out == naive_split_by_codegree(H, 3)
 
 
 class TestMinCodegreeCycles:

@@ -47,6 +47,72 @@ def check_path(G, path):
         assert b in adj[a]
 
 
+@st.composite
+def graphs_and_picks(draw):
+    """A graph on scattered labels, a vertex set reaching outside it and an
+    edge subset given in mixed orientation."""
+    vs = draw(st.sets(st.integers(0, 40), max_size=14))
+    pairs = list(combinations(sorted(vs), 2))
+    es = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    G = gr.Graph.build(vs, es)
+    S = draw(st.sets(st.integers(0, 45)) | st.sets(st.sampled_from(sorted(vs) or [0])))
+    F = [(v, u) if draw(st.booleans()) else (u, v) for u, v in G.edges if draw(st.booleans())]
+    return G, S, F
+
+
+def reference_components(G):
+    """Components by repeated closure over the edge list."""
+    left, comps = set(G.vertices), []
+    while left:
+        part = {min(left)}
+        grown = True
+        while grown:
+            grown = False
+            for u, v in G.edges:
+                if (u in part) != (v in part):
+                    part |= {u, v}
+                    grown = True
+        left -= part
+        comps.append(gr.Graph.build(part, [e for e in G.edges if e[0] in part]))
+    return comps
+
+
+class TestDerivedViews:
+    """Views built on the plain constructor equal what the validating
+    `Graph.build` gives on the same vertices and edges."""
+
+    @given(graphs_and_picks())
+    @settings(max_examples=200, deadline=None)
+    def test_views_equal_build(self, case):
+        G, S, F = case
+        assert G.subgraph(S) == gr.Graph.build(
+            S, [e for e in G.edges if e[0] in S and e[1] in S]
+        )
+        assert G.subgraph(()) == gr.Graph.build((), ())
+        assert G.edge_subgraph(F) == gr.Graph.build({v for e in F for v in e}, F)
+        comps = gr.connected_components(G)
+        assert comps == reference_components(G)
+        if len(comps) == 1:
+            assert comps[0] is G
+        alive = set(G.vertices)
+        while G.e:  # the core is unique, so peeling all low vertices at once agrees
+            kept = [e for e in G.edges if set(e) <= alive]
+            low = {v for v in alive if sum(v in e for e in kept) < G.average_degree() / 2}
+            if not low:
+                break
+            alive -= low
+        assert gr.min_degree_core(G) == gr.Graph.build(
+            alive, [e for e in G.edges if set(e) <= alive]
+        )
+
+    def test_empty_graph_preconditions(self):
+        empty = gr.Graph.build([], [])
+        with pytest.raises(PreconditionUnmet):
+            gr.densest_component(empty)
+        with pytest.raises(PreconditionUnmet):
+            gr.long_cycle_from_density(empty, 2)
+
+
 class TestBlocks:
     def test_two_triangles_at_cut(self):
         G = gr.Graph.build(range(5), [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])

@@ -244,6 +244,10 @@ class TestConsecutiveEvenCycles:
         with pytest.raises(PreconditionUnmet):
             pt.consecutive_even_cycles(G, 1)
 
+    def test_empty_graph(self):
+        with pytest.raises(PreconditionUnmet, match="average degree"):
+            pt.consecutive_even_cycles(Graph.build([], []), 1)
+
     def test_k1(self):
         H = complete_bipartite_incidence(6, 6)
         G = Graph.build(range(12), H.edges)
