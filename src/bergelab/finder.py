@@ -129,10 +129,13 @@ class DenseCore:
 @dataclass(frozen=True)
 class MarkedSlice:
     """Greedy slice: (representative edge, marked (r-1)-subset, subset has
-    co-degree 1 within the slice) triples; marked subsets are distinct and
-    each is contained in its representative."""
+    co-degree 1 within the slice) triples, in representative order; marked
+    subsets are distinct and each is contained in its representative.
+    `covers` maps each (r-1)-subset inside a representative to the
+    positions in `entries` of the representatives covering it."""
 
     entries: tuple[tuple[int, tuple[int, ...], bool], ...]
+    covers: dict[tuple[int, ...], list[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +171,12 @@ def cycles_from_down_edges(
     sk: Skeleton,
     i: int,
     k: int,
-    active_edges: Optional[Iterable[int]] = None,
     classes: Optional[LevelEdgeClasses] = None,
 ) -> ConsecutiveRun:
     """Run of k consecutive lengths from a heavy down-class at level i
     (edges with two vertices in L_i and one in L_{i-1}); shortest <= 2i."""
     if classes is None:
-        classes = classify_levels(H, sk, active_edges)
+        classes = classify_levels(H, sk)
     if k < 1 or i < 1 or i > sk.height:
         raise PreconditionUnmet("need k >= 1 and a level inside the tree")
     down = classes.down[i]
@@ -234,13 +236,12 @@ def cycles_or_level_bound(
     sk: Skeleton,
     i: int,
     k: int,
-    active_edges: Optional[Iterable[int]] = None,
     classes: Optional[LevelEdgeClasses] = None,
 ) -> Union[ConsecutiveRun, LevelEdgeBound]:
     """The level dichotomy: either a run with shortest length <= 2i+2, or a
     certificate that the within/up classes at level i are sparse."""
     if classes is None:
-        classes = classify_levels(H, sk, active_edges)
+        classes = classify_levels(H, sk)
     if k < 1 or i < 1 or i > sk.height:
         raise PreconditionUnmet("need k >= 1 and a level inside the tree")
     within = classes.within[i] if i < len(classes.within) else ()
@@ -304,15 +305,13 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
 
 
 def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
-    colors = {}
-    mono_set = set(mono)
+    colors = [0] * len(H.edges)
     for ei in ids:
-        colors[ei] = 1 if ei in mono_set else 2
-    arr = [0] * len(H.edges)
-    for ei, c in colors.items():
-        arr[ei] = c
+        colors[ei] = 2
+    for ei in mono:
+        colors[ei] = 1
     try:
-        w = special_linear_path(H, arr, k + 1, edge_ids=ids)
+        w = special_linear_path(H, colors, k + 1, edge_ids=ids)
     except PreconditionUnmet as exc:
         raise InternalProofFailure("bc mono route", str(exc)) from exc
     P = list(w.edges[: k + 1])
@@ -549,7 +548,7 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         c, root = comps.pop_densest()
         sk = build_skeleton(H, root, active_edges=comps.alive)
         classes = classify_levels(H, sk, active_edges=comps.alive)
-        run = _levels_once(H, sk, k, comps.alive, classes)
+        run = _levels_once(H, sk, k, classes)
         if run is not None:
             return run
         vt = sk.tree_vertices()
@@ -568,12 +567,12 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     return None
 
 
-def _levels_once(H, sk, k, active, classes) -> Optional[ConsecutiveRun]:
+def _levels_once(H, sk, k, classes) -> Optional[ConsecutiveRun]:
     for i in range(1, sk.height + 1):
         if len(classes.down[i]) >= (k + 2) * len(sk.levels[i]):
-            return cycles_from_down_edges(H, sk, i, k, active, classes)
+            return cycles_from_down_edges(H, sk, i, k, classes)
     for i in range(1, sk.height + 1):
-        res = cycles_or_level_bound(H, sk, i, k, active, classes)
+        res = cycles_or_level_bound(H, sk, i, k, classes)
         if isinstance(res, ConsecutiveRun):
             return res
     return None
@@ -586,19 +585,15 @@ def find_linear_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         raise PreconditionUnmet("need a uniform hypergraph with r >= 3")
     if not is_linear(H):
         raise NotLinear("input must be linear")
-    if H.uniformity == 3:
-        run = skeleton_sweep(H, k)
-        guaranteed = average_degree(H) >= 21 * (k + 1)
-    else:
-        # H's edges are sorted and pairwise share at most one vertex, so
-        # their 3-prefixes are distinct and already sorted: edge i of H3 is
-        # the prefix of edge i of H, and H3's witnesses are H's.
-        H3 = Hypergraph.from_edges(H.n, [e[:3] for e in H.edges], uniformity=3)
-        run = skeleton_sweep(H3, k)
-        if run is not None:
-            validate_run(H, run)
-        guaranteed = average_degree(H) >= 7 * H.uniformity * (k + 1)
-    if run is None and guaranteed:
+    # H's edges are sorted and pairwise share at most one vertex, so their
+    # 3-prefixes are distinct and already sorted: edge i of H3 is the prefix
+    # of edge i of H, and H3's witnesses are H's.
+    r = H.uniformity
+    H3 = H if r == 3 else Hypergraph(H.n, tuple(e[:3] for e in H.edges), 3)
+    run = skeleton_sweep(H3, k)
+    if run is not None:
+        validate_run(H, run)
+    if run is None and average_degree(H) >= 7 * r * (k + 1):
         raise InternalProofFailure("linear reduction", "no run above the threshold")
     return run
 
@@ -659,10 +654,11 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     if len(slice_entries) * k < len(H.edges):
         raise InternalProofFailure("slice count", "fewer than |H|/k representatives")
     # re-mark with slice-co-degree-1 subsets when available
-    slice_covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
+    slice_entries.sort()
+    covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
     out = []
-    for ei, sub0 in sorted(slice_entries):
-        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(slice_covers[s]) == 1]
+    for ei, sub0 in slice_entries:
+        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(covers[s]) == 1]
         if fresh:
             out.append((ei, fresh[0], True))
         else:
@@ -670,7 +666,7 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     marked = [m for _, m, _ in out]
     if len(set(marked)) != len(marked):
         raise InternalProofFailure("slice marks", "marked subsets collide")
-    return MarkedSlice(entries=tuple(out))
+    return MarkedSlice(entries=tuple(out), covers=covers)
 
 
 def tight_path_cycles(P: TightPath) -> list[BergeCycleWitness]:
@@ -823,29 +819,19 @@ def find_general_3(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     split = split_by_codegree(H, k)
     if isinstance(split, DenseCore):
         return _run_from_core(H, split.edge_ids, k)
-    reps = [ei for ei, _, _ in split.entries]
-    slice_covers = cover_lists([H.edges[ei] for ei in reps], 2)
-    run = _case_high_pairs(H, split, reps, slice_covers, k)
+    run = _case_high_pairs(H, split, k)
     if run is None:
-        run = _case_low_pairs(H, reps, slice_covers, k)
+        run = _case_low_pairs(H, split, k)
     if run is None and average_degree(H) >= general_3_threshold(k):
         raise InternalProofFailure("general 3-graph", "no run above the threshold")
     return run
 
 
-def _case_high_pairs(
-    H: Hypergraph,
-    sl: MarkedSlice,
-    reps: Sequence[int],
-    slice_covers: dict[tuple[int, ...], list[int]],
-    k: int,
-) -> Optional[ConsecutiveRun]:
-    """`reps` lists the slice's edges in index order; `slice_covers` maps
-    each pair inside one to the positions in `reps` of the edges covering it."""
+def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[ConsecutiveRun]:
     good_entries = [
         (ei, mark)
         for ei, mark, c1 in sl.entries
-        if c1 and any(len(slice_covers[p]) >= 3 for p in combinations(H.edges[ei], 2))
+        if c1 and any(len(sl.covers[p]) >= 3 for p in combinations(H.edges[ei], 2))
     ]
     if not good_entries:
         return None
@@ -874,7 +860,7 @@ def _case_high_pairs(
         pairs = [norm_edge(cyc[j], cyc[(j + 1) % L]) for j in range(L)]
         eids = [pair_to_edge[p] for p in pairs]
         by_len[L] = BergeCycleWitness(tuple(cyc), tuple(eids))
-        aug = _augment_through_high_pair(H, reps, slice_covers, pair_to_edge, third, cyc)
+        aug = _augment_through_high_pair(H, sl, pair_to_edge, third, cyc)
         by_len[L + 1] = aug
     lens = sorted(by_len)
     lo = lens[0]
@@ -890,7 +876,7 @@ def _case_high_pairs(
     return run
 
 
-def _augment_through_high_pair(H, reps, slice_covers, pair_to_edge, third, cyc):
+def _augment_through_high_pair(H, sl, pair_to_edge, third, cyc):
     """Insert the third vertex of the first cycle edge's hyperedge, rerouting
     through a high pair; lengthens the Berge cycle by exactly one."""
     L = len(cyc)
@@ -898,17 +884,17 @@ def _augment_through_high_pair(H, reps, slice_covers, pair_to_edge, third, cyc):
     key = norm_edge(a, b)
     base = pair_to_edge[key]
     w = third[key]
-    if len(slice_covers.get(norm_edge(a, w), ())) >= 3:
+    if len(sl.covers.get(norm_edge(a, w), ())) >= 3:
         hi, banned = a, {b, cyc[-1]}
         rest = list(cyc[1:])  # b, u2, .., u_{L-1}
-    elif len(slice_covers.get(norm_edge(b, w), ())) >= 3:
+    elif len(sl.covers.get(norm_edge(b, w), ())) >= 3:
         hi, banned = b, {a, cyc[2 % L]}
         rest = [a] + list(reversed(cyc[2:]))  # a, u_{L-1}, .., u_2
     else:
         raise InternalProofFailure("augmentation", "no high pair beside the mark")
     cand = None
-    for j in slice_covers.get(norm_edge(hi, w), ()):
-        ei = reps[j]
+    for j in sl.covers.get(norm_edge(hi, w), ()):
+        ei = sl.entries[j][0]
         z = next(v for v in H.edges[ei] if v not in (hi, w))
         if z not in banned and ei != base:
             cand = ei
@@ -976,19 +962,13 @@ def _greedy_bipartite_subgraph(G: Graph) -> Graph:
     return Graph.build(G.vertices, edges)
 
 
-def _case_low_pairs(
-    H: Hypergraph,
-    reps: Sequence[int],
-    slice_covers: dict[tuple[int, ...], list[int]],
-    k: int,
-) -> Optional[ConsecutiveRun]:
+def _case_low_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[ConsecutiveRun]:
     """Greedy linear subfamily of the slice edges whose pairs all have
-    slice co-degree at most 2, swept as a linear 3-graph (`reps` and
-    `slice_covers` as in `_case_high_pairs`)."""
+    slice co-degree at most 2, swept as a linear 3-graph."""
     low = [
         j
-        for j, ei in enumerate(reps)
-        if all(len(slice_covers[p]) <= 2 for p in combinations(H.edges[ei], 2))
+        for j, (ei, _, _) in enumerate(sl.entries)
+        if all(len(sl.covers[p]) <= 2 for p in combinations(H.edges[ei], 2))
     ]
     if not low:
         return None
@@ -997,9 +977,10 @@ def _case_low_pairs(
     for j in low:
         if j in banned:
             continue
-        chosen.append(reps[j])
-        for p in combinations(H.edges[reps[j]], 2):
-            banned.update(slice_covers[p])
+        ei = sl.entries[j][0]
+        chosen.append(ei)
+        for p in combinations(H.edges[ei], 2):
+            banned.update(sl.covers[p])
     sub, idx = H.restrict(chosen)
     if average_degree(sub) < 21 * (k + 1):
         return None

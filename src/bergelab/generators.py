@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
 
 from .errors import InvalidParameters
 from .hypergraph import Hypergraph
@@ -151,9 +150,7 @@ def _skolem(n: int) -> Hypergraph:
 # random linear r-graphs
 
 
-def random_linear_r(
-    n: int, r: int, m: int, seed: int = 0, max_tries: Optional[int] = None
-) -> tuple[Hypergraph, int]:
+def random_linear_r(n: int, r: int, m: int, seed: int = 0) -> tuple[Hypergraph, int]:
     """Seeded greedy pair-exclusion. Returns (H, achieved edge count);
     the count may fall short of m (partial Steiner systems cannot always
     be completed), which callers report rather than treat as an error."""
@@ -163,8 +160,7 @@ def random_linear_r(
     used_pairs: set[tuple[int, int]] = set()
     edges: list[tuple[int, ...]] = []
     tries = 0
-    cap = max_tries if max_tries is not None else 200 * m + 2000
-    while len(edges) < m and tries < cap:
+    while len(edges) < m and tries < 200 * m + 2000:
         tries += 1
         e = tuple(sorted(rng.sample(range(n), r)))
         pairs = list(combinations(e, 2))

@@ -14,7 +14,6 @@ instances and InternalProofFailure surfaces anything else.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -100,16 +99,20 @@ class Graph:
 
 def connected_components(G: Graph) -> list[Graph]:
     """Components in order of their smallest vertex (for sorted vertices)."""
-    seen: set[int] = set()
-    comps: list[Graph] = []
+    label: dict[int, int] = {}
+    verts: list[list[int]] = []
     for s in G.vertices:
-        if s not in seen:
+        if s not in label:
             order = bfs_tree(G, s)[2]
             if len(order) == G.n:
                 return [G]  # connected: G itself, with its adjacency
-            seen.update(order)
-            comps.append(G.subgraph(order))
-    return comps
+            for v in order:
+                label[v] = len(verts)
+            verts.append(sorted(order))
+    edges: list[list[Pair]] = [[] for _ in verts]
+    for e in G.edges:  # sorted, so each component's list is too
+        edges[label[e[0]]].append(e)
+    return [Graph(tuple(vs), tuple(es)) for vs, es in zip(verts, edges)]
 
 
 def densest_component(G: Graph) -> Graph:
@@ -242,25 +245,20 @@ def blocks(G: Graph) -> list[tuple[Pair, ...]]:
 
 
 def _peel(G: Graph, threshold: Fraction) -> Graph:
-    """Repeatedly delete the smallest vertex of degree < threshold."""
-    adj = {v: set(ns) for v, ns in G.adjacency().items()}
-
-    def low(v: int) -> bool:
-        return len(adj[v]) < threshold
-
-    heap = [v for v in G.vertices if low(v)]
-    heapq.heapify(heap)
-    dead: set[int] = set()
-    while heap:
-        v = heapq.heappop(heap)
-        if v in dead or not low(v):
-            continue
-        dead.add(v)
-        for w in adj[v]:
-            adj[w].discard(v)
-            if w not in dead and low(w):
-                heapq.heappush(heap, w)
-        adj[v] = set()
+    """Repeatedly delete a vertex of degree < threshold; the survivors do
+    not depend on the deletion order. A vertex is marked dead when queued,
+    so each edge lowers only the degree of an end still alive."""
+    adj = G.adjacency()
+    deg = {v: len(ns) for v, ns in adj.items()}
+    stack = [v for v in G.vertices if deg[v] < threshold]
+    dead = set(stack)
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in dead:
+                deg[w] -= 1
+                if deg[w] < threshold:
+                    dead.add(w)
+                    stack.append(w)
     if not dead:
         return G
     return G.subgraph(v for v in G.vertices if v not in dead)

@@ -15,7 +15,6 @@ Conventions
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -312,9 +311,9 @@ def peel(
 ) -> tuple[dict[int, int], list[int]]:
     """Min-degree core of an edge-subset view, by threshold peeling.
 
-    Repeatedly deletes the smallest-id vertex whose degree in the view is
-    below `threshold`, together with its edges; the survivors do not depend
-    on the deletion order. Returns (each vertex covered by the surviving
+    Repeatedly deletes a vertex whose degree in the view is below
+    `threshold`, together with its edges; the survivors do not depend on the
+    deletion order. Returns (each vertex covered by the surviving
     edges -> its degree among them, the sorted surviving edge ids). A
     positive threshold at most the view's |E|/|V| never empties the view:
     deleting a vertex of degree below that ratio does not lower the ratio.
@@ -325,15 +324,12 @@ def peel(
             deg[v] = deg.get(v, 0) + 1
     alive_e = set(edge_ids)
     inc = incidence(H)
-    heap = [v for v, d in deg.items() if d < threshold]
-    heapq.heapify(heap)
-    dead: set[int] = set()
-    while heap:
-        v = heapq.heappop(heap)
-        if v in dead or deg[v] >= threshold:
-            continue
-        dead.add(v)
-        for i in inc[v]:
+    # a vertex is marked dead when queued, so a deleted edge lowers only
+    # the degrees of its ends still alive
+    stack = [v for v, d in deg.items() if d < threshold]
+    dead = set(stack)
+    while stack:
+        for i in inc[stack.pop()]:
             if i not in alive_e:
                 continue
             alive_e.discard(i)
@@ -341,7 +337,8 @@ def peel(
                 if u not in dead:
                     deg[u] -= 1
                     if deg[u] < threshold:
-                        heapq.heappush(heap, u)
+                        dead.add(u)
+                        stack.append(u)
     if not alive_e:
         raise InternalProofFailure("peeling", "view peeled to nothing")
     # a survivor keeps degree >= threshold > 0, so it lies in a surviving edge

@@ -84,10 +84,10 @@ def length_controlled_search(
         mass = len(classes.within[i]) + len(classes.up[i])
         certified = True
         if down > 2 * k * li:
-            run = cycles_from_down_edges(H, sk, i, k, core_ids, classes)
+            run = cycles_from_down_edges(H, sk, i, k, classes)
             certified = False
         elif mass > 4 * k * li + 4 * k * li1:
-            res = cycles_or_level_bound(H, sk, i, k, core_ids, classes)
+            res = cycles_or_level_bound(H, sk, i, k, classes)
             if isinstance(res, ConsecutiveRun):
                 run = res
                 certified = False

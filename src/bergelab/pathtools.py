@@ -37,13 +37,14 @@ from .hypergraph import (
     incidence,
     peel,
 )
+from .oracle import cycle_of_length
 from .skeleton import frame_from_parent, path_to_root
 
 
 @dataclass(frozen=True)
 class GraphPath:
     vertices: tuple[int, ...]
-    edge_colors: Optional[tuple[int, ...]] = None
+    edge_colors: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -404,7 +405,7 @@ def _ladder_cycles(parent, level, anchor, walk, positions):
     return out
 
 
-def consecutive_even_cycles(G: Graph, k: int, budget: int = 10**7) -> EvenCycleRun:
+def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
     """k cycles of consecutive even lengths in a bipartite graph with
     average degree >= 6k; the shortest has length at most twice the height
     of the breadth-first tree used.
@@ -445,7 +446,7 @@ def consecutive_even_cycles(G: Graph, k: int, budget: int = 10**7) -> EvenCycleR
             if run is not None and _valid_even_run(comp, run, k, 2 * h):
                 return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
 
-    run = _even_run_by_search(comp, k, h, budget)
+    run = _even_run_by_search(comp, k, h)
     if run is not None and _valid_even_run(comp, run, k, 2 * h):
         return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
     raise InternalProofFailure(
@@ -516,9 +517,7 @@ def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
     return None
 
 
-def _even_run_by_search(comp: Graph, k: int, h: int, budget: int):
-    from .oracle import cycle_of_length
-
+def _even_run_by_search(comp: Graph, k: int, h: int):
     H2 = Hypergraph.from_edges(max(comp.vertices) + 1, comp.edges)
     found: dict[int, tuple[int, ...]] = {}
     for a in range(4, 2 * h + 1, 2):
@@ -529,7 +528,7 @@ def _even_run_by_search(comp: Graph, k: int, h: int, budget: int):
             if L > len(comp.vertices):
                 ok = False
                 break
-            w, _ = cycle_of_length(H2, L, budget=budget)
+            w, _ = cycle_of_length(H2, L)
             if w is None:
                 ok = False
                 break

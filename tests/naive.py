@@ -111,7 +111,7 @@ def naive_sweep(H, k):
         root = min(covered_vertices(H, comp_ids))
         sk = fd.build_skeleton(H, root, active_edges=comp_ids)
         classes = fd.classify_levels(H, sk, active_edges=comp_ids)
-        run = fd._levels_once(H, sk, k, comp_ids, classes)
+        run = fd._levels_once(H, sk, k, classes)
         if run is not None:
             return run
         vt = sk.tree_vertices()
@@ -159,12 +159,13 @@ def naive_split_by_codegree(H, k):
                             heapq.heappush(heap, (cand, s2))
     if alive:
         return fd.DenseCore(edge_ids=tuple(sorted(alive)))
-    slice_covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
+    slice_entries.sort()
+    covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
     out = []
-    for ei, sub0 in sorted(slice_entries):
-        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(slice_covers[s]) == 1]
+    for ei, sub0 in slice_entries:
+        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(covers[s]) == 1]
         out.append((ei, fresh[0], True) if fresh else (ei, sub0, False))
-    return fd.MarkedSlice(entries=tuple(out))
+    return fd.MarkedSlice(entries=tuple(out), covers=covers)
 
 
 def naive_turan(n, r, ell, budget=10**8):

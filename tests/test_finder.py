@@ -605,6 +605,27 @@ class TestFindLinearR:
         with pytest.raises(NotLinear):
             fd.find_linear_r(complete_r(6, 4), 1)
 
+    @pytest.mark.parametrize("n", [31, 63])
+    def test_3graph_is_the_sweep(self, n):
+        H = steiner_triple(n)
+        outcomes = set()
+        for k in (1, 2, 3):
+            run = fd.find_linear_r(H, k)
+            assert run == fd.skeleton_sweep(H, k)
+            outcomes.add(run is None)
+        assert outcomes == {False}  # both systems carry runs for k <= 3
+
+    def test_3graph_is_the_sweep_random(self):
+        rng = random.Random(1005)
+        nones = 0
+        for seed in range(40):
+            n = rng.randrange(8, 40)
+            H, _ = random_linear_r(n, 3, rng.randrange(3, 3 * n), seed=seed)
+            run = fd.find_linear_r(H, 1)
+            assert run == fd.skeleton_sweep(H, 1)
+            nones += run is None
+        assert 0 < nones < 40  # both outcomes are compared
+
 
 class TestFindGeneral3:
     def test_dense_core_route(self):
@@ -626,6 +647,20 @@ class TestFindGeneral3:
         run = fd.find_general_3(H, 2)
         assert run is not None
         check_run(H, run, 2)
+
+    def test_slice_pair_map_built_once(self, monkeypatch):
+        # the co-degree split's members map and its slice map; the routes
+        # read the slice map from the MarkedSlice instead of rebuilding it
+        calls = []
+        real = fd.cover_lists
+
+        def counted(edges, k):
+            calls.append(k)
+            return real(edges, k)
+
+        monkeypatch.setattr(fd, "cover_lists", counted)
+        fd.find_general_3(steiner_triple(31), 2)
+        assert len(calls) == 2
 
     def test_small_absent_ok(self):
         H = steiner_triple(7)

@@ -305,7 +305,7 @@ class TestConsecutiveEvenCycles:
         # the verified fallback must find {4, 6} inside K_6,6 on its own
         H = complete_bipartite_incidence(6, 6)
         G = Graph.build(range(12), H.edges)
-        run = pt._even_run_by_search(G, 2, h=3, budget=10**6)
+        run = pt._even_run_by_search(G, 2, h=3)
         assert run is not None
         adj = G.adjacency()
         lens = sorted(len(c) for c in run)
