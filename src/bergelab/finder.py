@@ -132,10 +132,14 @@ class MarkedSlice:
     co-degree 1 within the slice) triples, in representative order; marked
     subsets are distinct and each is contained in its representative.
     `covers` maps each (r-1)-subset inside a representative to the
-    positions in `entries` of the representatives covering it."""
+    positions in `entries` of the representatives covering it, in
+    ascending order. `max_codegree[j]` is the largest slice co-degree,
+    `len(covers[s])`, over the (r-1)-subsets s of entry j's
+    representative."""
 
     entries: tuple[tuple[int, tuple[int, ...], bool], ...]
     covers: dict[tuple[int, ...], list[int]]
+    max_codegree: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +418,11 @@ class _SweepComponents:
     key is unique and each live label has exactly one entry, pushed after
     its last change.
 
+    The initial components come from one breadth-first walk over the
+    incidence lists, started at each unlabelled vertex of positive degree
+    in increasing order, so labels follow the smallest vertex; a
+    component's edge count is its degree sum over 3.
+
     `delete` splits the component that lost edges by lockstep BFS probes
     from the deletion frontier; probes that meet merge, a probe that runs
     out is a new component, and the last probe still running keeps the old
@@ -432,8 +441,24 @@ class _SweepComponents:
         self.n_verts: list[int] = []
         self.vheap: list[list[int]] = []
         self.heap: list[tuple[Fraction, int, int]] = []
-        for ids in edge_components(H, range(len(H.edges))):
-            self._add(list(covered_vertices(H, ids)), len(ids))
+        edges, inc, deg, label = H.edges, self.inc, self.deg, self.label
+        seen = bytearray(len(edges))
+        for s in range(H.n):
+            if deg[s] == 0 or label[s] != -1:
+                continue
+            c = len(self.n_edges)
+            label[s] = c
+            verts = [s]
+            for u in verts:  # grows while iterated: breadth-first order
+                for ei in inc[u]:
+                    if seen[ei]:
+                        continue
+                    seen[ei] = 1
+                    for w in edges[ei]:
+                        if label[w] == -1:
+                            label[w] = c
+                            verts.append(w)
+            self._add(verts, sum(deg[v] for v in verts) // 3)
 
     def _add(self, verts: list[int], n_edges: int) -> None:
         c = len(self.n_edges)
@@ -655,18 +680,31 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
         raise InternalProofFailure("slice count", "fewer than |H|/k representatives")
     # re-mark with slice-co-degree-1 subsets when available
     slice_entries.sort()
-    covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
+    # `members` restricted to the slice, as positions; slice_entries is
+    # sorted by edge id, so each list stays ascending
+    if len(slice_entries) == len(H.edges):
+        covers = members  # every edge: position j is edge j
+    else:
+        pos = {ei: j for j, (ei, _) in enumerate(slice_entries)}
+        covers = {}
+        for ei, _ in slice_entries:
+            for s in combinations(H.edges[ei], r - 1):
+                if s not in covers:
+                    covers[s] = [pos[i] for i in members[s] if i in pos]
     out = []
+    top = []
     for ei, sub0 in slice_entries:
-        fresh = [s for s in combinations(H.edges[ei], r - 1) if len(covers[s]) == 1]
-        if fresh:
-            out.append((ei, fresh[0], True))
+        subs = list(combinations(H.edges[ei], r - 1))
+        codeg = [len(covers[s]) for s in subs]
+        top.append(max(codeg))
+        if 1 in codeg:
+            out.append((ei, subs[codeg.index(1)], True))
         else:
             out.append((ei, sub0, False))
     marked = [m for _, m, _ in out]
     if len(set(marked)) != len(marked):
         raise InternalProofFailure("slice marks", "marked subsets collide")
-    return MarkedSlice(entries=tuple(out), covers=covers)
+    return MarkedSlice(entries=tuple(out), covers=covers, max_codegree=tuple(top))
 
 
 def tight_path_cycles(P: TightPath) -> list[BergeCycleWitness]:
@@ -830,8 +868,8 @@ def find_general_3(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
 def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[ConsecutiveRun]:
     good_entries = [
         (ei, mark)
-        for ei, mark, c1 in sl.entries
-        if c1 and any(len(sl.covers[p]) >= 3 for p in combinations(H.edges[ei], 2))
+        for (ei, mark, c1), top in zip(sl.entries, sl.max_codegree)
+        if c1 and top >= 3
     ]
     if not good_entries:
         return None
@@ -965,11 +1003,7 @@ def _greedy_bipartite_subgraph(G: Graph) -> Graph:
 def _case_low_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[ConsecutiveRun]:
     """Greedy linear subfamily of the slice edges whose pairs all have
     slice co-degree at most 2, swept as a linear 3-graph."""
-    low = [
-        j
-        for j, (ei, _, _) in enumerate(sl.entries)
-        if all(len(sl.covers[p]) <= 2 for p in combinations(H.edges[ei], 2))
-    ]
+    low = [j for j, top in enumerate(sl.max_codegree) if top <= 2]
     if not low:
         return None
     chosen: list[int] = []
@@ -979,8 +1013,9 @@ def _case_low_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecut
             continue
         ei = sl.entries[j][0]
         chosen.append(ei)
-        for p in combinations(H.edges[ei], 2):
-            banned.update(sl.covers[p])
+        if sl.max_codegree[j] > 1:  # else entry j alone covers its pairs
+            for p in combinations(H.edges[ei], 2):
+                banned.update(sl.covers[p])
     sub, idx = H.restrict(chosen)
     if average_degree(sub) < 21 * (k + 1):
         return None

@@ -100,9 +100,19 @@ class Hypergraph:
     def restrict(self, edge_ids: Sequence[int]) -> tuple["Hypergraph", tuple[int, ...]]:
         """Sub-hypergraph on the given edge indices (same vertex set).
 
-        Returns the subgraph and the map new index -> old index.
+        Returns the subgraph and the map new index -> old index. When the
+        ids are every edge index, in any order, the subgraph is `self`, so
+        it keeps the indexes already built on it. Duplicate or out-of-range
+        ids raise PreconditionUnmet.
         """
         ids = sorted(edge_ids)
+        m = len(self.edges)
+        if ids and (ids[0] < 0 or ids[-1] >= m):
+            raise PreconditionUnmet(f"edge ids must lie in 0..{m - 1}")
+        if any(a == b for a, b in zip(ids, ids[1:])):
+            raise PreconditionUnmet("edge ids repeat")
+        if len(ids) == m:
+            return self, tuple(ids)
         sub = tuple(self.edges[i] for i in ids)
         sizes = {len(e) for e in sub}
         r = sizes.pop() if len(sizes) == 1 else None

@@ -23,9 +23,6 @@ class CycleSpectrum:
     witnesses: tuple[BergeCycleWitness, ...]
     nodes: int  # kernel nodes spent: attempted pair pushes
 
-    def witness_for(self, length: int) -> BergeCycleWitness:
-        return self.witnesses[self.lengths.index(length)]
-
 
 def oracle_spectrum(H: Hypergraph, max_len: int, budget: int = 10**7) -> CycleSpectrum:
     """Exhaustively find one verified Berge cycle per length in 3..max_len.

@@ -126,7 +126,9 @@ def naive_sweep(H, k):
 
 def naive_split_by_codegree(H, k):
     """`finder.split_by_codegree` with all initial entries heapified up front
-    and one heap serving them and the later pushes."""
+    and one heap serving them and the later pushes; the slice map is a
+    second `cover_lists` over the slice edges, and each entry's largest
+    co-degree is read from it."""
     from bergelab import finder as fd
     from bergelab.hypergraph import cover_lists
 
@@ -165,7 +167,10 @@ def naive_split_by_codegree(H, k):
     for ei, sub0 in slice_entries:
         fresh = [s for s in combinations(H.edges[ei], r - 1) if len(covers[s]) == 1]
         out.append((ei, fresh[0], True) if fresh else (ei, sub0, False))
-    return fd.MarkedSlice(entries=tuple(out), covers=covers)
+    top = tuple(
+        max(len(covers[s]) for s in combinations(H.edges[ei], r - 1)) for ei, _ in slice_entries
+    )
+    return fd.MarkedSlice(entries=tuple(out), covers=covers, max_codegree=top)
 
 
 def naive_turan(n, r, ell, budget=10**8):

@@ -15,7 +15,7 @@ from bergelab.generators import (
     steiner_triple,
     tight_path_hypergraph,
 )
-from bergelab.hypergraph import Hypergraph, average_degree, edge_components
+from bergelab.hypergraph import Hypergraph, average_degree, covered_vertices, edge_components
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
 
@@ -555,6 +555,36 @@ class TestSweepIdentity:
         assert isinstance(got[1], fd.ConsecutiveRun)
 
 
+@st.composite
+def scattered_3graphs(draw):
+    """Random 3-graphs on a few vertex blocks plus isolated vertices, under
+    a random relabelling; blocks need not be connected or linear."""
+    blocks = draw(st.lists(st.integers(3, 7), min_size=1, max_size=5))
+    n = sum(blocks) + draw(st.integers(0, 6))
+    edges, base = [], 0
+    for size in blocks:
+        universe = list(combinations(range(base, base + size), 3))
+        edges += draw(st.lists(st.sampled_from(universe), unique=True, max_size=6))
+        base += size
+    relabel = draw(st.permutations(range(n)))
+    return Hypergraph.from_edges(n, [[relabel[v] for v in e] for e in edges], uniformity=3)
+
+
+class TestSweepComponentsInit:
+    @given(scattered_3graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_edge_components(self, H):
+        comps = fd._SweepComponents(H)
+        groups = edge_components(H, range(len(H.edges)))
+        want_label = [-1] * H.n
+        for c, ids in enumerate(groups):
+            for v in covered_vertices(H, ids):
+                want_label[v] = c
+        assert comps.label == want_label
+        assert comps.n_edges == [len(ids) for ids in groups]
+        assert comps.n_verts == [len(covered_vertices(H, ids)) for ids in groups]
+
+
 class TestSweepWorkBound:
     """Deterministic cost check: the component set-up the sweep hands to the
     shadow primitives totals O(m), not O(iterations * m)."""
@@ -649,8 +679,8 @@ class TestFindGeneral3:
         check_run(H, run, 2)
 
     def test_slice_pair_map_built_once(self, monkeypatch):
-        # the co-degree split's members map and its slice map; the routes
-        # read the slice map from the MarkedSlice instead of rebuilding it
+        # only the co-degree split's members map: the slice map is filtered
+        # from it, and the routes read the slice map from the MarkedSlice
         calls = []
         real = fd.cover_lists
 
@@ -660,7 +690,7 @@ class TestFindGeneral3:
 
         monkeypatch.setattr(fd, "cover_lists", counted)
         fd.find_general_3(steiner_triple(31), 2)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_small_absent_ok(self):
         H = steiner_triple(7)

@@ -329,3 +329,31 @@ class TestDerivedIndex:
         del H
         gc.collect()
         assert ref() is None
+
+
+class TestRestrict:
+    def test_subset_reindexed(self):
+        H = fano()
+        sub, idx = H.restrict([5, 1, 3])
+        assert idx == (1, 3, 5)
+        assert sub.edges == (FANO[1], FANO[3], FANO[5])
+        assert sub.n == 7 and sub.uniformity == 3
+
+    @pytest.mark.parametrize("ids", [range(7), [6, 2, 0, 4, 1, 5, 3]])
+    def test_every_edge_is_self(self, ids):
+        H = fano()
+        hg.incidence(H)
+        sub, idx = H.restrict(ids)
+        assert sub is H
+        assert idx == tuple(range(7))
+
+    def test_repeated_id_rejected(self):
+        # as long as the edge list, yet not every edge
+        H = hg.Hypergraph.from_edges(5, [(0, 1, 2), (1, 2, 3), (2, 3, 4)])
+        with pytest.raises(PreconditionUnmet):
+            H.restrict([0, 0, 2])
+
+    @pytest.mark.parametrize("ids", [[-1], [0, -7], [7], [0, 1, 2, 3, 4, 5, 6, 7]])
+    def test_out_of_range_rejected(self, ids):
+        with pytest.raises(PreconditionUnmet):
+            fano().restrict(ids)

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergelab._spectrum import spectrum_search
 from bergelab.certify import extend
 from bergelab.errors import NotLinear
 from bergelab.graphs import (
@@ -19,6 +21,7 @@ from bergelab.graphs import (
     shortest_path,
 )
 from bergelab.hypergraph import Hypergraph, edge_components, pair_covers
+from bergelab.oracle import oracle_spectrum
 from bergelab.pathtools import linear_xy_path
 
 nx = pytest.importorskip("networkx")
@@ -39,6 +42,29 @@ def hypergraphs(draw):
     edge = st.lists(st.integers(0, n - 1), min_size=2, max_size=min(4, n), unique=True)
     edges = draw(st.lists(edge.map(lambda e: tuple(sorted(e))), unique=True, max_size=12))
     return Hypergraph.from_edges(n, edges)
+
+
+@st.composite
+def sparse_uniform(draw, max_n=20):
+    """Random r-graphs, r in {2, 3, 4}, with between cap/2 and cap edges,
+    where cap keeps the vertex-edge incidence graph at most 8 edges above
+    its vertex count: few cycles in all, yet most draws carry some."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(r + 1, max_n))
+    cap = min(comb(n, r), (n + 8) // (r - 1))
+    m = draw(st.integers(cap // 2, cap))
+    rnd = draw(st.randoms(use_true_random=False))
+    return n, sorted(rnd.sample(list(combinations(range(n), r)), m))
+
+
+def incidence_lengths(n, edges, max_len):
+    """Lengths 3..max_len of the Berge cycles, read off the 2L-cycles of the
+    vertex-edge incidence graph."""
+    g = nx.Graph()
+    g.add_nodes_from(("v", v) for v in range(n))
+    for i, e in enumerate(edges):
+        g.add_edges_from((("e", i), ("v", v)) for v in e)
+    return {len(c) // 2 for c in nx.simple_cycles(g, length_bound=2 * max_len) if len(c) >= 6}
 
 
 def to_nx(G: Graph):
@@ -154,3 +180,34 @@ def test_extend_matches_maximum_matching(H, rnd):
         assert sorted(got) == sorted(pairs)
         assert len(set(got.values())) == len(got)
         assert all(set(p) <= set(H.edges[i]) for p, i in got.items())
+
+
+@given(sparse_uniform())
+@settings(max_examples=100, deadline=None)
+def test_oracle_spectrum_matches_incidence_cycles(drawn):
+    n, edges = drawn
+    H = Hypergraph.from_edges(n, edges)
+    max_len = min(n, 9)
+    assert set(oracle_spectrum(H, max_len).lengths) == incidence_lengths(n, edges, max_len)
+
+
+@given(sparse_uniform(max_n=12), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_anchored_search_matches_full_search(drawn, rnd):
+    # greedily keep the edges that leave the family free of every searched
+    # length; adding one more edge e, every cycle runs through e, so the
+    # search anchored at e finds what the full search finds
+    n, candidates = drawn
+    max_len = min(n, 6)
+    free: list[tuple[int, ...]] = []
+    closing: list[tuple[int, ...]] = []
+    for e in candidates:
+        (closing if incidence_lengths(n, free + [e], max_len) else free).append(e)
+    anchor = rnd.choice(closing or candidates)
+    edges = tuple(e for e in free if e != anchor) + (anchor,)
+    full, _, exhausted = spectrum_search(n, edges, 3, max_len, 10**6)
+    anchored, _, exhausted_a = spectrum_search(n, edges, 3, max_len, 10**6, anchor)
+    assert not exhausted and not exhausted_a
+    want = incidence_lengths(n, edges, max_len)
+    assert {L for L, _, _ in full} == want
+    assert {L for L, _, _ in anchored} == want
