@@ -680,17 +680,10 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
         raise InternalProofFailure("slice count", "fewer than |H|/k representatives")
     # re-mark with slice-co-degree-1 subsets when available
     slice_entries.sort()
-    # `members` restricted to the slice, as positions; slice_entries is
-    # sorted by edge id, so each list stays ascending
     if len(slice_entries) == len(H.edges):
-        covers = members  # every edge: position j is edge j
+        covers = members  # every edge, sorted: position j is edge j
     else:
-        pos = {ei: j for j, (ei, _) in enumerate(slice_entries)}
-        covers = {}
-        for ei, _ in slice_entries:
-            for s in combinations(H.edges[ei], r - 1):
-                if s not in covers:
-                    covers[s] = [pos[i] for i in members[s] if i in pos]
+        covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
     out = []
     top = []
     for ei, sub0 in slice_entries:

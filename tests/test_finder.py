@@ -679,8 +679,9 @@ class TestFindGeneral3:
         check_run(H, run, 2)
 
     def test_slice_pair_map_built_once(self, monkeypatch):
-        # only the co-degree split's members map: the slice map is filtered
-        # from it, and the routes read the slice map from the MarkedSlice
+        # only the co-degree split's members map: a linear input's slice is
+        # every edge, so the slice map is that map, and the routes read it
+        # from the MarkedSlice
         calls = []
         real = fd.cover_lists
 
