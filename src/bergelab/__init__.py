@@ -34,13 +34,9 @@ from .generators import GeneratorSpec, generate
 from .hypergraph import (
     DegreeProfile,
     Hypergraph,
-    Shadow,
-    min_degree_subgraph,
     parse,
     profile,
-    r_partite_subgraph,
     serialize,
-    shadow,
 )
 from .lengthcontrol import LevelGrowthReport, length_controlled_search
 from .oracle import CycleSpectrum, oracle_spectrum
@@ -54,7 +50,7 @@ from .pathtools import (
     special_path,
     tripartite_ladder,
 )
-from .skeleton import AncestorColoring, LevelEdgeClasses, Skeleton, ancestor_frame, build_skeleton, classify_levels
+from .skeleton import LevelEdgeClasses, Skeleton, build_skeleton, classify_levels
 from .turan import TuranRecord, turan_exhaustive
 
 __version__ = "0.1.0"

@@ -96,9 +96,6 @@ class Extension:
 
     mapping: tuple[tuple[tuple[int, int], int], ...]
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.mapping)
-
 
 class Matcher:
     """Injective pair -> covering-edge assignment grown one pair at a time.

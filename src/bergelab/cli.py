@@ -10,7 +10,6 @@ import argparse
 import sys
 
 from .errors import (
-    ArityTooLarge,
     BergelabError,
     DuplicateEdge,
     EdgeSizeMismatch,
@@ -42,8 +41,7 @@ _ERRORS = (
     (PreconditionUnmet, "precondition unmet: ", EXIT_PRECONDITION),
     (OSError, "", EXIT_PRECONDITION),
     (
-        (MalformedLine, DuplicateEdge, VertexOutOfRange, EdgeSizeMismatch, ArityTooLarge,
-         UnicodeDecodeError),
+        (MalformedLine, DuplicateEdge, VertexOutOfRange, EdgeSizeMismatch, UnicodeDecodeError),
         "invalid input: ",
         EXIT_PRECONDITION,
     ),

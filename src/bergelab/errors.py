@@ -27,10 +27,6 @@ class EdgeSizeMismatch(BergelabError):
     pass
 
 
-class ArityTooLarge(BergelabError):
-    pass
-
-
 class PreconditionUnmet(BergelabError):
     pass
 

@@ -408,7 +408,7 @@ def _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of):
 
 
 class _SweepComponents:
-    """Shadow components of a 3-graph whose edges are only ever deleted.
+    """Components of the shadow of a 3-graph whose edges are only ever deleted.
 
     Holds the alive edge set, each vertex's alive degree, and per component
     label its edge count, vertex count and a lazy min-heap of its vertices
@@ -1013,8 +1013,8 @@ def _case_low_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecut
     if average_degree(sub) < 21 * (k + 1):
         return None
     run3 = skeleton_sweep(sub, k)
-    if run3 is None:
-        return None
+    if run3 is None or sub is H:  # the sweep already validated its run on H
+        return run3
     return _lift_run(H, idx, run3)
 
 

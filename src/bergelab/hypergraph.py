@@ -1,6 +1,6 @@
 """Immutable hypergraphs over dense integer vertex ids, with the degree,
-shadow, subset-cover, shadow-component and peeling machinery everything
-else builds on.
+subset-cover, shadow-component and peeling machinery everything else
+builds on.
 
 Conventions
 -----------
@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
-    ArityTooLarge,
     DuplicateEdge,
     EdgeSizeMismatch,
     InternalProofFailure,
@@ -125,18 +123,6 @@ class DegreeProfile:
     average_degree: Fraction
     min_degree: int
     is_linear: bool
-
-
-@dataclass(frozen=True)
-class Shadow:
-    """All k-subsets of edges, each with the sorted list of covering edges."""
-
-    k: int
-    edges: tuple[tuple[int, ...], ...]
-    covers: tuple[tuple[int, ...], ...]
-
-    def covers_map(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        return dict(zip(self.edges, self.covers))
 
 
 def parse(text: str) -> Hypergraph:
@@ -269,21 +255,6 @@ def no_pair_twice(edges: Iterable[tuple[int, ...]]) -> bool:
     return True
 
 
-def shadow(H: Hypergraph, k: int) -> Shadow:
-    if k < 1:
-        raise ArityTooLarge("shadow arity must be at least 1")
-    max_size = max((len(e) for e in H.edges), default=0)
-    if k >= max_size:
-        raise ArityTooLarge(f"arity {k} is not below the maximum edge size {max_size}")
-    cov = cover_lists(H.edges, k)
-    keys = sorted(cov)
-    return Shadow(
-        k=k,
-        edges=tuple(keys),
-        covers=tuple(tuple(cov[s]) for s in keys),
-    )
-
-
 def covered_vertices(H: Hypergraph, edge_ids: Iterable[int]) -> set[int]:
     out: set[int] = set()
     for i in edge_ids:
@@ -353,81 +324,3 @@ def peel(
         raise InternalProofFailure("peeling", "view peeled to nothing")
     # a survivor keeps degree >= threshold > 0, so it lies in a surviving edge
     return {v: d for v, d in deg.items() if v not in dead}, sorted(alive_e)
-
-
-def min_degree_subgraph(H: Hypergraph) -> Hypergraph:
-    """Subgraph H' with d(H') >= d(H) and min degree >= d(H)/r, by peeling.
-
-    Surviving vertices are relabeled densely (order preserving); H itself is
-    returned unchanged when nothing peels.
-    """
-    if H.uniformity is None or not H.edges:
-        raise PreconditionUnmet("peeling needs a uniform, nonempty hypergraph")
-    deg, eids = peel(H, range(len(H.edges)), Fraction(len(H.edges), H.n))
-    if len(deg) == H.n and len(eids) == len(H.edges):
-        return H
-    relabel = {v: i for i, v in enumerate(sorted(deg))}
-    new_edges = [tuple(relabel[v] for v in H.edges[i]) for i in eids]
-    return Hypergraph.from_edges(len(deg), new_edges)
-
-
-def r_partite_subgraph(H: Hypergraph, seed: int = 0) -> tuple[Hypergraph, tuple[tuple[int, ...], ...]]:
-    """Deterministic r-partition keeping at least (r!/r^r)|H| transversal edges.
-
-    Derandomized by conditional expectation: vertices are assigned (in a
-    seed-shuffled order) to the part maximizing the expected number of
-    edges that end up meeting every part exactly once. The count guarantee
-    is unconditional; the seed only varies which partition is found.
-    """
-    import random
-
-    if H.uniformity is None:
-        raise PreconditionUnmet("r-partition needs a uniform hypergraph")
-    r = H.uniformity
-    order = list(range(H.n))
-    random.Random(seed).shuffle(order)
-    inc = incidence(H)
-    part_of: dict[int, int] = {}
-    # per-edge running state: parts already used (as a set), dead flag
-    used_parts: list[set[int]] = [set() for _ in H.edges]
-    dead = [False] * len(H.edges)
-
-    def edge_prob(i: int, extra_part: Optional[int]) -> Fraction:
-        if dead[i]:
-            return Fraction(0)
-        used = used_parts[i]
-        if extra_part is not None:
-            if extra_part in used:
-                return Fraction(0)
-            a = len(used) + 1
-        else:
-            a = len(used)
-        u = r - a
-        return Fraction(factorial(r - a), r**u)
-
-    for v in order:
-        best_j, best_gain = 0, None
-        for j in range(r):
-            gain = Fraction(0)
-            for i in inc[v]:
-                gain += edge_prob(i, j) - edge_prob(i, None)
-            if best_gain is None or gain > best_gain:
-                best_j, best_gain = j, gain
-        part_of[v] = best_j
-        for i in inc[v]:
-            if dead[i]:
-                continue
-            if best_j in used_parts[i]:
-                dead[i] = True
-            else:
-                used_parts[i].add(best_j)
-
-    kept = [i for i in range(len(H.edges)) if not dead[i]]
-    assert all(len(used_parts[i]) == r for i in kept)
-    # integer form of the expectation bound: |kept| * r^r >= r! * |H|
-    assert len(kept) * r**r >= factorial(r) * len(H.edges)
-    parts: list[list[int]] = [[] for _ in range(r)]
-    for v in range(H.n):
-        parts[part_of[v]].append(v)
-    sub = Hypergraph(H.n, tuple(H.edges[i] for i in kept), r)
-    return sub, tuple(tuple(p) for p in parts)

@@ -492,7 +492,7 @@ def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
             run = _ladder_cycles(parent, level, anchor, walk, range(1, 2 * k, 2))
             if run is not None:
                 return run
-        except (PreconditionUnmet, InternalProofFailure):
+        except PreconditionUnmet:
             pass
     # bichromatic classes, split by which side of the level pair is color 1
     for want in (1, 2):
@@ -509,7 +509,7 @@ def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
                 continue
             try:
                 path = long_path_from_density(piece, 2 * k - 2)
-            except (PreconditionUnmet, InternalProofFailure):
+            except PreconditionUnmet:
                 continue
             run = _ladder_cycles(parent, level, anchor, path, range(1, 2 * k, 2))
             if run is not None:

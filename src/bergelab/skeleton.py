@@ -79,15 +79,6 @@ def path_to_root(parent: dict[int, int], v: int) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
-class AncestorColoring:
-    anchor: int
-    anchor_level: int
-    frame_vertices: frozenset[int]
-    color_of: dict[int, int]  # frame vertices except the anchor -> 1 or 2
-    branch_children: tuple[int, ...]
-
-
 def _active_set(H: Hypergraph, active_edges: Optional[Iterable[int]]):
     """Membership view of the active edge ids; a set is used as given."""
     if active_edges is None:
@@ -220,29 +211,3 @@ def frame_from_parent(
         for v in p[depth:]:
             color[v] = branch_color
     return anchor, color, tuple(sorted(children))
-
-
-def ancestor_frame(sk: Skeleton, W: Iterable[int]) -> AncestorColoring:
-    """Deepest common ancestor of W, the minimal subtree containing W, and
-    the two-coloring splitting the first branch from the rest."""
-    Wl = sorted(set(W))
-    tree = sk.tree_vertices()
-    missing = [w for w in Wl if w not in tree]
-    if missing:
-        raise WNotInTree(f"not in the tree: {missing[:5]}")
-    if len(Wl) < 2:
-        raise PreconditionUnmet("the frame needs at least two vertices")
-    frame = frame_from_parent(sk.parent, Wl)
-    if frame is None:
-        raise PreconditionUnmet(
-            "frame vertices meet only one branch below the common ancestor"
-        )
-    anchor, color, kids = frame
-    verts = set(color) | {anchor}
-    return AncestorColoring(
-        anchor=anchor,
-        anchor_level=sk.level_of()[anchor],
-        frame_vertices=frozenset(verts),
-        color_of=color,
-        branch_children=kids,
-    )

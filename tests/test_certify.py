@@ -68,7 +68,7 @@ class TestExtend:
     def test_triangle_extension_exists(self):
         ext = extend(H3(), [(0, 1), (1, 2), (0, 2)])
         assert ext is not None
-        mapping = ext.as_dict()
+        mapping = dict(ext.mapping)
         assert len(set(mapping.values())) == 3
         for (u, v), ei in mapping.items():
             assert u in H3().edges[ei] and v in H3().edges[ei]
@@ -80,7 +80,7 @@ class TestExtend:
     def test_linear_unique_covers(self):
         H = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3, 4)])
         ext = extend(H, [(0, 1), (2, 3)])
-        assert ext.as_dict() == {(0, 1): 0, (2, 3): 1}
+        assert dict(ext.mapping) == {(0, 1): 0, (2, 3): 1}
 
     def test_edge_not_in_shadow(self):
         H = Hypergraph.from_edges(4, [(0, 1, 2)])
@@ -108,7 +108,7 @@ class TestExtend:
         ref = naive_extend(H.edges, pairs)
         assert (got is None) == (ref is None)
         if got is not None:
-            mapping = got.as_dict()
+            mapping = dict(got.mapping)
             assert sorted(mapping) == pairs
             assert len(set(mapping.values())) == len(pairs)
             for (u, v), ei in mapping.items():

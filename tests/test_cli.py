@@ -5,9 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bergelab import cli
 from bergelab.cli import main
-from bergelab.errors import ArityTooLarge
 from bergelab.hypergraph import parse
 
 PKG = str(Path(__file__).resolve().parent.parent / "src")
@@ -253,16 +251,6 @@ class TestParseErrors:
         assert code == 2
         assert err.startswith("invalid input: ") and message in err
         assert out == ""
-
-    @pytest.mark.parametrize("command", INPUT_COMMANDS, ids=lambda c: c[0])
-    def test_arity_too_large_exits_2(self, capsys, monkeypatch, command):
-        def refuse(path):
-            raise ArityTooLarge("arity 3 is not below the maximum edge size 3")
-
-        monkeypatch.setattr(cli, "_read_hypergraph", refuse)
-        code, out, err = run_cli(command + ["--input", "unused.hg"], capsys)
-        assert code == 2
-        assert err.startswith("invalid input: arity 3")
 
 
 class TestUnreadableInput:

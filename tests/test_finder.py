@@ -672,6 +672,22 @@ class TestFindGeneral3:
         assert run is not None
         check_run(H, run, 2)
 
+    def test_linear_slice_returns_sweep_run(self, monkeypatch):
+        # a linear input's slice is every edge, so the sweep's run, already
+        # validated on H, comes back as it is
+        runs = []
+        real = fd.skeleton_sweep
+
+        def recorded(H, k):
+            runs.append(real(H, k))
+            return runs[-1]
+
+        monkeypatch.setattr(fd, "skeleton_sweep", recorded)
+        H = steiner_triple(127)
+        run = fd.find_general_3(H, 2)
+        assert run is not None and run is runs[-1]
+        check_run(H, run, 2)
+
     def test_case1_high_pairs(self):
         H = case1_grid_fixture(84)
         run = fd.find_general_3(H, 2)

@@ -2,7 +2,7 @@ import gc
 import weakref
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bergelab import hypergraph as hg
 from bergelab.errors import (
-    ArityTooLarge,
     DuplicateEdge,
     EdgeSizeMismatch,
     MalformedLine,
@@ -150,23 +149,21 @@ class TestIsLinear:
 
 
 class TestShadow:
+    """The k-shadow as cover_lists and pair_covers build it."""
+
     def test_single_edge(self):
-        S = hg.shadow(hg.Hypergraph.from_edges(3, [(0, 1, 2)]), 2)
-        assert S.edges == ((0, 1), (0, 2), (1, 2))
-        assert S.covers == ((0,), (0,), (0,))
+        cov = hg.pair_covers(hg.Hypergraph.from_edges(3, [(0, 1, 2)]))
+        assert list(cov) == [(0, 1), (0, 2), (1, 2)]
+        assert list(cov.values()) == [(0,), (0,), (0,)]
 
     def test_codegree_two(self):
-        S = hg.shadow(hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)]), 2)
-        assert S.covers_map()[(0, 1)] == (0, 1)
+        cov = hg.pair_covers(hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)]))
+        assert cov[(0, 1)] == (0, 1)
 
     def test_fano_all_pairs_once(self):
-        S = hg.shadow(fano(), 2)
-        assert len(S.edges) == 21
-        assert all(len(c) == 1 for c in S.covers)
-
-    def test_arity_too_large(self):
-        with pytest.raises(ArityTooLarge):
-            hg.shadow(fano(), 3)
+        cov = hg.pair_covers(fano())
+        assert len(cov) == 21
+        assert all(len(c) == 1 for c in cov.values())
 
     @given(st.integers(4, 7), st.integers(1, 2), st.sets(st.integers(0, 34), max_size=12))
     @settings(max_examples=60, deadline=None)
@@ -176,8 +173,8 @@ class TestShadow:
         H = hg.Hypergraph.from_edges(n, set(edges))
         if not H.edges:
             return
-        S = hg.shadow(H, k)
-        assert sum(len(c) for c in S.covers) == len(H.edges) * comb(3, k)
+        cov = hg.cover_lists(H.edges, k)
+        assert sum(len(c) for c in cov.values()) == len(H.edges) * comb(3, k)
 
 
 class TestCoverLists:
@@ -217,86 +214,6 @@ class TestPeel:
         assert hg.peel(H, ids, threshold) == naive_peel(
             {i: H.edges[i] for i in ids}, threshold
         )
-
-
-class TestMinDegreeSubgraph:
-    def test_empty_rejected(self):
-        with pytest.raises(PreconditionUnmet):
-            hg.min_degree_subgraph(hg.Hypergraph.from_edges(3, []))
-
-    def test_k4_returned_unchanged(self):
-        H = complete3(4)
-        assert hg.min_degree_subgraph(H) is H
-
-    def test_pendant_survives_at_threshold(self):
-        # K_4^(3) plus one extra edge {0,1,4}: d(H) = 3, threshold 1,
-        # vertex 4 has degree 1 >= 1, so H is returned whole.
-        H = hg.Hypergraph.from_edges(5, list(combinations(range(4), 3)) + [(0, 1, 4)])
-        assert hg.min_degree_subgraph(H) is H
-
-    def test_star_postcondition(self):
-        star = hg.Hypergraph.from_edges(
-            11, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (0, 9, 10)]
-        )
-        out = hg.min_degree_subgraph(star)
-        d_in = hg.average_degree(star)
-        assert hg.average_degree(out) >= d_in
-        assert min(hg.profile(out).per_vertex_degree) >= d_in / 3
-
-    @given(st.sets(st.integers(0, 34), min_size=1, max_size=20), st.integers(7, 8))
-    @settings(max_examples=80, deadline=None)
-    def test_postconditions_random(self, idxs, n):
-        universe = list(combinations(range(7), 3))
-        H = hg.Hypergraph.from_edges(n, {universe[i % len(universe)] for i in idxs})
-        out = hg.min_degree_subgraph(H)
-        assert hg.average_degree(out) >= hg.average_degree(H)
-        p = hg.profile(out)
-        assert p.min_degree >= hg.average_degree(H) / 3
-
-
-class TestRPartite:
-    def test_single_edge(self):
-        H = hg.Hypergraph.from_edges(3, [(0, 1, 2)])
-        sub, parts = hg.r_partite_subgraph(H)
-        assert len(sub.edges) == 1
-        assert len(parts) == 3
-
-    def test_k4_bound(self):
-        H = complete3(4)
-        sub, parts = hg.r_partite_subgraph(H)
-        # conditional expectation must keep at least ceil((2/9) * 4) = 1
-        assert len(sub.edges) >= 1
-        # independent check over all 3^4 part assignments: the best keeps 2
-        best = 0
-        for code in range(81):
-            assign = [(code // 3**v) % 3 for v in range(4)]
-            kept = sum(
-                1 for e in H.edges if len({assign[v] for v in e}) == 3
-            )
-            best = max(best, kept)
-        assert best == 2
-        assert len(sub.edges) <= best
-
-    def test_empty(self):
-        H = hg.Hypergraph.from_edges(4, [], uniformity=3)
-        sub, parts = hg.r_partite_subgraph(H)
-        assert sub.edges == ()
-
-    @given(st.sets(st.integers(0, 34), max_size=25), st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_partite_and_bound_random(self, idxs, seed):
-        universe = list(combinations(range(7), 3))
-        H = hg.Hypergraph.from_edges(
-            7, {universe[i % len(universe)] for i in idxs}, uniformity=3
-        )
-        sub, parts = hg.r_partite_subgraph(H, seed=seed)
-        part_of = {}
-        for j, part in enumerate(parts):
-            for v in part:
-                part_of[v] = j
-        for e in sub.edges:
-            assert len({part_of[v] for v in e}) == 3
-        assert len(sub.edges) * 27 >= factorial(3) * len(H.edges)
 
 
 class TestDerivedIndex:

@@ -176,7 +176,7 @@ def test_extend_matches_maximum_matching(H, rnd):
     ext = extend(H, pairs)
     assert (ext is not None) == covers_all
     if ext is not None:
-        got = ext.as_dict()
+        got = dict(ext.mapping)
         assert sorted(got) == sorted(pairs)
         assert len(set(got.values())) == len(got)
         assert all(set(p) <= set(H.edges[i]) for p, i in got.items())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bergelab import pathtools as pt
 from bergelab.certify import verify_path
-from bergelab.errors import Disconnected, NotLinear, PreconditionUnmet
+from bergelab.errors import Disconnected, InternalProofFailure, NotLinear, PreconditionUnmet
 from bergelab.generators import complete_bipartite_incidence, random_linear_r, steiner_triple
 from bergelab.graphs import Graph, norm_edge
 from bergelab.hypergraph import Hypergraph
@@ -300,6 +300,21 @@ class TestConsecutiveEvenCycles:
         lens = run.lengths()
         assert len(lens) == k and lens[0] <= run.shortest_bound
         assert all(b - x == 2 for x, b in zip(lens, lens[1:]))
+
+    @pytest.mark.parametrize("route, p", [("special_path", 0.7), ("long_path_from_density", 0.9)])
+    def test_route_proof_failure_propagates(self, monkeypatch, route, p):
+        # at each density the random(0) subgraph of K_16,16 reaches the
+        # patched route; its InternalProofFailure must not fall to the search
+        rng = random.Random(0)
+        edges = [(i, 16 + j) for i in range(16) for j in range(16) if rng.random() < p]
+        G = Graph.build(range(32), edges)
+
+        def fail(*args):
+            raise InternalProofFailure(route, "planted")
+
+        monkeypatch.setattr(pt, route, fail)
+        with pytest.raises(InternalProofFailure, match="planted"):
+            pt.consecutive_even_cycles(G, 1)
 
     def test_fallback_search_direct(self):
         # the verified fallback must find {4, 6} inside K_6,6 on its own

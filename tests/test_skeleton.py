@@ -1,12 +1,10 @@
 import random
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import skeleton as sk
-from bergelab.errors import PreconditionUnmet, WNotInTree
 from bergelab.hypergraph import Hypergraph
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
@@ -123,29 +121,23 @@ class TestClassify:
         assert 6 not in S.tree_edge_images()
 
 
-class TestAncestorFrame:
+class TestFrameFromParent:
     def test_two_branches(self):
         H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (1, 5, 6)])
         S = sk.build_skeleton(H, 0)
-        fr = sk.ancestor_frame(S, [1, 3])
-        assert fr.anchor == 0
-        assert fr.color_of[1] != fr.color_of[3]
+        anchor, color_of, kids = sk.frame_from_parent(S.parent, [1, 3])
+        assert anchor == 0 and kids == (1, 3)
+        assert color_of == {1: 1, 3: 2}
 
     def test_pushed_down(self):
         # all of W under one child of the root: the anchor moves down
         H = Hypergraph.from_edges(8, [(0, 1, 2), (1, 3, 4), (1, 5, 6)])
         S = sk.build_skeleton(H, 0)
-        fr = sk.ancestor_frame(S, [3, 5])
-        assert fr.anchor == 1
-
-    def test_w_not_in_tree(self):
-        H = Hypergraph.from_edges(4, [(0, 1, 2)])
-        S = sk.build_skeleton(H, 0)
-        with pytest.raises(WNotInTree):
-            sk.ancestor_frame(S, [1, 3])
+        anchor, color_of, kids = sk.frame_from_parent(S.parent, [3, 5])
+        assert anchor == 1 and kids == (3, 5)
+        assert color_of[3] != color_of[5]
 
     def test_degenerate_one_branch(self):
         H = Hypergraph.from_edges(6, [(0, 1, 2), (1, 3, 4)])
         S = sk.build_skeleton(H, 0)
-        with pytest.raises(PreconditionUnmet):
-            sk.ancestor_frame(S, [1, 3])
+        assert sk.frame_from_parent(S.parent, [1, 3]) is None
