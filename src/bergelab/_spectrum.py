@@ -24,19 +24,74 @@ dropped and the closing pair is normalised. A hit is always a real cycle of
 `edges`; finding one exactly when the full search does holds only under
 that free-prefix invariant, which the exact Turán search keeps by adding
 an edge only to a family already checked free.
+
+Set-up. The pair covers and the sorted shadow adjacency live in a
+`KernelState` that follows pushes and pops of edges. A call syncs it to
+`edges` by their longest common prefix, so a caller whose calls differ by
+a few trailing edges (the Turán search, one state per search) pays only
+for those edges; a caller without a state gets a fresh one.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .certify import Matcher
-from .hypergraph import cover_lists
 
 
 class _Budget(Exception):
     pass
+
+
+class KernelState:
+    """The kernel's view of an edge list, kept current under push and pop:
+    `edges` (a stack), `covers` (pair -> positions in `edges` of the edges
+    covering it, in edge order, as `cover_lists(edges, 2)` gives) and `adj`
+    (per vertex, its sorted shadow neighbours)."""
+
+    def __init__(self, n: int):
+        self.edges: list[tuple[int, ...]] = []
+        self.covers: dict[tuple[int, ...], list[int]] = {}
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+
+    def push(self, e: tuple[int, ...]) -> None:
+        i = len(self.edges)
+        self.edges.append(e)
+        for p in combinations(e, 2):
+            ids = self.covers.get(p)
+            if ids is None:
+                self.covers[p] = [i]
+                u, v = p
+                insort(self.adj[u], v)
+                insort(self.adj[v], u)
+            else:
+                ids.append(i)
+
+    def pop(self) -> None:
+        e = self.edges.pop()
+        for p in combinations(e, 2):
+            ids = self.covers[p]
+            ids.pop()  # the top edge's position is the last of each list
+            if not ids:
+                del self.covers[p]
+                u, v = p
+                self.adj[u].remove(v)
+                self.adj[v].remove(u)
+
+    def sync(self, edges: Sequence[tuple[int, ...]]) -> None:
+        """Make `self.edges` equal `edges`: pop down to the longest common
+        prefix, then push the rest."""
+        have = self.edges
+        k = 0
+        top = min(len(have), len(edges))
+        while k < top and have[k] == edges[k]:
+            k += 1
+        for _ in range(len(have) - k):
+            self.pop()
+        for e in edges[k:]:
+            self.push(e)
 
 
 def _bipartite_caps(n: int, adj: list[list[int]]) -> list[int]:
@@ -73,6 +128,7 @@ def spectrum_search(
     max_len: int,
     budget: int,
     through: Optional[tuple[int, ...]] = None,
+    live: Optional[KernelState] = None,
 ):
     """Search one witness per spine length in [min_len, max_len].
 
@@ -80,16 +136,15 @@ def spectrum_search(
     (length, spine, assignment) triples sorted by length. A node is one
     attempted pair push (path extension or closure, or an anchor pair).
     With `through`, an edge of `edges`, only spines starting at a pair of
-    it are searched (anchored mode, see the module docstring).
+    it are searched (anchored mode, see the module docstring). `live`, an
+    n-vertex `KernelState` from an earlier call, is synced to `edges` and
+    searched instead of a fresh one.
     """
-    cov = cover_lists(edges, 2)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in cov:
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    starts = [v for v in range(n) if len(adj[v]) >= 2]
+    if live is None:
+        live = KernelState(n)
+    live.sync(edges)
+    cov = live.covers
+    adj = live.adj
     caps = _bipartite_caps(n, adj) if all(len(e) == 2 for e in edges) else None
     anchors = list(combinations(through, 2)) if through is not None else None
 
@@ -104,7 +159,14 @@ def spectrum_search(
 
     hits = []
 
-    def search_length(L: int, firsts: list[int]):
+    def search_length(L: int):
+        def can_start(v: int) -> bool:
+            # two shadow neighbours, and room for L when v's component is
+            # bipartite (caps[v] == 0 exactly when it is not)
+            return len(adj[v]) >= 2 and (
+                caps is None or not caps[v] or (L % 2 == 0 and L <= caps[v])
+            )
+
         m = Matcher(cov)
         path = [0] * L
         used = [False] * n
@@ -145,7 +207,7 @@ def spectrum_search(
 
         if anchors is not None:
             for a, b in anchors:
-                if a not in firsts:
+                if not can_start(a):
                     continue
                 spend()
                 if not m.push((a, b)):
@@ -158,7 +220,9 @@ def spectrum_search(
                 if found:
                     return found
             return None
-        for v1 in firsts:
+        for v1 in range(n):
+            if not can_start(v1):
+                continue
             floor = v1
             path[0] = v1
             used[v1] = True
@@ -173,11 +237,7 @@ def spectrum_search(
         for L in range(lo, max_len + 1):
             if L > n or L > len(edges):
                 break
-            firsts = starts
-            if caps is not None:
-                # a start v has caps[v] == 0 exactly when its component is not bipartite
-                firsts = [v for v in starts if not caps[v] or (L % 2 == 0 and L <= caps[v])]
-            found = search_length(L, firsts)
+            found = search_length(L)
             if found:
                 spine, assign = found
                 hits.append((L, spine, assign))

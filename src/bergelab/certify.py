@@ -100,9 +100,12 @@ class Extension:
 class Matcher:
     """Injective pair -> covering-edge assignment grown one pair at a time.
 
-    Each push finds an augmenting path (covering edges scanned in the order
-    `covers` lists them, a fresh visited set per push); pop undoes the last
-    push along its recorded path.
+    A push whose first covering edge has no owner takes that edge and files
+    a `None` trail, which is what the augmenting search would do there.
+    Any other push finds an augmenting path (covering edges scanned in the
+    order `covers` lists them, a fresh visited set per push). Pop undoes the
+    last push: a `None` trail by freeing its edge, any other along its
+    recorded path.
     """
 
     def __init__(self, covers: Mapping[tuple[int, int], Sequence[int]]):
@@ -110,11 +113,18 @@ class Matcher:
         self.pair_at: list[tuple[int, int]] = []
         self.assign: list[Optional[int]] = []
         self.owner: dict[int, int] = {}
-        self.trails: list[list[tuple[int, Optional[int], int]]] = []
+        self.trails: list[Optional[list[tuple[int, Optional[int], int]]]] = []
 
     def push(self, pair: tuple[int, int]) -> bool:
         d = len(self.pair_at)
         self.pair_at.append(pair)
+        cs = self.covers.get(pair)
+        if cs and cs[0] not in self.owner:
+            e = cs[0]
+            self.assign.append(e)
+            self.owner[e] = d
+            self.trails.append(None)
+            return True
         self.assign.append(None)
         trail: list[tuple[int, Optional[int], int]] = []
         ok = self._augment(d, set(), trail)
@@ -140,6 +150,10 @@ class Matcher:
 
     def pop(self) -> None:
         trail = self.trails.pop()
+        if trail is None:
+            del self.owner[self.assign.pop()]
+            self.pair_at.pop()
+            return
         touched_d = set()
         for d, old, new in trail:
             touched_d.add(d)

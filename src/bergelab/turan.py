@@ -34,7 +34,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from ._spectrum import spectrum_search
+from ._spectrum import KernelState, spectrum_search
 from .certify import BergeCycleWitness, verify_cycle
 from .errors import InternalProofFailure, PreconditionUnmet
 from .hypergraph import Hypergraph, no_pair_twice
@@ -57,12 +57,18 @@ _KERNEL_BUDGET = 10**7  # per freeness check; instances here are tiny
 
 
 def _find_cycle(
-    n: int, edges: Sequence[tuple[int, ...]], ell: int, through: Optional[tuple[int, ...]] = None
+    n: int,
+    edges: Sequence[tuple[int, ...]],
+    ell: int,
+    live: KernelState,
+    through: Optional[tuple[int, ...]] = None,
 ):
     """One Berge ell-cycle of `edges` as (spine, assignment), or None. With
     `through`, `edges` minus that edge must already be known free, and only
-    cycles assigning it are searched."""
-    hits, _, exhausted = spectrum_search(n, tuple(edges), ell, ell, _KERNEL_BUDGET, through)
+    cycles assigning it are searched. `live` is the search's kernel state."""
+    hits, _, exhausted = spectrum_search(
+        n, tuple(edges), ell, ell, _KERNEL_BUDGET, through, live
+    )
     if exhausted:
         raise PreconditionUnmet("freeness check ran out of budget")
     return hits[0][1:] if hits else None
@@ -76,8 +82,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         raise PreconditionUnmet(f"edge size r = {r} is below 2")
     if n < 0:
         raise PreconditionUnmet(f"vertex count n = {n} is negative")
-    if r == 3 and n > 9:
-        raise PreconditionUnmet("desk-scale ceiling: n <= 9 for r = 3")
+    if r == 3 and n > 10:
+        raise PreconditionUnmet("desk-scale ceiling: n <= 10 for r = 3")
     if ell < 2:
         raise PreconditionUnmet("forbidden length must be at least 2")
     if budget < 0:
@@ -96,6 +102,7 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     cycles: list[list[int]] = [[] for _ in universe]
     free: list[list[int]] = [[] for _ in universe]
     kernel_calls = cache_hits = 0
+    live = KernelState(n)  # follows `chosen` from one kernel call to the next
 
     def chosen_free(p: int, mask: int) -> bool:
         """`chosen`, whose last edge sits at p and whose bitmask is `mask`,
@@ -112,7 +119,7 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
                 cache_hits += 1
                 return True
         kernel_calls += 1
-        found = _find_cycle(n, chosen, ell, universe[p])
+        found = _find_cycle(n, chosen, ell, live, universe[p])
         if found is None:
             free[p] = [f for f in free[p] if f & mask != f]
             free[p].append(mask)
@@ -171,7 +178,7 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         extremal_free = no_pair_twice(list(extremal.edges))
     else:
         kernel_calls += 1
-        extremal_free = _find_cycle(n, extremal.edges, ell) is None
+        extremal_free = _find_cycle(n, extremal.edges, ell, live) is None
     if not extremal_free:
         raise InternalProofFailure("turan extremal example", f"has a Berge {ell}-cycle")
     return TuranRecord(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bergelab.certify import (
     BergeCycleWitness,
     BergePathWitness,
+    Matcher,
     extend,
     verify_cycle,
     verify_path,
@@ -113,3 +114,58 @@ class TestExtend:
             assert len(set(mapping.values())) == len(pairs)
             for (u, v), ei in mapping.items():
                 assert u in H.edges[ei] and v in H.edges[ei]
+
+
+_PAIRS = list(combinations(range(5), 2))
+
+
+@st.composite
+def _matcher_script(draw):
+    """(covers, ops): covers maps some pairs on 5 vertices to ordered lists
+    of distinct edge ids below 6; ops push a pair (covered or not) or pop."""
+    covers = {
+        p: draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+        for p in draw(st.lists(st.sampled_from(_PAIRS), max_size=8, unique=True))
+    }
+    op = st.one_of(st.sampled_from(_PAIRS), st.none())
+    return covers, draw(st.lists(op, max_size=25))
+
+
+def _matchable(covers, pairs):
+    """Brute force: some injective choice of a covering edge per pair."""
+
+    def rec(i, taken):
+        if i == len(pairs):
+            return True
+        return any(rec(i + 1, taken | {e}) for e in covers.get(pairs[i], ()) if e not in taken)
+
+    return rec(0, frozenset())
+
+
+class TestMatcher:
+    """Pushes, direct or by augmenting path, and pops against brute force."""
+
+    @given(_matcher_script())
+    @settings(max_examples=300, deadline=None)
+    def test_random_push_pop(self, script):
+        covers, ops = script
+        m = Matcher(covers)
+        before: list[tuple] = []  # the state before each push still on the stack
+        for pair in ops:
+            snap = (list(m.pair_at), list(m.assign), dict(m.owner))
+            if pair is None:
+                if not before:
+                    continue
+                m.pop()
+                assert (list(m.pair_at), list(m.assign), dict(m.owner)) == before.pop()
+            else:
+                ok = m.push(pair)
+                assert ok == _matchable(covers, snap[0] + [pair])
+                if ok:
+                    before.append(snap)
+                else:
+                    assert (list(m.pair_at), list(m.assign), dict(m.owner)) == snap
+            assert m.owner == {e: d for d, e in enumerate(m.assign)}
+            assert len(m.assign) == len(m.pair_at) == len(before)
+            for p, e in zip(m.pair_at, m.assign):
+                assert e in covers[p]

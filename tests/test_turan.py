@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import turan
-from bergelab._spectrum import spectrum_search
+from bergelab._spectrum import KernelState, spectrum_search
 from bergelab.certify import BergeCycleWitness, verify_cycle
 from bergelab.errors import InternalProofFailure, PreconditionUnmet
-from bergelab.hypergraph import Hypergraph, profile
+from bergelab.hypergraph import Hypergraph, cover_lists, profile
 from bergelab.turan import turan_exhaustive
 
 from naive import naive_spectrum, naive_turan
@@ -68,6 +68,11 @@ class TestPinnedValues:
                 [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (2, 6, 7), (3, 6, 7), (4, 6, 7), (5, 6, 7)],
             ),
             (6, 3, 5, 6, 2222, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (1, 2, 3)]),
+            (
+                10, 3, 3, 12, 216617,
+                [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7),
+                 (2, 8, 9), (3, 8, 9), (4, 8, 9), (5, 8, 9), (6, 8, 9), (7, 8, 9)],
+            ),
         ],
     )
     def test_pinned_rows(self, n, r, ell, value, nodes, extremal):
@@ -123,6 +128,50 @@ class TestAnchoredSearch:
             assert H.edges.index(last) in assign
 
 
+@st.composite
+def _state_script(draw):
+    """(n, ops): ops push an edge, pop the top edge or sync to an edge list,
+    over pairs, triples or both on at most 7 vertices."""
+    n = draw(st.integers(3, 7))
+    sizes = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+    edge = st.sampled_from([e for k in sizes for e in combinations(range(n), k)])
+    op = st.one_of(
+        st.tuples(st.just("push"), edge),
+        st.tuples(st.just("pop"), st.none()),
+        st.tuples(st.just("sync"), st.lists(edge, max_size=8, unique=True)),
+    )
+    return n, draw(st.lists(op, max_size=30))
+
+
+class TestKernelState:
+    """The live state the Turán search hands the kernel equals a fresh
+    build of its edge list after every push, pop and sync."""
+
+    @given(_state_script())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fresh_build(self, script):
+        n, ops = script
+        live = KernelState(n)
+        edges: list[tuple[int, ...]] = []
+        for kind, arg in ops:
+            if kind == "push" and arg not in edges:
+                live.push(arg)
+                edges.append(arg)
+            elif kind == "pop" and edges:
+                live.pop()
+                edges.pop()
+            elif kind == "sync":
+                live.sync(arg)
+                edges = list(arg)
+            assert live.edges == edges
+            assert live.covers == cover_lists(edges, 2)
+            assert live.adj == [
+                sorted({w for e in edges if v in e for w in e if w != v}) for v in range(n)
+            ]
+        fresh = spectrum_search(n, edges, 3, n, _KERNEL_BUDGET)
+        assert spectrum_search(n, edges, 3, n, _KERNEL_BUDGET, None, live) == fresh
+
+
 class TestExactness:
     @pytest.mark.parametrize("n,r,ell", [(4, 3, 3), (5, 3, 2)])
     def test_matches_ruleless_bruteforce(self, n, r, ell):
@@ -158,8 +207,8 @@ class TestExactness:
             turan_exhaustive(6, r, 3)
 
     def test_ceiling(self):
-        with pytest.raises(PreconditionUnmet):
-            turan_exhaustive(10, 3, 2)
+        with pytest.raises(PreconditionUnmet, match="n <= 10 for r = 3"):
+            turan_exhaustive(11, 3, 2)
 
 
 def _row(rec):
@@ -167,12 +216,15 @@ def _row(rec):
 
 
 def _counting_kernel(monkeypatch):
-    """Count the kernel calls turan_exhaustive makes; returns the counter."""
-    calls = [0]
+    """Count the kernel calls turan_exhaustive makes and the kernel nodes
+    they spend; returns [calls, nodes]."""
+    calls = [0, 0]
 
     def counted(*args):
         calls[0] += 1
-        return spectrum_search(*args)
+        hits, nodes, exhausted = spectrum_search(*args)
+        calls[1] += nodes
+        return hits, nodes, exhausted
 
     monkeypatch.setattr(turan, "spectrum_search", counted)
     return calls
@@ -218,6 +270,15 @@ class TestCheckCache:
         rec = turan_exhaustive(9, 3, 3)
         assert (rec.value, rec.nodes) == (10, 25959)
         assert rec.kernel_calls == calls[0] < 4000
+
+    @pytest.mark.parametrize("n,r,ell,kernel_nodes", [(9, 3, 3, 23160), (8, 3, 4, 47835)])
+    def test_kernel_nodes_pinned(self, monkeypatch, n, r, ell, kernel_nodes):
+        # the kernel's own nodes, summed over the search's calls: its live
+        # state and the matcher's direct pushes must not move them
+        calls = _counting_kernel(monkeypatch)
+        rec = turan_exhaustive(n, r, ell)
+        assert rec.kernel_calls == calls[0]
+        assert calls[1] == kernel_nodes
 
     def test_ell_2_calls_no_kernel(self, monkeypatch):
         calls = _counting_kernel(monkeypatch)
