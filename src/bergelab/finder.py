@@ -184,11 +184,9 @@ def cycles_from_down_edges(
     if k < 1 or i < 1 or i > sk.height:
         raise PreconditionUnmet("need k >= 1 and a level inside the tree")
     down = classes.down[i]
-    li = set(sk.levels[i])
-    if len(down) < (k + 2) * len(li):
-        raise PreconditionUnmet(
-            f"need |down_{i}| >= {(k + 2) * len(li)}, have {len(down)}"
-        )
+    li = len(sk.levels[i])
+    if len(down) < (k + 2) * li:
+        raise PreconditionUnmet(f"need |down_{i}| >= {(k + 2) * li}, have {len(down)}")
     level_of = sk.level_of()
     pair_to_edge: dict[tuple[int, int], int] = {}
     third: dict[tuple[int, int], int] = {}
@@ -251,9 +249,9 @@ def cycles_or_level_bound(
     within = classes.within[i] if i < len(classes.within) else ()
     up = classes.up[i] if i < len(classes.up) else ()
     ids = sorted(within) + sorted(up)
-    li = set(sk.levels[i])
-    li1 = set(sk.levels[i + 1]) if i + 1 <= sk.height else set()
-    bound = Fraction(7 * k, 2) * len(li) + len(li) + (Fraction(5 * k, 2) + 2) * len(li1)
+    li = len(sk.levels[i])
+    li1 = len(sk.levels[i + 1]) if i + 1 <= sk.height else 0
+    bound = Fraction(7 * k, 2) * li + li + (Fraction(5 * k, 2) + 2) * li1
     level_of = sk.level_of()
     for comp_ids in edge_components(H, ids):
         run = _bc_component_routes(H, sk, i, k, comp_ids, set(up), level_of)
@@ -335,25 +333,17 @@ def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
         return [x] + shared[: l - 1] + [y], P[:l]
 
     cycles = []
-    if level_of[x] == i + 1:
-        for l in range(1, k + 1):
-            if l == 1:
-                pool = [v for v in e1 if level_of.get(v) == i and color_of[v] == cc]
-            else:
-                ends = set(H.edges[P[l - 1]]) - set(H.edges[P[l - 2]])
-                pool = [v for v in ends if level_of.get(v) == i]
-            if not pool:
-                raise InternalProofFailure("bc mono route", f"no level-i endpoint at {l}")
-            pv, pe = spine_to(l, min(pool))
-            cycles.append(_close_through_tree(H, sk, anchor, pv, pe))
-    else:
-        for l in range(2, k + 2):
+    first = 1 if level_of[x] == i + 1 else 2
+    for l in range(first, first + k):
+        if l == 1:
+            pool = [v for v in e1 if level_of.get(v) == i and color_of[v] == cc]
+        else:
             ends = set(H.edges[P[l - 1]]) - set(H.edges[P[l - 2]])
             pool = [v for v in ends if level_of.get(v) == i]
-            if not pool:
-                raise InternalProofFailure("bc mono route", f"no level-i endpoint at {l}")
-            pv, pe = spine_to(l, min(pool))
-            cycles.append(_close_through_tree(H, sk, anchor, pv, pe))
+        if not pool:
+            raise InternalProofFailure("bc mono route", f"no level-i endpoint at {l}")
+        pv, pe = spine_to(l, min(pool))
+        cycles.append(_close_through_tree(H, sk, anchor, pv, pe))
     return ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i + 2)
 
 
@@ -616,7 +606,7 @@ def find_linear_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     r = H.uniformity
     H3 = H if r == 3 else Hypergraph(H.n, tuple(e[:3] for e in H.edges), 3)
     run = skeleton_sweep(H3, k)
-    if run is not None:
+    if run is not None and H3 is not H:  # the sweep validated it on H3
         validate_run(H, run)
     if run is None and average_degree(H) >= 7 * r * (k + 1):
         raise InternalProofFailure("linear reduction", "no run above the threshold")

@@ -587,13 +587,10 @@ def long_path_from_density(G: Graph, m: int) -> list[int]:
             raise InternalProofFailure(
                 "path rotation", f"stuck below bound at length {len(path) - 1}"
             )
-        if len(cyc) - 1 >= m + 1:
-            return cyc
+        # cyc runs through exactly the path's vertices, so it is short too
         reopened = _reopen(adj, cyc)
         if reopened is None:
-            # spanning cycle: component order exceeds m+1, open it anywhere
-            if len(cyc) - 1 >= m + 1:
-                return cyc
+            # spanning cycle: impossible, as the density gives comp > m+1 vertices
             raise InternalProofFailure("path rotation", "spanning cycle below bound")
         path = _maximal_extend(adj, reopened)
     raise InternalProofFailure("path rotation", "no progress")

@@ -58,7 +58,7 @@ class Hypergraph:
         """Canonicalize and validate an edge collection.
 
         `uniformity` only matters for an empty edge list; otherwise it is
-        recomputed and, if given, must agree.
+        recomputed and, if given, every edge must have that size.
         """
         canon: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
@@ -77,15 +77,12 @@ class Hypergraph:
             canon.append(e)
         canon.sort()
         sizes = {len(e) for e in canon}
-        if len(sizes) == 1:
-            r = sizes.pop()
-            if uniformity is not None and uniformity != r:
-                raise EdgeSizeMismatch(
-                    f"declared uniformity {uniformity}, edges have size {r}"
-                )
-            uniformity = r
-        elif sizes:
-            uniformity = None
+        if uniformity is not None and sizes - {uniformity}:
+            raise EdgeSizeMismatch(
+                f"declared uniformity {uniformity}, edges have sizes {sorted(sizes)}"
+            )
+        if sizes:
+            uniformity = sizes.pop() if len(sizes) == 1 else None
         return Hypergraph(n=n, edges=tuple(canon), uniformity=uniformity)
 
     def __post_init__(self) -> None:

@@ -1,6 +1,8 @@
 """Length-controlled search on linear 3-graphs: a single skeleton with
-relaxed per-level gates, instrumented so the forced level growth (and the
-contradiction it would produce above threshold) is visible in the report.
+relaxed per-level gates, instrumented so the forced level growth is visible
+in the report. Above threshold, a search whose every level certifies would
+contradict that growth, so it raises instead of returning; a returned report
+never carries a contradiction.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class LevelGrowthReport:
     threshold_met: bool
     core_min_degree: int
     levels: tuple[LevelReport, ...]
-    contradiction: Optional[str]
 
 
 def threshold_met(H: Hypergraph, k: int, h: int) -> bool:
@@ -66,7 +67,7 @@ def length_controlled_search(
     met = threshold_met(H, k, h)
     all_ids = list(range(len(H.edges)))
     if not all_ids:
-        report = LevelGrowthReport(H.n, 0, k, h, met, 0, (), None)
+        report = LevelGrowthReport(H.n, 0, k, h, met, 0, ())
         return None, report
     core_deg, core_ids = peel_view(H, all_ids)
     core_min = min(core_deg.values())
@@ -103,14 +104,13 @@ def length_controlled_search(
         if run is not None:
             break
 
-    contradiction = None
     if run is None and met and all(lv.certified for lv in levels):
         lh = len(sk.levels[h]) if h <= sk.height else 0
-        contradiction = (
+        raise InternalProofFailure(
+            "level growth",
             f"all levels below {h} certified; forced growth would require "
-            f"|L_{h}| >= {H.n}, but |L_{h}| = {lh}"
+            f"|L_{h}| >= {H.n}, but |L_{h}| = {lh}",
         )
-        raise InternalProofFailure("level growth", contradiction)
     if run is not None and run.lengths()[0] > 2 * h:
         raise InternalProofFailure(
             "length control", f"shortest {run.lengths()[0]} above {2 * h}"
@@ -123,6 +123,5 @@ def length_controlled_search(
         threshold_met=met,
         core_min_degree=core_min,
         levels=tuple(levels),
-        contradiction=contradiction,
     )
     return run, report

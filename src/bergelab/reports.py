@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 
-from .certify import BergeCycleWitness, verify_cycle
-from .errors import VerificationFailure
-from .finder import ConsecutiveRun
+from .certify import BergeCycleWitness
+from .errors import InternalProofFailure, VerificationFailure
+from .finder import ConsecutiveRun, validate_run
 from .hypergraph import Hypergraph
 
 
@@ -51,15 +51,8 @@ def run_to_jsonl(run: ConsecutiveRun) -> str:
 
 def report_run(run: ConsecutiveRun, H: Hypergraph) -> tuple[str, str]:
     """Verify then render (csv, jsonl); raises VerificationFailure."""
-    for w in run.cycles:
-        res = verify_cycle(H, w)
-        if not res:
-            raise VerificationFailure(f"{res.reason}: {res.detail}")
-    lens = run.lengths()
-    if len(lens) != run.k or any(b - a != 1 for a, b in zip(lens, lens[1:])):
-        raise VerificationFailure(f"lengths {lens} are not {run.k} consecutive values")
-    if lens and lens[0] > run.shortest_bound:
-        raise VerificationFailure(
-            f"shortest length {lens[0]} exceeds the bound {run.shortest_bound}"
-        )
+    try:
+        validate_run(H, run)
+    except InternalProofFailure as exc:
+        raise VerificationFailure(str(exc)) from exc
     return run_to_csv(run), run_to_jsonl(run)

@@ -25,7 +25,6 @@ class Skeleton:
     parent: dict[int, int]            # vertex -> parent (root -> -1)
     edge_for: dict[Pair, int]         # tree edge -> consumed hyperedge index
     levels: tuple[tuple[int, ...], ...]
-    attach_log: tuple[tuple[int, int, int], ...]  # (vertex, level, via edge)
     # vertex -> level, built once by level_of(); left out of __init__ and ==
     _level_of: Optional[dict[int, int]] = field(
         default=None, init=False, repr=False, compare=False
@@ -106,7 +105,6 @@ def build_skeleton(
     level: dict[int, int] = {root: 0}
     edge_for: dict[Pair, int] = {}
     processed: set[int] = set()
-    log: list[tuple[int, int, int]] = []
     q: deque[int] = deque([root])
     while q:
         u = q[0]
@@ -120,7 +118,6 @@ def build_skeleton(
                 parent[v] = u
                 level[v] = level[u] + 1
                 edge_for[norm_edge(u, v)] = ei
-                log.append((v, level[v], ei))
                 q.append(v)
             processed.add(ei)
         q.popleft()
@@ -132,7 +129,6 @@ def build_skeleton(
         parent=parent,
         edge_for=edge_for,
         levels=tuple(tuple(sorted(lv)) for lv in levels),
-        attach_log=tuple(log),
     )
 
 

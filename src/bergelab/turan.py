@@ -19,6 +19,10 @@ make a filed answer reusable:
   the family's mask is filed in `free[p]`, and a later check of p whose
   family lies inside a filed mask is "free".
 
+The lists are append-only and scanned newest first. A mask that a later
+one makes redundant is left in place: it can never decide a check the
+later mask would not decide the same way.
+
 Only a check that neither list decides calls the kernel, so every check
 answers exactly as the kernel would, and the search's value, node count
 and extremal example do not depend on the cache. A kernel witness is
@@ -97,8 +101,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     chosen: list[tuple[int, ...]] = []
     chosen_pos: list[int] = []  # universe position of each chosen edge
     # per position p: masks of the other edges of a cycle through p, and
-    # masks of families with top edge p known free. A filed mask drops the
-    # ones it makes redundant; lookups scan the newest first.
+    # masks of families with top edge p known free. Both are append-only;
+    # lookups scan the newest first.
     cycles: list[list[int]] = [[] for _ in universe]
     free: list[list[int]] = [[] for _ in universe]
     kernel_calls = cache_hits = 0
@@ -121,7 +125,6 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         kernel_calls += 1
         found = _find_cycle(n, chosen, ell, live, universe[p])
         if found is None:
-            free[p] = [f for f in free[p] if f & mask != f]
             free[p].append(mask)
             return True
         spine, assign = found
@@ -134,9 +137,7 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
                 "turan freeness check",
                 f"kernel witness {spine} / {assign} is not a Berge {ell}-cycle",
             )
-        c = sum(1 << chosen_pos[ei] for ei in assign if chosen_pos[ei] != p)
-        cycles[p] = [d for d in cycles[p] if d & c != c]
-        cycles[p].append(c)
+        cycles[p].append(sum(1 << chosen_pos[ei] for ei in assign if chosen_pos[ei] != p))
         return False
 
     def dfs(pos: int, frontier: int, used_pairs: int, mask: int) -> None:

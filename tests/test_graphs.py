@@ -168,6 +168,27 @@ class TestLongPath:
         with pytest.raises(PreconditionUnmet):
             gr.long_path_from_density(cycle_graph(6), 2)
 
+    def test_rotation(self, monkeypatch):
+        # the first maximal path closes into a short cycle, which is reopened
+        # through an outside neighbour once before the path is long enough
+        G = gr.Graph.build(
+            range(11),
+            [(0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (1, 7), (1, 9), (2, 5), (2, 6),
+             (2, 7), (3, 4), (3, 6), (5, 6), (5, 7), (6, 7), (8, 9), (8, 10), (9, 10)],
+        )
+        reopen, reopened = gr._reopen, []
+
+        def counting(adj, cycle):
+            reopened.append(cycle)
+            return reopen(adj, cycle)
+
+        monkeypatch.setattr(gr, "_reopen", counting)
+        path = gr.long_path_from_density(G, 2)
+        assert len(reopened) == 1
+        assert path == [7, 5, 2, 1, 6, 3, 4, 0]
+        check_path(G, path)
+        assert len(path) - 1 >= 3
+
     @given(st.integers(5, 11), st.integers(0, 10**6), st.integers(1, 5))
     @settings(max_examples=120, deadline=None)
     def test_bound_random(self, n, seed, m):

@@ -86,6 +86,11 @@ class TestFromEdges:
         with pytest.raises(MalformedLine, match=r"edge \(0, 0, 1\) repeats"):
             hg.Hypergraph.from_edges(3, [iter((0, 0, 1))])
 
+    def test_declared_uniformity_rejects_mixed_sizes(self):
+        with pytest.raises(EdgeSizeMismatch, match="declared uniformity 3"):
+            hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 3)], uniformity=3)
+        assert hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 3)]).uniformity is None
+
 
 class TestSerialize:
     def test_round_trip_examples(self):

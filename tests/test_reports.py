@@ -60,6 +60,19 @@ class TestReportRun:
         with pytest.raises(VerificationFailure):
             report_run(bad, H)
 
+    def test_gapped_lengths_fail(self):
+        H, run = small_run()
+        w2 = BergeCycleWitness((0, 1), (0, 1))  # verifies; lengths 2 and 4
+        gapped = ConsecutiveRun(k=2, cycles=(w2, run.cycles[1]), shortest_bound=3)
+        with pytest.raises(VerificationFailure, match="not consecutive"):
+            report_run(gapped, H)
+
+    def test_shortest_above_bound_fails(self):
+        H, run = small_run()
+        low = ConsecutiveRun(k=2, cycles=run.cycles, shortest_bound=2)
+        with pytest.raises(VerificationFailure, match="shortest 3 exceeds 2"):
+            report_run(low, H)
+
     def test_csv_shape(self):
         _, run = small_run()
         assert run_to_csv(run) == "length,shortest_bound\n3,3\n4,3\n"

@@ -46,8 +46,11 @@ class TestBuild:
     def test_attach_levels_monotone(self):
         H = random_3graph(10, 20, 11)
         S = sk.build_skeleton(H, 0)
-        lv = [l for (_, l, _) in S.attach_log]
-        assert lv == sorted(lv)
+        level_of = S.level_of()
+        assert level_of[S.root] == 0
+        for v, u in S.parent.items():
+            if v != S.root:
+                assert level_of[v] == level_of[u] + 1
 
 
 class TestClassify:

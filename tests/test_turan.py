@@ -280,6 +280,16 @@ class TestCheckCache:
         assert rec.kernel_calls == calls[0]
         assert calls[1] == kernel_nodes
 
+    @pytest.mark.parametrize(
+        "n,r,ell,counters",
+        [(9, 3, 3, (2868, 19208)), (8, 3, 4, (4490, 18872)), (7, 3, 5, (5377, 12224))],
+    )
+    def test_cache_counters_pinned(self, n, r, ell, counters):
+        # the filed lists keep every mask they are given; a mask a later one
+        # makes redundant must not change which checks reach the kernel
+        rec = turan_exhaustive(n, r, ell)
+        assert (rec.kernel_calls, rec.cache_hits) == counters
+
     def test_ell_2_calls_no_kernel(self, monkeypatch):
         calls = _counting_kernel(monkeypatch)
         rec = turan_exhaustive(7, 3, 2)
