@@ -191,14 +191,18 @@ def cycles_from_down_edges(
     pair_to_edge: dict[tuple[int, int], int] = {}
     third: dict[tuple[int, int], int] = {}
     for ei in down:
-        e = H.edges[ei]
-        pair = tuple(v for v in e if level_of.get(v) == i)
-        below = [v for v in e if level_of.get(v) == i - 1]
-        key = norm_edge(pair[0], pair[1])
+        # one vertex of a down edge lies in L_{i-1}, the sorted other two in L_i
+        a, b, c = H.edges[ei]
+        if level_of[a] != i:
+            below, key = a, (b, c)
+        elif level_of[b] != i:
+            below, key = b, (a, c)
+        else:
+            below, key = c, (a, b)
         if key in pair_to_edge:
             raise InternalProofFailure("linearity", f"pair {key} repeats in the down class")
         pair_to_edge[key] = ei
-        third[key] = below[0]
+        third[key] = below
     proj = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
     comp = densest_component(proj)
     if comp.average_degree() < 2 * k + 4:
@@ -620,13 +624,24 @@ def find_linear_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
 def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     """Greedy dichotomy: either a subgraph in which every (r-1)-subset of an
     edge has co-degree >= k+1, or a slice of >= |H|/k edges with distinct
-    marked (r-1)-subsets, one per edge."""
+    marked (r-1)-subsets, one per edge.
+
+    Short-cut: when every (r-1)-subset lies in one edge (at r = 3, when H
+    is linear) the slice is every edge marked by its first r-1 vertices,
+    which is what the walk below returns there: each taken entry deletes
+    only its own edge, and a count falling from 1 to 0 never equals k."""
     if H.uniformity is None:
         raise PreconditionUnmet("uniform hypergraph required")
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
     r = H.uniformity
     members = cover_lists(H.edges, r - 1)
+    if len(members) == r * len(H.edges):
+        return _marked_slice(
+            tuple((ei, e[: r - 1], True) for ei, e in enumerate(H.edges)),
+            members,
+            (1,) * len(H.edges),
+        )
     count = {sub: len(ids) for sub, ids in members.items()}
     alive = set(range(len(H.edges)))
     # The initial (edge, subset) entries are generated in sorted order, so a
@@ -684,10 +699,14 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
             out.append((ei, subs[codeg.index(1)], True))
         else:
             out.append((ei, sub0, False))
-    marked = [m for _, m, _ in out]
-    if len(set(marked)) != len(marked):
+    return _marked_slice(tuple(out), covers, tuple(top))
+
+
+def _marked_slice(entries, covers, max_codegree) -> MarkedSlice:
+    marked = {m for _, m, _ in entries}
+    if len(marked) != len(entries):
         raise InternalProofFailure("slice marks", "marked subsets collide")
-    return MarkedSlice(entries=tuple(out), covers=covers, max_codegree=tuple(top))
+    return MarkedSlice(entries=entries, covers=covers, max_codegree=max_codegree)
 
 
 def tight_path_cycles(P: TightPath) -> list[BergeCycleWitness]:

@@ -124,7 +124,8 @@ class DegreeProfile:
 
 def parse(text: str) -> Hypergraph:
     """Read the `.hg` format: header "r n m" (r = 0 for non-uniform), then
-    m whitespace-separated edge lines."""
+    m whitespace-separated edge lines. Under r = 0 the uniformity is derived
+    from the edge sizes, as in `Hypergraph.from_edges`."""
     lines = text.splitlines()
     if not lines:
         raise MalformedLine("empty document")
@@ -165,7 +166,10 @@ def parse(text: str) -> Hypergraph:
         seen.add(e)
         edges.append(e)
     edges.sort()
-    return Hypergraph(n=n, edges=tuple(edges), uniformity=r if r > 0 else None)
+    if r == 0:
+        sizes = {len(e) for e in edges}
+        r = sizes.pop() if len(sizes) == 1 else 0
+    return Hypergraph(n=n, edges=tuple(edges), uniformity=r or None)
 
 
 def serialize(H: Hypergraph) -> str:
@@ -229,6 +233,8 @@ def profile(H: Hypergraph) -> DegreeProfile:
 def average_degree(H: Hypergraph) -> Fraction:
     if H.n == 0:
         return Fraction(0)
+    if H.uniformity is not None:
+        return Fraction(H.uniformity * len(H.edges), H.n)
     return Fraction(sum(len(e) for e in H.edges), H.n)
 
 
@@ -262,25 +268,30 @@ def covered_vertices(H: Hypergraph, edge_ids: Iterable[int]) -> set[int]:
 def edge_components(H: Hypergraph, edge_ids: Sequence[int]) -> list[list[int]]:
     """Partition edge ids into shadow-connected groups: each group sorted,
     groups ordered by their smallest vertex."""
+    # union-find with path halving; a root is the smallest vertex of its set
+    edges = H.edges
     parent: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for ei in edge_ids:
-        for v in H.edges[ei]:
-            parent.setdefault(v, v)
-        vs = H.edges[ei]
-        for w in vs[1:]:
-            ra, rb = find(vs[0]), find(w)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        root = -1
+        for v in edges[ei]:
+            p = parent.setdefault(v, v)
+            while p != v:
+                parent[v] = v = parent[p]
+                p = parent[v]
+            if root < 0:
+                root = v
+            elif v < root:
+                parent[root] = root = v
+            elif v > root:
+                parent[v] = root
     groups: dict[int, list[int]] = {}
     for ei in sorted(edge_ids):
-        groups.setdefault(find(H.edges[ei][0]), []).append(ei)
+        v = edges[ei][0]
+        p = parent[v]
+        while p != v:
+            parent[v] = v = parent[p]
+            p = parent[v]
+        groups.setdefault(v, []).append(ei)
     return [groups[r] for r in sorted(groups)]
 
 

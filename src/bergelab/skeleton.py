@@ -101,6 +101,7 @@ def build_skeleton(
         raise PreconditionUnmet(f"root {root} out of range")
     active = _active_set(H, active_edges)
     inc = incidence(H)
+    edges = H.edges
     parent: dict[int, int] = {root: -1}
     level: dict[int, int] = {root: 0}
     edge_for: dict[Pair, int] = {}
@@ -111,15 +112,20 @@ def build_skeleton(
         for ei in inc[u]:
             if ei in processed or ei not in active:
                 continue
-            others = [w for w in H.edges[ei] if w != u]
-            fresh = [w for w in others if w not in parent]
-            if fresh:
-                v = min(fresh)
-                parent[v] = u
-                level[v] = level[u] + 1
-                edge_for[norm_edge(u, v)] = ei
-                q.append(v)
             processed.add(ei)
+            a, b, c = edges[ei]
+            # x < y are the edge's vertices other than u; the smaller fresh one is attached
+            x, y = (b, c) if a == u else (a, c) if b == u else (a, b)
+            if x not in parent:
+                v = x
+            elif y not in parent:
+                v = y
+            else:
+                continue
+            parent[v] = u
+            level[v] = level[u] + 1
+            edge_for[(u, v) if u < v else (v, u)] = ei
+            q.append(v)
         q.popleft()
     levels: list[list[int]] = [[] for _ in range(max(level.values()) + 1)]
     for v, l in level.items():
@@ -140,10 +146,13 @@ def classify_levels(
     Only the tree vertices' incidence lists are read, so the cost follows the
     edges meeting the tree, not the size of `active_edges`.
     """
+    if H.uniformity != 3:
+        raise PreconditionUnmet("level classes are built on 3-graphs")
     active = _active_set(H, active_edges)
     tree_images = sk.tree_edge_images()
     level_of = sk.level_of()
     inc = incidence(H)
+    edges = H.edges
     meeting = sorted({ei for v in level_of for ei in inc[v] if ei in active})
     h = sk.height
     down: list[list[int]] = [[] for _ in range(h + 2)]
@@ -153,17 +162,27 @@ def classify_levels(
     for ei in meeting:
         if ei in tree_images:
             continue
-        lv = [level_of.get(v) for v in H.edges[ei]]
-        if None in lv:
+        a, b, c = edges[ei]
+        la, lb, lc = level_of.get(a), level_of.get(b), level_of.get(c)
+        if la is None or lb is None or lc is None:
             residual.append(ei)
             continue
-        lv.sort()
-        if lv[0] == lv[1] == lv[2]:
-            within[lv[0]].append(ei)
-        elif lv[0] + 1 == lv[1] == lv[2]:
-            down[lv[1]].append(ei)
-        elif lv[0] == lv[1] == lv[2] - 1:
-            up[lv[0]].append(ei)
+        # l is the level two of the vertices share, o the third vertex's level
+        if la == lb:
+            l, o = la, lc
+        elif la == lc:
+            l, o = la, lb
+        elif lb == lc:
+            l, o = lb, la
+        else:
+            residual.append(ei)
+            continue
+        if o == l:
+            within[l].append(ei)
+        elif o == l - 1:
+            down[l].append(ei)
+        elif o == l + 1:
+            up[l].append(ei)
         else:
             residual.append(ei)
     if residual:

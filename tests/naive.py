@@ -9,12 +9,15 @@ every iteration and reuses the package's per-skeleton steps; and
 were filed: it calls the package's kernel for every check; and
 `naive_split_by_codegree`, the co-degree split with every (edge, subset)
 entry on one heap, as it was before the initial entries were walked by a
-cursor.
+cursor; and `naive_build_skeleton` / `naive_classify_levels`, the
+skeleton build and level classification with the generic per-edge loops
+they had before they unpacked each edge's three vertices.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -171,6 +174,101 @@ def naive_split_by_codegree(H, k):
         max(len(covers[s]) for s in combinations(H.edges[ei], r - 1)) for ei, _ in slice_entries
     )
     return fd.MarkedSlice(entries=tuple(out), covers=covers, max_codegree=top)
+
+
+def _naive_active_set(H, active_edges):
+    if active_edges is None:
+        return range(len(H.edges))
+    if isinstance(active_edges, (set, frozenset)):
+        return active_edges
+    return set(active_edges)
+
+
+def naive_build_skeleton(H, root, active_edges=None):
+    """`skeleton.build_skeleton` with its list-building per-edge loop."""
+    from bergelab.errors import PreconditionUnmet
+    from bergelab.graphs import norm_edge
+    from bergelab.hypergraph import incidence
+    from bergelab.skeleton import Skeleton
+
+    if H.uniformity != 3:
+        raise PreconditionUnmet("skeletons are built on 3-graphs")
+    if not (0 <= root < H.n):
+        raise PreconditionUnmet(f"root {root} out of range")
+    active = _naive_active_set(H, active_edges)
+    inc = incidence(H)
+    parent = {root: -1}
+    level = {root: 0}
+    edge_for = {}
+    processed = set()
+    q = deque([root])
+    while q:
+        u = q[0]
+        for ei in inc[u]:
+            if ei in processed or ei not in active:
+                continue
+            others = [w for w in H.edges[ei] if w != u]
+            fresh = [w for w in others if w not in parent]
+            if fresh:
+                v = min(fresh)
+                parent[v] = u
+                level[v] = level[u] + 1
+                edge_for[norm_edge(u, v)] = ei
+                q.append(v)
+            processed.add(ei)
+        q.popleft()
+    levels = [[] for _ in range(max(level.values()) + 1)]
+    for v, l in level.items():
+        levels[l].append(v)
+    return Skeleton(
+        root=root,
+        parent=parent,
+        edge_for=edge_for,
+        levels=tuple(tuple(sorted(lv)) for lv in levels),
+    )
+
+
+def naive_classify_levels(H, sk, active_edges=None):
+    """`skeleton.classify_levels` with its sorted level-list per edge."""
+    from bergelab.errors import ClassificationFailure
+    from bergelab.hypergraph import incidence
+    from bergelab.skeleton import LevelEdgeClasses
+
+    active = _naive_active_set(H, active_edges)
+    tree_images = sk.tree_edge_images()
+    level_of = sk.level_of()
+    inc = incidence(H)
+    meeting = sorted({ei for v in level_of for ei in inc[v] if ei in active})
+    h = sk.height
+    down = [[] for _ in range(h + 2)]
+    within = [[] for _ in range(h + 2)]
+    up = [[] for _ in range(h + 2)]
+    residual = []
+    for ei in meeting:
+        if ei in tree_images:
+            continue
+        lv = [level_of.get(v) for v in H.edges[ei]]
+        if None in lv:
+            residual.append(ei)
+            continue
+        lv.sort()
+        if lv[0] == lv[1] == lv[2]:
+            within[lv[0]].append(ei)
+        elif lv[0] + 1 == lv[1] == lv[2]:
+            down[lv[1]].append(ei)
+        elif lv[0] == lv[1] == lv[2] - 1:
+            up[lv[0]].append(ei)
+        else:
+            residual.append(ei)
+    if residual:
+        raise ClassificationFailure(
+            f"{len(residual)} incident edges fit no class: {residual[:5]}"
+        )
+    return LevelEdgeClasses(
+        down=tuple(tuple(x) for x in down),
+        within=tuple(tuple(x) for x in within),
+        up=tuple(tuple(x) for x in up),
+    )
 
 
 def naive_turan(n, r, ell, budget=10**8):

@@ -133,6 +133,21 @@ class TestFindVerify:
         assert code == 0
         assert "no run found" in err
 
+    def test_header_zero_fano_finds_as_uniform(self, capsys, tmp_path):
+        fano = "0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n"
+        results = []
+        for r in (0, 3):
+            hg = tmp_path / f"fano{r}.hg"
+            hg.write_text(f"{r} 7 7\n{fano}")
+            wpath = tmp_path / f"w{r}.jsonl"
+            code, out, err = run_cli(
+                ["find", "--k", "1", "--input", str(hg), "--emit-witnesses", str(wpath)],
+                capsys,
+            )
+            results.append((code, out, err, wpath.read_text()))
+        assert results[0][0] == 0
+        assert results[0] == results[1]
+
 
 class TestOtherCommands:
     def test_skeleton_csv(self, capsys, tmp_path):

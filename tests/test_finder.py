@@ -15,7 +15,13 @@ from bergelab.generators import (
     steiner_triple,
     tight_path_hypergraph,
 )
-from bergelab.hypergraph import Hypergraph, average_degree, covered_vertices, edge_components
+from bergelab.hypergraph import (
+    Hypergraph,
+    average_degree,
+    cover_lists,
+    covered_vertices,
+    edge_components,
+)
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
 
@@ -157,17 +163,35 @@ class TestSplitByCodegree:
     @given(
         st.integers(0, 10**6),
         st.integers(1, 3),
-        st.integers(3, 4),
-        st.sampled_from(("linear", "random", "planted")),
+        st.integers(3, 5),
+        st.sampled_from(("linear", "near-linear", "random", "planted")),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_matches_single_heap(self, seed, k, r, kind):
         rng = random.Random(seed)
-        if kind == "linear":
+        if kind in ("linear", "near-linear"):
             n = rng.randrange(r + 2, 40)
             H, _ = random_linear_r(n, r, rng.randrange(1, 3 * n), seed=seed)
             if not H.edges:
                 return
+            if kind == "near-linear":
+                # one more edge through an (r-1)-subset of an edge: the
+                # short-cut's count misses by one and the walk runs
+                covered = cover_lists(H.edges, r - 1)
+                e = rng.choice(H.edges)
+                sub = tuple(rng.sample(e, r - 1))
+                fits = [
+                    w
+                    for w in range(n)
+                    if w not in e
+                    and all(
+                        tuple(sorted(s + (w,))) not in covered for s in combinations(sub, r - 2)
+                    )
+                ]
+                if not fits:
+                    return
+                H = Hypergraph.from_edges(n, H.edges + (sub + (rng.choice(fits),),), uniformity=r)
+                assert len(cover_lists(H.edges, r - 1)) == r * len(H.edges) - 1
         else:
             n = rng.randrange(r + k + 1, 11)
             universe = list(combinations(range(n), r))

@@ -1,13 +1,16 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergelab import finder as fd
 from bergelab import hypergraph as hg
 from bergelab.errors import (
     DuplicateEdge,
@@ -16,6 +19,7 @@ from bergelab.errors import (
     PreconditionUnmet,
     VertexOutOfRange,
 )
+from bergelab.generators import random_linear_r
 
 FANO = [
     (0, 1, 2),
@@ -76,6 +80,13 @@ class TestParse:
         assert H.uniformity is None
         assert H.edges == ((0, 1), (0, 1, 2, 3))
 
+    def test_header_zero_derives_uniformity(self):
+        text = "0 7 7\n" + "".join(f"{a} {b} {c}\n" for a, b, c in FANO)
+        H = hg.parse(text)
+        assert H == hg.Hypergraph.from_edges(7, FANO)
+        assert H.uniformity == 3
+        assert hg.parse("0 4 0\n").uniformity is None
+
 
 class TestFromEdges:
     def test_one_shot_edge_iterables(self):
@@ -126,6 +137,49 @@ class TestProfile:
         assert p.average_degree == Fraction(1)
         assert p.min_degree == 1
         assert p.is_linear
+
+
+def edge_size_average(H):
+    return Fraction(sum(len(e) for e in H.edges), H.n) if H.n else Fraction(0)
+
+
+class TestAverageDegree:
+    @given(st.integers(0, 10**6), st.sampled_from(("uniform", "mixed", "empty")))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_edge_sizes(self, seed, kind):
+        rng = random.Random(seed)
+        n = rng.randrange(0, 4) if kind == "empty" else rng.randrange(5, 11)
+        sizes = {"uniform": [rng.randrange(2, 5)], "mixed": [2, 3, 4], "empty": []}[kind]
+        universe = [s for size in sizes for s in combinations(range(n), size)]
+        edges = rng.sample(universe, rng.randrange(1, min(len(universe), 30))) if universe else []
+        H = hg.Hypergraph.from_edges(n, edges)
+        header = H.uniformity if H.uniformity is not None and rng.random() < 0.5 else 0
+        body = "".join(" ".join(map(str, rng.sample(e, len(e)))) + "\n" for e in edges)
+        parsed = hg.parse(f"{header} {n} {len(edges)}\n{body}")
+        keep = [i for i in range(len(H.edges)) if rng.random() < 0.5]
+        sub, _ = H.restrict(keep)
+        assert (H.uniformity is None) == (len({len(e) for e in edges}) != 1)
+        for G in (H, parsed, sub):
+            assert hg.average_degree(G) == edge_size_average(G)
+
+    def test_empty_view_keeps_uniformity(self):
+        sub, _ = fano().restrict([])
+        assert sub.uniformity == 3 and not sub.edges
+        assert hg.average_degree(sub) == 0
+        assert hg.average_degree(hg.Hypergraph(0, (), 3)) == 0
+
+    @given(st.integers(0, 10**6), st.integers(4, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_linear_prefix_graph(self, seed, r):
+        rng = random.Random(seed)
+        n = rng.randrange(r + 2, 40)
+        H, _ = random_linear_r(n, r, rng.randrange(1, 3 * n), seed=seed)
+        with mock.patch.object(fd, "skeleton_sweep", wraps=fd.skeleton_sweep) as sweep:
+            fd.find_linear_r(H, 1)
+        H3 = sweep.call_args.args[0]
+        assert H3.uniformity == 3 and len(H3.edges) == len(H.edges)
+        assert hg.average_degree(H3) == edge_size_average(H3)
+        assert hg.average_degree(H) == edge_size_average(H)
 
 
 class TestIsLinear:

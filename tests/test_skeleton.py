@@ -1,11 +1,16 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import skeleton as sk
+from bergelab.errors import ClassificationFailure, PreconditionUnmet
+from bergelab.generators import random_linear_r
 from bergelab.hypergraph import Hypergraph
+
+from naive import naive_build_skeleton, naive_classify_levels
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
@@ -122,6 +127,85 @@ class TestClassify:
         sk.classify_levels(H, S, Probed(range(6)))
         assert 0 < after_build < Probed.hits
         assert 6 not in S.tree_edge_images()
+
+
+def skeleton_outcome(build, classify, H, root, build_active, classify_active):
+    """Everything observable of one build and classification, failures included."""
+    S = build(H, root, build_active)
+    try:
+        classes = classify(H, S, classify_active)
+    except ClassificationFailure as exc:
+        classes = str(exc)
+    return S, list(S.parent.items()), list(S.edge_for.items()), classes
+
+
+def random_input(rng, seed, kind):
+    if kind == "linear":
+        n = rng.randrange(5, 40)
+        return random_linear_r(n, 3, rng.randrange(1, 3 * n), seed=seed)[0]
+    return random_3graph(rng.randrange(5, 12), rng.randrange(1, 40), seed)
+
+
+def random_active(rng, m):
+    ids = rng.sample(range(m), rng.randint(0, m))
+    return rng.choice((None, set(ids), ids, frozenset(ids)))
+
+
+class TestMatchesGenericLoops:
+    @given(st.integers(0, 10**6), st.sampled_from(("linear", "random")))
+    @settings(max_examples=200, deadline=None)
+    def test_same_active_edges(self, seed, kind):
+        rng = random.Random(seed)
+        H = random_input(rng, seed, kind)
+        root = rng.randrange(H.n)
+        active = random_active(rng, len(H.edges))
+        want = skeleton_outcome(
+            naive_build_skeleton, naive_classify_levels, H, root, active, active
+        )
+        got = skeleton_outcome(sk.build_skeleton, sk.classify_levels, H, root, active, active)
+        assert got == want
+        assert not isinstance(got[-1], str)
+
+    @given(st.integers(0, 10**6), st.sampled_from(("linear", "random")))
+    @settings(max_examples=200, deadline=None)
+    def test_other_active_edges(self, seed, kind):
+        # classifying over edges the build did not see can leave edges in no
+        # class; both versions must then fail alike
+        rng = random.Random(seed)
+        H = random_input(rng, seed, kind)
+        root = rng.randrange(H.n)
+        build_active = random_active(rng, len(H.edges))
+        classify_active = random_active(rng, len(H.edges))
+        want = skeleton_outcome(
+            naive_build_skeleton, naive_classify_levels, H, root, build_active, classify_active
+        )
+        got = skeleton_outcome(
+            sk.build_skeleton, sk.classify_levels, H, root, build_active, classify_active
+        )
+        assert got == want
+
+    def test_failure_parity_non_linear(self):
+        failures = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randrange(6, 12)
+            H = random_3graph(n, rng.randrange(10, 30), seed)
+            root = rng.randrange(n)
+            build_active = rng.sample(range(len(H.edges)), len(H.edges) // 2)
+            want = skeleton_outcome(
+                naive_build_skeleton, naive_classify_levels, H, root, build_active, None
+            )
+            got = skeleton_outcome(
+                sk.build_skeleton, sk.classify_levels, H, root, build_active, None
+            )
+            assert got == want
+            failures += isinstance(got[-1], str)
+        assert failures >= 10
+
+    def test_classify_needs_3_graph(self):
+        S = sk.build_skeleton(Hypergraph.from_edges(3, [(0, 1, 2)]), 0)
+        with pytest.raises(PreconditionUnmet):
+            sk.classify_levels(Hypergraph.from_edges(4, [(0, 1, 2, 3)]), S)
 
 
 class TestFrameFromParent:
