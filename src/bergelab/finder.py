@@ -39,11 +39,13 @@ from .graphs import Graph, densest_component, long_path_from_density, norm_edge
 from .hypergraph import (
     Hypergraph,
     average_degree,
+    codegree_covers,
     cover_lists,
     covered_vertices,
     edge_components,
     incidence,
     is_linear,
+    prefix_3graph,
 )
 from .pathtools import (
     ColoredGraph,
@@ -604,11 +606,9 @@ def find_linear_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         raise PreconditionUnmet("need a uniform hypergraph with r >= 3")
     if not is_linear(H):
         raise NotLinear("input must be linear")
-    # H's edges are sorted and pairwise share at most one vertex, so their
-    # 3-prefixes are distinct and already sorted: edge i of H3 is the prefix
-    # of edge i of H, and H3's witnesses are H's.
+    # edge i of H3 is the 3-prefix of edge i of H, so H3's witnesses are H's
     r = H.uniformity
-    H3 = H if r == 3 else Hypergraph(H.n, tuple(e[:3] for e in H.edges), 3)
+    H3 = prefix_3graph(H)
     run = skeleton_sweep(H3, k)
     if run is not None and H3 is not H:  # the sweep validated it on H3
         validate_run(H, run)
@@ -627,15 +627,16 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     marked (r-1)-subsets, one per edge.
 
     Short-cut: when every (r-1)-subset lies in one edge (at r = 3, when H
-    is linear) the slice is every edge marked by its first r-1 vertices,
-    which is what the walk below returns there: each taken entry deletes
-    only its own edge, and a count falling from 1 to 0 never equals k."""
+    is linear, which `codegree_covers` records) the slice is every edge
+    marked by its first r-1 vertices, which is what the walk below returns
+    there: each taken entry deletes only its own edge, and a count falling
+    from 1 to 0 never equals k."""
     if H.uniformity is None:
         raise PreconditionUnmet("uniform hypergraph required")
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
     r = H.uniformity
-    members = cover_lists(H.edges, r - 1)
+    members = codegree_covers(H)
     if len(members) == r * len(H.edges):
         return _marked_slice(
             tuple((ei, e[: r - 1], True) for ei, e in enumerate(H.edges)),
@@ -729,11 +730,6 @@ def tight_path_cycles(P: TightPath) -> list[BergeCycleWitness]:
         edges = tuple(j - 1 for j in edges1)
         out.append(BergeCycleWitness(spine, edges))
     return out
-
-
-def _codegree_subsets(H: Hypergraph) -> dict[tuple[int, ...], int]:
-    """Co-degree of each (r-1)-subset of an edge."""
-    return {sub: len(ids) for sub, ids in cover_lists(H.edges, H.uniformity - 1).items()}
 
 
 def min_codegree_cycles(H: Hypergraph, k: int) -> list[BergeCycleWitness]:

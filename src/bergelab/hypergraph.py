@@ -15,9 +15,11 @@ Conventions
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -38,7 +40,8 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
     uniformity: Optional[int] = None
     # Derived indexes, each built once by incidence() / pair_covers() /
-    # is_linear() and freed with the instance. Declared as fields (left out
+    # is_linear() (or codegree_covers() / prefix_3graph() for `_linear`)
+    # and freed with the instance. Declared as fields (left out
     # of __init__, ==, hash and repr) so that every instance keeps one attribute layout:
     # adding attributes later would slow every read of `H.edges`.
     _incidence: Optional[tuple[tuple[int, ...], ...]] = field(
@@ -124,8 +127,61 @@ class DegreeProfile:
 
 def parse(text: str) -> Hypergraph:
     """Read the `.hg` format: header "r n m" (r = 0 for non-uniform), then
-    m whitespace-separated edge lines. Under r = 0 the uniformity is derived
-    from the edge sizes, as in `Hypergraph.from_edges`."""
+    m edge lines of vertex ids separated by any whitespace, in any order;
+    blank lines are ignored. Under r = 0 the uniformity is derived from the
+    edge sizes, as in `Hypergraph.from_edges`.
+
+    A canonical document, as `serialize` writes it, is read in bulk; any
+    other goes through the per-line reader, which accepts it or names its
+    first bad line."""
+    H = _parse_canonical(text)
+    return H if H is not None else _parse_lines(text)
+
+
+_DIGITS = str.maketrans("", "", "0123456789")
+_SEPARATORS = str.maketrans(" \n", ",,")
+
+
+def _parse_canonical(text: str) -> Optional[Hypergraph]:
+    """The hypergraph of a canonical document, or None for any other. Such a
+    document has r >= 2, ASCII digit ids without leading zeros, single
+    spaces, a newline ending every line, increasing ids within each edge
+    and increasing edges; `_parse_lines` reads it to the same value."""
+    head, _, body = text.partition("\n")
+    try:
+        r, n, m = map(int, head.split(" "))
+    except ValueError:
+        return None
+    # an r beyond the text's length leaves room for no edge line
+    if not 2 <= r <= len(text) or not text.endswith("\n"):
+        return None
+    # with the digits deleted, the header leaves two spaces and a newline
+    # and each edge line r - 1 spaces and a newline (lengths compared first,
+    # so a huge m in the header builds no huge pattern)
+    seps = text.translate(_DIGITS)
+    if len(seps) != 3 + r * m or seps != "  \n" + (" " * (r - 1) + "\n") * m:
+        return None
+    # the body is now digit runs joined by single separators; as a JSON
+    # array it is read at C speed, and an empty run or a leading zero
+    # (which int() reads and JSON refuses) leaves it to the per-line reader
+    try:
+        ids = json.loads("[" + body.translate(_SEPARATORS)[:-1] + "]")
+    except ValueError:
+        return None
+    # ids are digit runs, so none is negative; once every edge increases,
+    # the last column holds each edge's largest id
+    cols = [ids[j::r] for j in range(r)]
+    if m and not (
+        all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])) and max(cols[-1]) < n
+    ):
+        return None
+    edges = tuple(zip(*cols))
+    if not all(map(lt, edges, edges[1:])):
+        return None
+    return Hypergraph(n=n, edges=edges, uniformity=r)
+
+
+def _parse_lines(text: str) -> Hypergraph:
     lines = text.splitlines()
     if not lines:
         raise MalformedLine("empty document")
@@ -239,11 +295,62 @@ def average_degree(H: Hypergraph) -> Fraction:
 
 
 def is_linear(H: Hypergraph) -> bool:
-    """True when no two edges share two vertices; the scan stops at the first
-    pair met twice, builds no pair index, and runs once per instance."""
+    """True when no two edges share two vertices. Decided once per instance,
+    here or as a by-product of `codegree_covers` or `prefix_3graph`. The scan
+    stops at the first pair met twice and builds no pair index; a 3-graph's
+    pairs are kept as integers a*n+b."""
     if H._linear is None:
-        object.__setattr__(H, "_linear", no_pair_twice(H.edges))
+        if H.uniformity == 3:
+            linear = _no_pair_twice_3(H.edges, H.n)
+        else:
+            linear = no_pair_twice(H.edges)
+        object.__setattr__(H, "_linear", linear)
     return H._linear
+
+
+def _no_pair_twice_3(edges: Iterable[tuple[int, int, int]], n: int) -> bool:
+    # pair (a, b) with a < b < n is the key a*n+b, one key per pair; an edge
+    # adds three new keys unless one of its pairs was met before
+    seen: set[int] = set()
+    add = seen.add
+    count = 0
+    for a, b, c in edges:
+        an = a * n
+        add(an + b)
+        add(an + c)
+        add(b * n + c)
+        count += 3
+        if len(seen) != count:
+            return False
+    return True
+
+
+def codegree_covers(H: Hypergraph) -> dict[tuple[int, ...], list[int]]:
+    """`cover_lists(H.edges, r - 1)` for a uniform H. At r = 3 the map has
+    3|H| keys exactly when no pair lies in two edges, so it decides
+    linearity too, and records it for `is_linear`."""
+    r = H.uniformity
+    if r is None:
+        raise PreconditionUnmet("uniform hypergraph required")
+    covers = cover_lists(H.edges, r - 1)
+    if r == 3:
+        object.__setattr__(H, "_linear", len(covers) == 3 * len(H.edges))
+    return covers
+
+
+def prefix_3graph(H: Hypergraph) -> Hypergraph:
+    """The 3-graph whose edge i is the least three vertices of edge i of the
+    linear r-graph H (r >= 3); H itself at r = 3. Edges of H share at most
+    one vertex, so their 3-prefixes are distinct, already sorted and again
+    share at most one vertex: the result is linear, and recorded so."""
+    r = H.uniformity
+    if r is None or r < 3 or not is_linear(H):
+        raise PreconditionUnmet("need a linear r-graph with r >= 3")
+    if r == 3:
+        return H
+    H3 = Hypergraph(H.n, tuple(e[:3] for e in H.edges), 3)
+    object.__setattr__(H3, "_linear", True)
+    return H3
 
 
 def no_pair_twice(edges: Iterable[tuple[int, ...]]) -> bool:

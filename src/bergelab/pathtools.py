@@ -142,8 +142,9 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
 
     For p >= 2 this needs d(G_1) >= p+1; the construction extracts a long
     cycle in the color-1 graph minus one endpoint of a color-2 edge and
-    splices the shortest connector onto it. For p <= 1 a color-2 edge extended greedily
-    with color-1 edges suffices.
+    splices the shortest connector onto it. For p <= 1, and for p = 2 when
+    that graph is a forest, a color-2 edge extended greedily with color-1
+    edges suffices.
     """
     G = cg.graph
     ones = cg.color_class(1)
@@ -181,6 +182,15 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
         tuple(v for v in G.vertices if v != x),
         tuple(e for e in ones if x not in e),
     )
+    if p == 2 and g1p.e == g1p.n - len(connected_components(g1p)):
+        # a forest: d(G_1) >= 3 asks G_1 - x for no cycle. It has at most
+        # n - 2 edges then, so x has color-1 degree at least 3n/2 - (n - 2)
+        # > 0, and the greedy path through the color-2 edge (x, y) and x
+        # has length >= 2
+        out = special_path(cg, 1)
+        if out.length < 2:
+            raise InternalProofFailure("special path", "postcondition violated")
+        return out
     cyc = long_cycle_from_density(g1p, p - 1)
     connector = shortest_path(adj, (x, y), cyc)  # starts at x or y, ends on the cycle
     if connector is None:

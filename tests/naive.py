@@ -11,7 +11,9 @@ were filed: it calls the package's kernel for every check; and
 entry on one heap, as it was before the initial entries were walked by a
 cursor; and `naive_build_skeleton` / `naive_classify_levels`, the
 skeleton build and level classification with the generic per-edge loops
-they had before they unpacked each edge's three vertices.
+they had before they unpacked each edge's three vertices; and
+`naive_parse`, the `.hg` reader's per-line loop as it was before canonical
+documents were read in bulk.
 """
 
 from __future__ import annotations
@@ -324,3 +326,60 @@ def naive_turan(n, r, ell, budget=10**8):
 
     dfs(0, 0, 0)
     return len(best), nodes, not exhausted, sorted(best)
+
+
+def naive_parse(text):
+    """The `.hg` reader as one per-line loop: same accepted documents, same
+    hypergraph, same exception and message for the first bad line."""
+    from bergelab.errors import (
+        DuplicateEdge,
+        EdgeSizeMismatch,
+        MalformedLine,
+        VertexOutOfRange,
+    )
+    from bergelab.hypergraph import Hypergraph
+
+    lines = text.splitlines()
+    if not lines:
+        raise MalformedLine("empty document")
+    head = lines[0].split()
+    if len(head) != 3:
+        raise MalformedLine(f"header must be 'r n m', got {lines[0]!r}")
+    try:
+        r, n, m = (int(tok) for tok in head)
+    except ValueError:
+        raise MalformedLine(f"non-integer header field in {lines[0]!r}") from None
+    if r < 0 or n < 0 or m < 0:
+        raise MalformedLine("negative header field")
+    if r == 1:
+        raise MalformedLine("uniformity 1 is not a hypergraph of edges")
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != m:
+        raise MalformedLine(f"header promises {m} edges, found {len(body)}")
+    edges = []
+    seen = set()
+    for ln in body:
+        try:
+            verts = [int(tok) for tok in ln.split()]
+        except ValueError:
+            raise MalformedLine(f"non-integer vertex id in {ln!r}") from None
+        e = tuple(sorted(set(verts)))
+        if r > 0:
+            if len(verts) != r or len(e) != r:
+                raise EdgeSizeMismatch(f"edge {ln!r} is not a {r}-set")
+        else:
+            if len(e) != len(verts):
+                raise MalformedLine(f"edge {ln!r} repeats a vertex")
+            if len(e) < 2:
+                raise EdgeSizeMismatch(f"edge {ln!r} has fewer than 2 vertices")
+        if e and (e[0] < 0 or e[-1] >= n):
+            raise VertexOutOfRange(f"edge {ln!r} leaves 0..{n - 1}")
+        if e in seen:
+            raise DuplicateEdge(f"edge {e} appears twice")
+        seen.add(e)
+        edges.append(e)
+    edges.sort()
+    if r == 0:
+        sizes = {len(e) for e in edges}
+        r = sizes.pop() if len(sizes) == 1 else 0
+    return Hypergraph(n=n, edges=tuple(edges), uniformity=r or None)

@@ -22,7 +22,7 @@ from bergelab.generators import (
     steiner_triple,
     tight_path_hypergraph,
 )
-from bergelab.hypergraph import Hypergraph, average_degree, is_linear
+from bergelab.hypergraph import Hypergraph, average_degree, cover_lists, is_linear
 from bergelab.lengthcontrol import length_controlled_search, threshold_met
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
@@ -143,8 +143,8 @@ class TestAcceptance:
                 run = fd.skeleton_sweep(H, 1)
                 if run is not None:
                     claimed.update(run.lengths())
-            counts = fd._codegree_subsets(H)
-            if counts and min(counts.values()) >= 2:
+            covers = cover_lists(H.edges, 2)
+            if covers and min(map(len, covers.values())) >= 2:
                 for w in fd.min_codegree_cycles(H, 1):
                     claimed.add(w.length)
             assert claimed <= set(spec.lengths), (H.edges, claimed, spec.lengths)
@@ -305,7 +305,7 @@ class TestAcceptance:
             out = fd.split_by_codegree(H, k)
             if isinstance(out, fd.DenseCore):
                 sub, _ = H.restrict(out.edge_ids)
-                assert min(fd._codegree_subsets(sub).values()) >= k + 1
+                assert min(map(len, cover_lists(sub.edges, r - 1).values())) >= k + 1
             else:
                 marks = [m for _, m, _ in out.entries]
                 assert len(set(marks)) == len(marks)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import finder as fd
+from bergelab import hypergraph as hg
 from bergelab.certify import verify_cycle
+from bergelab.cli import main as cli_main
 from bergelab.errors import NotLinear, PreconditionUnmet
 from bergelab.generators import (
     complete_r,
@@ -21,6 +23,7 @@ from bergelab.hypergraph import (
     cover_lists,
     covered_vertices,
     edge_components,
+    serialize,
 )
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
@@ -151,8 +154,7 @@ class TestSplitByCodegree:
         out = fd.split_by_codegree(H, k)
         if isinstance(out, fd.DenseCore):
             sub, _ = H.restrict(out.edge_ids)
-            counts = fd._codegree_subsets(sub)
-            assert min(counts.values()) >= k + 1
+            assert min(map(len, cover_lists(sub.edges, r - 1).values())) >= k + 1
         else:
             assert len(out.entries) * k >= len(H.edges)
             marks = [m for _, m, _ in out.entries]
@@ -281,6 +283,61 @@ class TestDownEdges:
         run = fd.cycles_from_down_edges(H, sk, 2, 2)
         check_run(H, run, 2)
         assert run.lengths()[0] <= 4  # a <= 2i with i = 2
+
+
+def forest_special_path_fixture():
+    """Three-level fixture whose level-3 down class meets the (k+2)|L_i|
+    bound for k = 1 exactly: 24 pairs on the 8 leaves 20..27, through six
+    co-neighbors under vertex 1 (color 1) and five under vertex 2 (color 2).
+    The color-1 graph is a star from 20 plus the path 21-...-27, and the
+    first color-2 pair is (20, 21), so the color-1 graph minus 20 is a tree."""
+    aux = iter(range(30, 100))
+    ones = {
+        4: [(20, 22), (23, 24), (25, 26)],
+        5: [(20, 23), (21, 22), (24, 25), (26, 27)],
+        6: [(20, 24), (22, 23)],
+        7: [(20, 25)],
+        8: [(20, 26)],
+        9: [(20, 27)],
+    }
+    twos = {
+        10: [(20, 21), (22, 24), (23, 25)],
+        11: [(21, 23), (22, 25), (24, 26)],
+        12: [(21, 24), (22, 26), (25, 27)],
+        13: [(21, 25), (23, 26)],
+        14: [(21, 26)],
+    }
+    edges = [(0, 1, next(aux)), (0, 2, next(aux)), (1, 3, next(aux))]
+    edges += [(1, c, next(aux)) for c in ones] + [(2, c, next(aux)) for c in twos]
+    edges += [(3, v, next(aux)) for v in range(20, 28)]  # the leaves hang under 3
+    for c, matching in {**ones, **twos}.items():
+        edges += [(c, u, w) for u, w in matching]
+    return Hypergraph.from_edges(100, edges, uniformity=3)
+
+
+class TestDownEdgesForest:
+    """find --k 1 asks special_path for p = 2 where the color-1 graph minus
+    x is a forest; the greedy path from the color-2 edge serves."""
+
+    def test_sweep_finds_run(self):
+        H = forest_special_path_fixture()
+        sk = build_skeleton(H, 0)
+        cls = classify_levels(H, sk)
+        assert sk.levels[3] == tuple(range(20, 28)) and len(cls.down[3]) == 24
+        assert all(len(cls.down[i]) < 3 * len(sk.levels[i]) for i in (1, 2))
+        run = fd.skeleton_sweep(H, 1)
+        check_run(H, run, 1)
+        assert run.shortest_bound == 6
+
+    def test_find_k1(self, tmp_path, capsys):
+        path = tmp_path / "forest.hg"
+        path.write_text(serialize(forest_special_path_fixture()))
+        wit = tmp_path / "w.jsonl"
+        argv = ["find", "--k", "1", "--input", str(path), "--emit-witnesses", str(wit)]
+        assert cli_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1:] and err == ""
+        assert cli_main(["verify", "--input", str(path), "--witnesses", str(wit)]) == 0
 
 
 def pair_route_fixture(swap=False):
@@ -730,6 +787,7 @@ class TestFindGeneral3:
             return real(edges, k)
 
         monkeypatch.setattr(fd, "cover_lists", counted)
+        monkeypatch.setattr(hg, "cover_lists", counted)  # codegree_covers' builder
         fd.find_general_3(steiner_triple(31), 2)
         assert len(calls) == 1
 

@@ -21,6 +21,8 @@ from bergelab.errors import (
 )
 from bergelab.generators import random_linear_r
 
+from naive import naive_parse
+
 FANO = [
     (0, 1, 2),
     (0, 3, 4),
@@ -103,6 +105,23 @@ class TestFromEdges:
         assert hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 3)]).uniformity is None
 
 
+def random_hypergraph(rng, kind):
+    """A random canonical hypergraph: "uniform" (r = 2..5), "mixed" (sizes
+    2..4, so usually r = 0), "no-edges" (m = 0) or "no-vertices" (n = 0)."""
+    if kind == "no-vertices":
+        return hg.Hypergraph(0, (), rng.choice((None, 2, 3)))
+    n = rng.randrange(5, 12)
+    sizes = [rng.randrange(2, 6)] if kind in ("uniform", "no-edges") else [2, 3, 4]
+    if kind == "no-edges":
+        return hg.Hypergraph.from_edges(n, [], uniformity=sizes[0])
+    universe = [s for size in sizes for s in combinations(range(n), size)]
+    m = min(len(universe), rng.randrange(1, 16))
+    return hg.Hypergraph.from_edges(n, rng.sample(universe, m))
+
+
+KINDS = ("uniform", "mixed", "no-edges", "no-vertices")
+
+
 class TestSerialize:
     def test_round_trip_examples(self):
         for H in (fano(), complete3(5), hg.parse("0 5 2\n0 1\n0 1 2 3\n")):
@@ -118,6 +137,143 @@ class TestSerialize:
         edges = {tuple(sorted(t)) for t in triples if len(set(t)) == 3 and max(t) < n}
         H = hg.Hypergraph.from_edges(n, sorted(edges))
         assert hg.parse(hg.serialize(H)) == H
+
+    @given(st.integers(0, 10**6), st.sampled_from(KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_kinds(self, seed, kind):
+        H = random_hypergraph(random.Random(seed), kind)
+        assert hg.parse(hg.serialize(H)) == H
+
+    @given(st.integers(0, 10**6), st.sampled_from(("uniform", "no-edges")))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_read_in_bulk(self, seed, kind):
+        H = random_hypergraph(random.Random(seed), kind)
+        with mock.patch.object(hg, "_parse_lines", side_effect=AssertionError("per-line")):
+            assert hg.parse(hg.serialize(H)) == H
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and message are the contract
+        return type(exc), str(exc)
+
+
+def mutate(rng, text, n):
+    """One edit of a serialized document, as a list of lines: the
+    anomalies the per-line reader has to accept or name."""
+    lines = text.split("\n")
+    if len(lines) > 1 and lines[-1] == "":
+        lines.pop()
+    body = range(1, len(lines))
+    kind = rng.choice((
+        "blank", "crlf", "tab", "double-space", "out-of-order", "bad-token",
+        "negative", "out-of-range", "duplicate-last", "wrong-m", "short-line",
+        "long-line", "r0", "leading-zero", "plus", "no-final-newline",
+        "odd-whitespace", "leading-space", "r1", "repeated-vertex", "shift-token",
+    ))
+    head = lines[0].split(" ")
+
+    def edit_token(fn):
+        if body:
+            i = rng.choice(body)
+            toks = lines[i].split(" ")
+            j = rng.randrange(len(toks))
+            toks[j] = fn(toks[j])
+            lines[i] = " ".join(toks)
+
+    if kind == "blank":
+        lines.insert(rng.randrange(1, len(lines) + 1), rng.choice(("", "  ", "\t")))
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind in ("tab", "double-space", "odd-whitespace") and body:
+        i = rng.choice((0,) + tuple(body))
+        odd = rng.choice(("\x0b", "\x1c", "\xa0", "\x85"))
+        sep = {"tab": "\t", "double-space": "  "}.get(kind, odd)
+        lines[i] = lines[i].replace(" ", sep, 1)
+    elif kind == "out-of-order" and body:
+        i = rng.choice(body)
+        lines[i] = " ".join(lines[i].split(" ")[::-1])
+    elif kind == "bad-token":
+        edit_token(lambda t: rng.choice(("x", "1.5", "", "٣")))
+    elif kind == "negative":
+        edit_token(lambda t: "-" + t)
+    elif kind == "out-of-range":
+        edit_token(lambda t: str(n + rng.randrange(2)))
+    elif kind == "duplicate-last" and body:
+        lines[-1] = " ".join(lines[1].split(" ")[::-1])
+    elif kind == "wrong-m" and len(head) == 3:
+        head[2] = str(int(head[2]) + rng.choice((-1, 1)))
+    elif kind == "short-line" and body:
+        i = rng.choice(body)
+        lines[i] = " ".join(lines[i].split(" ")[:-1])
+    elif kind == "long-line" and body:
+        i = rng.choice(body)
+        lines[i] += " " + str(rng.randrange(max(n, 1)))
+    elif kind == "r0":
+        head[0] = "0"
+    elif kind == "leading-zero":
+        edit_token(lambda t: "0" + t)
+    elif kind == "plus":
+        edit_token(lambda t: "+" + t)
+    elif kind == "no-final-newline":
+        return "\n".join(lines)
+    elif kind == "leading-space" and body:
+        i = rng.choice(body)
+        lines[i] = " " + lines[i]
+    elif kind == "r1":
+        head[0] = "1"
+    elif kind == "repeated-vertex" and body:
+        i = rng.choice(body)
+        toks = lines[i].split(" ")
+        lines[i] = " ".join(toks[:-1] + toks[:1])
+    elif kind == "shift-token" and len(lines) > 2:
+        # a token moves to the next line: the token count still matches
+        i = rng.randrange(1, len(lines) - 1)
+        toks = lines[i].split(" ")
+        lines[i] = " ".join(toks[:-1])
+        lines[i + 1] += " " + toks[-1]
+    if kind in ("wrong-m", "r0", "r1"):
+        lines[0] = " ".join(head)
+    return "\n".join(lines) + "\n"
+
+
+class TestParseMatchesPerLineLoop:
+    """`parse` (bulk reader, then per-line fallback) against `naive_parse`
+    (the per-line loop alone): the same hypergraph, or the same exception
+    type and message, on serialized random hypergraphs and edits of them."""
+
+    @given(st.integers(0, 10**6), st.sampled_from(KINDS), st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_differential(self, seed, kind, edits):
+        rng = random.Random(seed)
+        H = random_hypergraph(rng, kind)
+        text = hg.serialize(H)
+        for _ in range(edits):
+            text = mutate(rng, text, H.n)
+        got = parse_outcome(hg.parse, text)
+        assert got == parse_outcome(naive_parse, text)
+        if edits == 0:
+            assert got == H
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "", "\n", "3 4 1", "3 4 0", "3 4 0\n", "0 4 0\n", "2 0 0\n",
+            "3 4 1\n0 1 2", "3 4 1\n0 1 2\n\n", "3 4 1\n0 1 2\r\n",
+            "3 4 1\n00 1 2\n", "3 4 1\n0 01 2\n", "+3 4 1\n0 1 2\n", "3 +4 1\n0 1 2\n",
+            "3 4 1\n0 1 4\n", "3 4 1\n0 1 3 \n", "3 4 1\n 0 1 3\n", "3 4 2\n0 1 2\n0 1 2\n",
+            "3 4 2\n0 1 3\n0 1 2\n", "3 4 1\n0 1\n", "3 4 1\n0 1 2 3\n",
+            "3 4 1\n0 1 1\n", "3 4 1\n0  1 2\n", "3 4 1\n0 1\x1c2\n", "3 4 1\x1c0 1 2\n",
+            "3 4 1\n0 1 2\n5\n", "3\x1c 4 1\n0 1 2\n", "1 4 1\n0 1\n", "3 4 -1\n",
+            "3 4 1\n٠ 1 2\n", "3 4 1\n0 1 2" + "0" * 5000 + "\n", "9" * 30 + " 4 0\n",
+            "2 3 3\n0 1\n0 2\n1 2\n", "4 6 2\n0 1 2 3\n2 3 4 5\n",
+            "3 6 2\n0 1 2 3\n4 5\n", "3 6 2\n0 1\n2 3 4 5\n", "3 4 1\n0 1 2\n5",
+            "3 4 1\n0 1 2\n55", "3 4 1\n0 1 2\n\n55",
+        ],
+    )
+    def test_edge_documents(self, text):
+        assert parse_outcome(hg.parse, text) == parse_outcome(naive_parse, text)
 
 
 class TestProfile:
@@ -193,6 +349,71 @@ class TestIsLinear:
         twin = hg.Hypergraph.from_edges(n, sorted(edges))
         assert hg.is_linear(twin) is want
         assert hg.profile(twin).is_linear is want
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(3, 5),
+        st.sampled_from(("random", "linear", "near-linear", "split", "prefix")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_all_pairs(self, seed, r, kind):
+        rng = random.Random(seed)
+        n = rng.randrange(r + 2, 30)
+        if kind == "random":
+            universe = list(combinations(range(min(n, 9)), r))
+            m = rng.randrange(1, min(12, len(universe) + 1))
+            H = hg.Hypergraph.from_edges(n, rng.sample(universe, m))
+        else:
+            H, _ = random_linear_r(n, r, rng.randrange(1, 3 * n), seed=seed)
+        if kind == "near-linear" and H.edges:
+            # one more edge, sorted last, through a pair of the last edge and
+            # fresh vertices: the scan meets the shared pair at the very end
+            last = H.edges[-1]
+            H = hg.Hypergraph.from_edges(
+                n + r - 2, H.edges + (last[:2] + tuple(range(n, n + r - 2)),)
+            )
+        if kind == "split":
+            r = 3
+            H, _ = random_linear_r(n, 3, rng.randrange(1, 3 * n), seed=seed)
+            if rng.random() < 0.5 and len(H.edges) > 1:  # a shared pair
+                a, b, _ = H.edges[0]
+                H = hg.Hypergraph.from_edges(n + 1, H.edges + ((a, b, n),))
+            fd.split_by_codegree(H, rng.randrange(1, 4))
+            assert H._linear is not None  # recorded by the split
+        if kind == "prefix":
+            with mock.patch.object(fd, "skeleton_sweep", wraps=fd.skeleton_sweep) as sweep:
+                fd.find_linear_r(H, 1)
+            H = sweep.call_args.args[0]  # the 3-prefix graph, linear by construction
+            assert H._linear is not None
+        want = all(len(set(a) & set(b)) <= 1 for a, b in combinations(H.edges, 2))
+        fresh = hg.Hypergraph(H.n, H.edges, H.uniformity)
+        assert hg.is_linear(H) is want
+        assert hg.is_linear(fresh) is want
+        if kind == "near-linear" and H.edges:
+            assert not want
+
+    def test_prefix_3graph(self):
+        H4 = hg.Hypergraph.from_edges(9, [(0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8)])
+        H3 = hg.prefix_3graph(H4)
+        assert H3.edges == ((0, 1, 2), (0, 4, 5), (1, 4, 7)) and H3.uniformity == 3
+        assert H3._linear is True and H3.n == 9
+        G = fano()
+        assert hg.prefix_3graph(G) is G
+        for bad in (complete3(4), hg.Hypergraph.from_edges(6, combinations(range(6), 4))):
+            with pytest.raises(PreconditionUnmet):
+                hg.prefix_3graph(bad)
+        with pytest.raises(PreconditionUnmet):
+            hg.prefix_3graph(hg.Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]))
+
+    def test_codegree_covers(self):
+        K = complete3(5)
+        covers = hg.codegree_covers(K)
+        assert covers == hg.cover_lists(K.edges, 2) and K._linear is False
+        H4 = hg.Hypergraph.from_edges(6, combinations(range(6), 4))
+        assert hg.codegree_covers(H4) == hg.cover_lists(H4.edges, 3)
+        assert H4._linear is None  # only a 3-graph's cover count decides it
+        with pytest.raises(PreconditionUnmet):
+            hg.codegree_covers(hg.Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]))
 
     def test_builds_no_pair_index(self):
         H, K = fano(), complete3(5)

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergelab import pathtools as pt
@@ -46,6 +46,8 @@ class TestSpecialPath:
         cg = colored(edges, twos=[(0, 5)])
         out = pt.special_path(cg, 2)
         check_special(cg, out, 2)
+        # G_1 minus x = 0 keeps the 4-clique's cycles: spliced, not greedy
+        assert out.vertices == (5, 0, 1, 3, 2)
 
     def test_matching_precondition(self):
         cg = colored([(0, 1), (2, 3), (4, 5), (0, 2)], twos=[(0, 2)])
@@ -57,7 +59,21 @@ class TestSpecialPath:
         with pytest.raises(PreconditionUnmet):
             pt.special_path(cg, 1)
 
+    def test_p2_forest_after_deleting_x(self):
+        # d(G_1) = 3 exactly, and G_1 minus x = 0 (the first end of the
+        # color-2 edge) is the path 1-2-...-7: no cycle to splice onto
+        path = [(v, v + 1) for v in range(1, 7)]
+        star = [(0, v) for v in range(2, 8)]
+        cg = colored(path + star + [(0, 1)], twos=[(0, 1)])
+        assert 2 * len(cg.color_class(1)) == 3 * cg.graph.n
+        out = pt.special_path(cg, 2)
+        check_special(cg, out, 2)
+        assert out.vertices == (1, 0, 2, 3, 4, 5, 6, 7)
+        with pytest.raises(PreconditionUnmet):
+            pt.special_path(cg, 3)  # d(G_1) = 3 < 4
+
     @given(st.integers(0, 10**6), st.integers(2, 4))
+    @example(seed=31885, p=2)  # G_1 - x is a tree
     @settings(max_examples=120, deadline=None)
     def test_postcondition_random(self, seed, p):
         rng = random.Random(seed)
