@@ -25,11 +25,15 @@ dropped and the closing pair is normalised. A hit is always a real cycle of
 that free-prefix invariant, which the exact Turán search keeps by adding
 an edge only to a family already checked free.
 
-Set-up. The pair covers and the sorted shadow adjacency live in a
+Set-up. The pair covers, the sorted shadow adjacency, the count of edges
+that are not pairs and one `Matcher` over the covers live in a
 `KernelState` that follows pushes and pops of edges. A call syncs it to
 `edges` by their longest common prefix, so a caller whose calls differ by
 a few trailing edges (the Turán search, one state per search) pays only
-for those edges; a caller without a state gets a fresh one.
+for those edges; a caller without a state gets a fresh one. Every length
+searches with the state's matcher, which each search leaves empty; a
+search stopped by the budget leaves pairs pushed, so the state gets a new
+matcher then. Nodes are counted in a plain local.
 """
 
 from __future__ import annotations
@@ -48,17 +52,23 @@ class _Budget(Exception):
 class KernelState:
     """The kernel's view of an edge list, kept current under push and pop:
     `edges` (a stack), `covers` (pair -> positions in `edges` of the edges
-    covering it, in edge order, as `cover_lists(edges, 2)` gives) and `adj`
-    (per vertex, its sorted shadow neighbours)."""
+    covering it, in edge order, as `cover_lists(edges, 2)` gives), `adj`
+    (per vertex, its sorted shadow neighbours), `wide` (how many edges are
+    not pairs) and `matcher`, the one `Matcher` over `covers` that every
+    call searches with. The matcher is empty between calls."""
 
     def __init__(self, n: int):
         self.edges: list[tuple[int, ...]] = []
         self.covers: dict[tuple[int, ...], list[int]] = {}
         self.adj: list[list[int]] = [[] for _ in range(n)]
+        self.wide = 0
+        self.matcher = Matcher(self.covers)
 
     def push(self, e: tuple[int, ...]) -> None:
         i = len(self.edges)
         self.edges.append(e)
+        if len(e) != 2:
+            self.wide += 1
         for p in combinations(e, 2):
             ids = self.covers.get(p)
             if ids is None:
@@ -71,6 +81,8 @@ class KernelState:
 
     def pop(self) -> None:
         e = self.edges.pop()
+        if len(e) != 2:
+            self.wide -= 1
         for p in combinations(e, 2):
             ids = self.covers[p]
             ids.pop()  # the top edge's position is the last of each list
@@ -145,21 +157,16 @@ def spectrum_search(
     live.sync(edges)
     cov = live.covers
     adj = live.adj
-    caps = _bipartite_caps(n, adj) if all(len(e) == 2 for e in edges) else None
+    m = live.matcher
+    push, pop, assign = m.push, m.pop, m.assign
+    caps = None if live.wide else _bipartite_caps(n, adj)
     anchors = list(combinations(through, 2)) if through is not None else None
-
-    state = {"nodes": 0, "exhausted": False}
-    limit = budget
-
-    def spend() -> None:
-        state["nodes"] += 1
-        if state["nodes"] > limit:
-            state["exhausted"] = True
-            raise _Budget
-
+    nodes = 0
     hits = []
 
     def search_length(L: int):
+        nonlocal nodes
+
         def can_start(v: int) -> bool:
             # two shadow neighbours, and room for L when v's component is
             # bipartite (caps[v] == 0 exactly when it is not)
@@ -167,15 +174,15 @@ def spectrum_search(
                 caps is None or not caps[v] or (L % 2 == 0 and L <= caps[v])
             )
 
-        m = Matcher(cov)
         path = [0] * L
         used = [False] * n
         floor = -1  # later spine vertices exceed it: path[0] unless anchored
 
         def dfs(depth: int):
+            nonlocal nodes
             last = path[depth - 1]
-            v1 = path[0]
             if depth == L:
+                v1 = path[0]
                 if anchors is not None:
                     closing = (v1, last) if v1 < last else (last, v1)
                 elif path[1] < last:
@@ -183,24 +190,27 @@ def spectrum_search(
                 else:
                     return None
                 if closing in cov:
-                    spend()
-                    if m.push(closing):
-                        result = (tuple(path), tuple(m.assign))  # copy now
-                        m.pop()
+                    nodes += 1
+                    if nodes > budget:
+                        raise _Budget
+                    if push(closing):
+                        result = (tuple(path), tuple(assign))  # copy now
+                        pop()
                         return result
                 return None
             for w in adj[last]:
                 if w <= floor or used[w]:
                     continue
-                spend()
-                pair = (last, w) if last < w else (w, last)
-                if not m.push(pair):
+                nodes += 1
+                if nodes > budget:
+                    raise _Budget
+                if not push((last, w) if last < w else (w, last)):
                     continue
                 path[depth] = w
                 used[w] = True
                 found = dfs(depth + 1)
                 used[w] = False
-                m.pop()
+                pop()
                 if found:
                     return found
             return None
@@ -209,14 +219,16 @@ def spectrum_search(
             for a, b in anchors:
                 if not can_start(a):
                     continue
-                spend()
-                if not m.push((a, b)):
+                nodes += 1
+                if nodes > budget:
+                    raise _Budget
+                if not push((a, b)):
                     continue
                 path[0], path[1] = a, b
                 used[a] = used[b] = True
                 found = dfs(2)
                 used[a] = used[b] = False
-                m.pop()
+                pop()
                 if found:
                     return found
             return None
@@ -232,15 +244,15 @@ def spectrum_search(
                 return found
         return None
 
-    lo = max(min_len, 3)
+    exhausted = False
     try:
-        for L in range(lo, max_len + 1):
+        for L in range(max(min_len, 3), max_len + 1):
             if L > n or L > len(edges):
                 break
             found = search_length(L)
             if found:
-                spine, assign = found
-                hits.append((L, spine, assign))
+                hits.append((L, *found))
     except _Budget:
-        pass
-    return hits, state["nodes"], state["exhausted"]
+        exhausted = True
+        live.matcher = Matcher(cov)  # the search left pairs pushed
+    return hits, nodes, exhausted

@@ -116,19 +116,19 @@ class Matcher:
         self.trails: list[Optional[list[tuple[int, Optional[int], int]]]] = []
 
     def push(self, pair: tuple[int, int]) -> bool:
-        d = len(self.pair_at)
-        self.pair_at.append(pair)
         cs = self.covers.get(pair)
         if cs and cs[0] not in self.owner:
             e = cs[0]
+            self.owner[e] = len(self.pair_at)
+            self.pair_at.append(pair)
             self.assign.append(e)
-            self.owner[e] = d
             self.trails.append(None)
             return True
+        d = len(self.pair_at)
+        self.pair_at.append(pair)
         self.assign.append(None)
         trail: list[tuple[int, Optional[int], int]] = []
-        ok = self._augment(d, set(), trail)
-        if ok:
+        if self._augment(d, set(), trail):
             self.trails.append(trail)
             return True
         self.pair_at.pop()
@@ -150,24 +150,20 @@ class Matcher:
 
     def pop(self) -> None:
         trail = self.trails.pop()
-        if trail is None:
-            del self.owner[self.assign.pop()]
-            self.pair_at.pop()
-            return
-        touched_d = set()
-        for d, old, new in trail:
-            touched_d.add(d)
-            self.owner.pop(new, None)
-            if old is not None:
-                self.owner.pop(old, None)
-        for d, old, _ in reversed(trail):
-            self.assign[d] = old
-        top = len(self.pair_at) - 1
-        for d in touched_d:
-            if d != top and self.assign[d] is not None:
-                self.owner[self.assign[d]] = d
         self.pair_at.pop()
-        self.assign.pop()
+        e = self.assign.pop()
+        if trail is None:
+            del self.owner[e]
+            return
+        # the trail is the augmenting path from its far end: trail[0] took
+        # a free edge, which is freed again, and each step moved pair d from
+        # `old` to `new`, so d gets `old` back (the top pair's step, with
+        # old None, went with the pops above)
+        del self.owner[trail[0][2]]
+        for d, old, _ in trail:
+            if old is not None:
+                self.assign[d] = old
+                self.owner[old] = d
 
 
 def extend(H: Hypergraph, pairs: Iterable[tuple[int, int]]) -> Optional[Extension]:

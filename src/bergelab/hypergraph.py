@@ -18,8 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from operator import lt
+from itertools import chain, combinations
+from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -61,25 +61,22 @@ class Hypergraph:
         """Canonicalize and validate an edge collection.
 
         `uniformity` only matters for an empty edge list; otherwise it is
-        recomputed and, if given, every edge must have that size.
+        recomputed and, if given, every edge must have that size. Edges of
+        one size are checked in bulk; any anomaly, and any input with mixed
+        sizes, goes through `_canonical_edges`, so the first bad edge is
+        named as that per-edge loop names it.
         """
-        canon: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for raw in edges:
-            raw = tuple(raw)
-            e = tuple(sorted(set(raw)))
-            if len(e) != len(raw):
-                raise MalformedLine(f"edge {raw} repeats a vertex")
-            if len(e) < 2:
-                raise EdgeSizeMismatch(f"edge {e} has fewer than 2 vertices")
-            if e[0] < 0 or e[-1] >= n:
-                raise VertexOutOfRange(f"edge {e} leaves 0..{n - 1}")
-            if e in seen:
-                raise DuplicateEdge(f"edge {e} appears twice")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
-        sizes = {len(e) for e in canon}
+        raws: list[tuple] = []
+        try:
+            for raw in edges:
+                raws.append(tuple(raw))
+        except Exception:
+            _canonical_edges(n, raws)  # a bad edge before the failure comes first
+            raise
+        canon = _bulk_edges(n, raws)
+        if canon is None:
+            canon = _canonical_edges(n, raws)
+        sizes = set(map(len, canon))
         if uniformity is not None and sizes - {uniformity}:
             raise EdgeSizeMismatch(
                 f"declared uniformity {uniformity}, edges have sizes {sorted(sizes)}"
@@ -123,6 +120,55 @@ class DegreeProfile:
     average_degree: Fraction
     min_degree: int
     is_linear: bool
+
+
+def _bulk_edges(n: int, raws: list[tuple]) -> Optional[list[tuple[int, ...]]]:
+    """The sorted edge list when the edges all have one size r >= 2, have
+    distinct vertices in 0..n-1 and appear once; None on anything else."""
+    if not raws:
+        return []
+    r = len(raws[0])
+    if r < 2 or len(set(map(len, raws))) != 1:
+        return None
+    try:
+        # fresh tuples even for edges given sorted, as the per-edge loop
+        # made them: keeping the caller's tuples alive made later `find`
+        # runs in the same process 8-12 % slower on a 2-vCPU host, through
+        # the heap layout they leave
+        canon = list(map(tuple, map(sorted, raws)))
+        flat = list(chain.from_iterable(canon))
+        # column i of the edges is flat[i::r]: each must lie below the next
+        distinct = all(all(map(lt, flat[i::r], flat[i + 1 :: r])) for i in range(r - 1))
+        if not distinct or min(flat[0::r]) < 0 or max(flat[r - 1 :: r]) >= n:
+            return None
+        canon.sort()
+    except TypeError:  # vertices that do not compare with each other or with ints
+        return None
+    if any(map(eq, canon, canon[1:])):
+        return None
+    return canon
+
+
+def _canonical_edges(n: int, raws: Iterable[tuple]) -> list[tuple[int, ...]]:
+    """The sorted edge list, edge by edge: raises on the first edge that
+    repeats a vertex, has fewer than 2 vertices, leaves 0..n-1 or repeats an
+    earlier edge."""
+    canon: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for raw in raws:
+        e = tuple(sorted(set(raw)))
+        if len(e) != len(raw):
+            raise MalformedLine(f"edge {raw} repeats a vertex")
+        if len(e) < 2:
+            raise EdgeSizeMismatch(f"edge {e} has fewer than 2 vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise VertexOutOfRange(f"edge {e} leaves 0..{n - 1}")
+        if e in seen:
+            raise DuplicateEdge(f"edge {e} appears twice")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    return canon
 
 
 def parse(text: str) -> Hypergraph:

@@ -13,22 +13,35 @@ edge, so the answers are filed under e's position p. Two closure facts
 make a filed answer reusable:
 
 - a Berge cycle persists in every superset, so when the check of e finds
-  a cycle, the mask of its other edges is filed in `cycles[p]`, and a
-  later check of p whose family contains a filed mask is "not free";
+  a cycle, the mask c of its other edges is a nogood of p, and a later
+  check of p whose family contains c is "not free";
 - Berge-ell-freeness is closed under subsets, so when the check passes,
-  the family's mask is filed in `free[p]`, and a later check of p whose
-  family lies inside a filed mask is "free".
+  the family's mask is filed under p, and a later check of p whose family
+  lies inside a filed mask is "free".
 
-The lists are append-only and scanned newest first. A mask that a later
-one makes redundant is left in place: it can never decide a check the
-later mask would not decide the same way.
+Nogoods are watched, as literals are in SAT solvers (Moskewicz et al.,
+"Chaff", DAC 2001). Positions enter `chosen` in increasing order, so c
+lies in `chosen` exactly while its largest position q does and q's entry
+found the rest of c there. A nogood is filed under q, grouped by mask;
+when q enters, one mask test per group arms the group's positions p
+(`armed[p] += 1`), and when q leaves they are disarmed. A nogood filed
+during a check is armed at once. The check at p is then `armed[p] > 0`.
+Free masks are indexed by position instead: the masks filed under p are
+numbered, and `free[p][i]` is the bitset of those holding position i, so
+the masks holding the whole family are the AND of its positions' bitsets,
+taken with an early exit at zero. Both indexes keep every mask they are
+given; a mask a later one makes redundant is left in place, as it can
+never decide a check the later mask would not decide the same way.
 
-Only a check that neither list decides calls the kernel, so every check
-answers exactly as the kernel would, and the search's value, node count
-and extremal example do not depend on the cache. A kernel witness is
-checked against the family before it is filed, because from then on it
-decides later answers. The `ell == 2` check and the final check of the
-extremal example bypass the cache.
+Only a check that neither the armed count nor the free masks decide calls
+the kernel, so every check answers exactly as the kernel would, and the
+search's value, node count and extremal example do not depend on the
+cache. A kernel witness is checked against the family before it is
+filed, because from then on it decides later answers. The `ell == 2`
+check and the final check of the extremal example bypass the cache.
+Every kernel call of one search, the final check included, runs on one
+`KernelState`: its pair covers and shadow follow `chosen` by pushes and
+pops, and its one `Matcher` is reused, empty, from call to call.
 """
 
 from __future__ import annotations
@@ -93,6 +106,17 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     if budget < 0:
         raise PreconditionUnmet(f"budget {budget} is negative")
     universe = list(combinations(range(n), r))
+    # Frontier table. Edge e at position p brings in its vertices >= the
+    # frontier in order exactly when the frontier is at least start[p], the
+    # first vertex of e's last run of consecutive ids; the frontier then
+    # becomes past[p] (e's largest vertex + 1) or stays where it is.
+    start: list[int] = []
+    for e in universe:
+        i = len(e) - 1
+        while i and e[i - 1] == e[i] - 1:
+            i -= 1
+        start.append(e[i])
+    past = [e[-1] + 1 for e in universe]
     per_edge_pairs = comb(r, 2)
     total_pairs = comb(n, 2)
     best: list[tuple[int, ...]] = []
@@ -100,32 +124,46 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     exhausted = False
     chosen: list[tuple[int, ...]] = []
     chosen_pos: list[int] = []  # universe position of each chosen edge
-    # per position p: masks of the other edges of a cycle through p, and
-    # masks of families with top edge p known free. Both are append-only;
-    # lookups scan the newest first.
-    cycles: list[list[int]] = [[] for _ in universe]
-    free: list[list[int]] = [[] for _ in universe]
+    # Cycle nogoods, watched at their largest position q: watch[q] maps a
+    # mask to the positions p it is a nogood of. armed[p] counts the nogoods
+    # of p inside `chosen`, and armed_at[q] holds the watch lists armed
+    # while q is in `chosen`. Free masks: the k-th mask filed for p sets
+    # bit k of free[p][i] for each of its positions i; nfree[p] counts them.
+    watch: list[dict[int, list[int]]] = [{} for _ in universe]
+    armed = [0] * len(universe)
+    armed_at: list[list[list[int]]] = [[] for _ in universe]
+    free: list[dict[int, int]] = [{} for _ in universe]
+    nfree = [0] * len(universe)
     kernel_calls = cache_hits = 0
     live = KernelState(n)  # follows `chosen` from one kernel call to the next
 
-    def chosen_free(p: int, mask: int) -> bool:
-        """`chosen`, whose last edge sits at p and whose bitmask is `mask`,
-        has no Berge ell-cycle; chosen[:-1] is known free."""
+    def chosen_free(p: int) -> bool:
+        """`chosen`, whose last edge sits at p, has no Berge ell-cycle;
+        chosen[:-1] is known free."""
         nonlocal kernel_calls, cache_hits
         if ell == 2:
             return no_pair_twice(chosen)
-        for c in reversed(cycles[p]):
-            if c & mask == c:
-                cache_hits += 1
-                return False
-        for f in reversed(free[p]):
-            if mask & f == mask:
+        if armed[p]:
+            cache_hits += 1
+            return False
+        holders = free[p]
+        if holders:
+            alive = -1  # the free masks of p holding every chosen position
+            for i in chosen_pos:
+                alive &= holders.get(i, 0)
+                if not alive:
+                    break
+            else:
                 cache_hits += 1
                 return True
         kernel_calls += 1
         found = _find_cycle(n, chosen, ell, live, universe[p])
         if found is None:
-            free[p].append(mask)
+            bit = 1 << nfree[p]
+            nfree[p] += 1
+            holders = free[p]
+            for i in chosen_pos:
+                holders[i] = holders.get(i, 0) | bit
             return True
         spine, assign = found
         if (
@@ -137,7 +175,16 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
                 "turan freeness check",
                 f"kernel witness {spine} / {assign} is not a Berge {ell}-cycle",
             )
-        cycles[p].append(sum(1 << chosen_pos[ei] for ei in assign if chosen_pos[ei] != p))
+        # the other edges lie in `chosen`, so the nogood is armed at once
+        # and disarmed when its watch q leaves
+        c = sum(1 << chosen_pos[ei] for ei in assign if chosen_pos[ei] != p)
+        q = c.bit_length() - 1
+        group = watch[q].get(c)
+        if group is None:
+            watch[q][c] = group = []
+            armed_at[q].append(group)
+        group.append(p)  # a known group was armed when q entered
+        armed[p] += 1
         return False
 
     def dfs(pos: int, frontier: int, used_pairs: int, mask: int) -> None:
@@ -159,16 +206,24 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
                 return
         elif len(chosen) + remaining <= len(best):
             return
-        e = universe[pos]
-        fresh = [v for v in e if v >= frontier]
-        ordered = fresh == list(range(frontier, frontier + len(fresh)))
-        if ordered:
-            chosen.append(e)
+        if frontier >= start[pos]:
+            chosen.append(universe[pos])
             chosen_pos.append(pos)
             # chosen[:-1] passed this check when each edge was kept
-            grown = mask | 1 << pos
-            if chosen_free(pos, grown):
-                dfs(pos + 1, frontier + len(fresh), used_pairs + per_edge_pairs, grown)
+            if chosen_free(pos):
+                # arm the nogoods watched here that `chosen` now holds
+                grown = mask | 1 << pos
+                log = armed_at[pos]
+                for c, group in watch[pos].items():
+                    if c & grown == c:
+                        for p in group:
+                            armed[p] += 1
+                        log.append(group)
+                dfs(pos + 1, max(frontier, past[pos]), used_pairs + per_edge_pairs, grown)
+                for group in log:
+                    for p in group:
+                        armed[p] -= 1
+                log.clear()
             chosen_pos.pop()
             chosen.pop()
         dfs(pos + 1, frontier, used_pairs, mask)

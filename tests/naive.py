@@ -13,7 +13,8 @@ cursor; and `naive_build_skeleton` / `naive_classify_levels`, the
 skeleton build and level classification with the generic per-edge loops
 they had before they unpacked each edge's three vertices; and
 `naive_parse`, the `.hg` reader's per-line loop as it was before canonical
-documents were read in bulk.
+documents were read in bulk; and `naive_from_edges`, `Hypergraph.from_edges`
+as the per-edge loop it was before edges of one size were checked in bulk.
 """
 
 from __future__ import annotations
@@ -383,3 +384,40 @@ def naive_parse(text):
         sizes = {len(e) for e in edges}
         r = sizes.pop() if len(sizes) == 1 else 0
     return Hypergraph(n=n, edges=tuple(edges), uniformity=r or None)
+
+
+def naive_from_edges(n, edges, uniformity=None):
+    """`Hypergraph.from_edges` as one per-edge loop: same hypergraph, same
+    exception and message for the first bad edge."""
+    from bergelab.errors import (
+        DuplicateEdge,
+        EdgeSizeMismatch,
+        MalformedLine,
+        VertexOutOfRange,
+    )
+    from bergelab.hypergraph import Hypergraph
+
+    canon = []
+    seen = set()
+    for raw in edges:
+        raw = tuple(raw)
+        e = tuple(sorted(set(raw)))
+        if len(e) != len(raw):
+            raise MalformedLine(f"edge {raw} repeats a vertex")
+        if len(e) < 2:
+            raise EdgeSizeMismatch(f"edge {e} has fewer than 2 vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise VertexOutOfRange(f"edge {e} leaves 0..{n - 1}")
+        if e in seen:
+            raise DuplicateEdge(f"edge {e} appears twice")
+        seen.add(e)
+        canon.append(e)
+    canon.sort()
+    sizes = {len(e) for e in canon}
+    if uniformity is not None and sizes - {uniformity}:
+        raise EdgeSizeMismatch(
+            f"declared uniformity {uniformity}, edges have sizes {sorted(sizes)}"
+        )
+    if sizes:
+        uniformity = sizes.pop() if len(sizes) == 1 else None
+    return Hypergraph(n=n, edges=tuple(canon), uniformity=uniformity)

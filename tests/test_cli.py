@@ -243,6 +243,50 @@ class TestOtherCommands:
         assert code == 2
 
 
+# The input contract, one row per command line: "STS13" stands for a file
+# holding STS(13). A row with exit 2 names its one stderr line; a row with
+# exit 0 names the value `turan` prints.
+CONTRACT = [
+    (["find", "--k", "0", "--input", "STS13"], 2, "--k must be at least 1"),
+    (["find", "--k", "-2", "--input", "STS13"], 2, "--k must be at least 1"),
+    (
+        ["skeleton", "--root", "99", "--input", "STS13"], 2,
+        "precondition unmet: root 99 out of range",
+    ),
+    (
+        ["skeleton", "--root", "-1", "--input", "STS13"], 2,
+        "precondition unmet: root -1 out of range",
+    ),
+    (
+        ["gen", "--family", "steinerTriple", "--n", "2"], 2,
+        "precondition unmet: Steiner triple systems need n = 1 or 3 mod 6, got 2",
+    ),
+    (
+        ["gen", "--family", "steinerTriple", "--n", "8"], 2,
+        "precondition unmet: Steiner triple systems need n = 1 or 3 mod 6, got 8",
+    ),
+    (["turan", "--n", "5", "--r", "3", "--ell", "9"], 0, "10"),  # C(5, 3): no 9-cycle fits
+    (["turan", "--n", "4", "--r", "7", "--ell", "3"], 0, "0"),  # no 7-set in 4 vertices
+]
+
+
+class TestInputContract:
+    """Values a command must refuse with exit 2 and one line, and trivial
+    values it must accept, so that no change moves either silently."""
+
+    @pytest.mark.parametrize("argv,code,expected", CONTRACT, ids=[" ".join(r[0]) for r in CONTRACT])
+    def test_row(self, capsys, tmp_path, argv, code, expected):
+        sts = tmp_path / "sts13.hg"
+        run_cli(["gen", "--family", "steinerTriple", "--n", "13", "--out", str(sts)], capsys)
+        got, out, err = run_cli([str(sts) if a == "STS13" else a for a in argv], capsys)
+        assert got == code
+        if code == 2:
+            assert err == expected + "\n" and out == ""
+        else:
+            assert err == ""
+            assert out.splitlines()[1].split(",")[3] == expected
+
+
 # One document per parse error, with the message it must report.
 BAD_INPUTS = {
     "MalformedLine": ("garbage line\n", "header must be 'r n m'"),

@@ -21,7 +21,7 @@ from bergelab.errors import (
 )
 from bergelab.generators import random_linear_r
 
-from naive import naive_parse
+from naive import naive_from_edges, naive_parse
 
 FANO = [
     (0, 1, 2),
@@ -103,6 +103,100 @@ class TestFromEdges:
         with pytest.raises(EdgeSizeMismatch, match="declared uniformity 3"):
             hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 3)], uniformity=3)
         assert hg.Hypergraph.from_edges(4, [(0, 1, 2), (0, 3)]).uniformity is None
+
+
+@st.composite
+def _edge_input(draw):
+    """(n, edges, uniformity, one_shot): edges of one size r in 0..n-1, in
+    any vertex and edge order, then edits that each break one rule: a
+    repeated vertex, an edge of size 1, an out-of-range id, a duplicate
+    edge, an edge of another size, an empty edge; uniformity is None, r or
+    another size;
+    one_shot passes edges and each edge as iterators."""
+    n = draw(st.integers(0, 9))
+    r = draw(st.integers(2, 4))
+    universe = list(combinations(range(n), r))
+    edges = []
+    if universe:
+        edges = [list(e) for e in draw(st.lists(st.sampled_from(universe), unique=True))]
+    rng = draw(st.randoms())
+    for e in edges:
+        rng.shuffle(e)
+    edits = draw(st.lists(
+        st.sampled_from(["repeat", "size1", "range", "duplicate", "mixed", "empty-edge"]),
+        max_size=2,
+    ))
+    for kind in edits:
+        at = draw(st.integers(0, len(edges)))
+        if kind == "repeat":
+            bad = [draw(st.integers(0, max(n - 1, 0)))] * 2 + list(range(r - 2))
+        elif kind == "size1":
+            bad = [draw(st.integers(-1, n))]
+        elif kind == "range":
+            bad = list(range(r - 1)) + [draw(st.sampled_from([-1, n, n + 3]))]
+        elif kind == "duplicate" and edges:
+            bad = list(reversed(draw(st.sampled_from(edges))))
+        elif kind == "mixed":
+            bad = list(range(min(n, draw(st.sampled_from([2, 3, 5])))))
+        else:
+            bad = []
+        edges.insert(at, bad)
+    uniformity = draw(st.sampled_from([None, r, r + 1]))
+    return n, edges, uniformity, draw(st.booleans())
+
+
+def from_edges_outcome(build, n, edges, uniformity, one_shot):
+    if one_shot:
+        edges = iter([iter(e) for e in edges])
+    try:
+        return build(n, edges, uniformity)
+    except Exception as exc:  # the type and message are the contract
+        return type(exc), str(exc)
+
+
+class TestFromEdgesMatchesPerEdgeLoop:
+    """`from_edges` (bulk checks, then the per-edge loop on any anomaly)
+    against `naive_from_edges` (the loop alone): the same hypergraph, or the
+    same exception type and message naming the same first bad edge."""
+
+    @given(_edge_input())
+    @settings(max_examples=400, deadline=None)
+    def test_differential(self, case):
+        got = from_edges_outcome(hg.Hypergraph.from_edges, *case)
+        assert got == from_edges_outcome(naive_from_edges, *case)
+
+    @pytest.mark.parametrize(
+        "n,edges,uniformity",
+        [
+            (5, [], None), (5, [], 3), (0, [], None), (5, [(0, 1, 2), (1, 1, 2)], None),
+            (5, [(3,)], None), (5, [()], 2), (5, [(0, 1, 5)], None), (5, [(0, -1, 2)], None),
+            (5, [(2, 1, 0), (0, 2, 1)], None), (5, [(0, 1, 2), (0, 3)], 3),
+            (5, [(0, 1, 2), (0, 3)], None), (5, [(0, 1), (2, 3)], 3),
+            (5, [(0.5, 1, 2)], None), (5, [("a", "b")], None), (5, [(0, "b")], None),
+            (5, [(0, 1, 1), ("a", "b", 1)], None), (5, [(True, 1, 2)], None),
+        ],
+    )
+    def test_edge_inputs(self, n, edges, uniformity):
+        for one_shot in (False, True):
+            case = (n, edges, uniformity, one_shot)
+            got = from_edges_outcome(hg.Hypergraph.from_edges, *case)
+            assert got == from_edges_outcome(naive_from_edges, *case)
+
+    def test_failing_iterator_after_a_bad_edge(self):
+        # the edge read before the iterator fails is reported first, as the
+        # per-edge loop reports it
+        def edges():
+            yield (0, 0, 1)
+            raise ValueError("source failed")
+
+        for build in (hg.Hypergraph.from_edges, naive_from_edges):
+            with pytest.raises(MalformedLine, match=r"edge \(0, 0, 1\) repeats"):
+                build(3, edges())
+
+    def test_combinations(self):
+        got = hg.Hypergraph.from_edges(6, combinations(range(6), 3))
+        assert got == naive_from_edges(6, combinations(range(6), 3))
+        assert got.uniformity == 3
 
 
 def random_hypergraph(rng, kind):

@@ -143,9 +143,17 @@ def _state_script(draw):
     return n, draw(st.lists(op, max_size=30))
 
 
+def _matcher_empty(live):
+    m = live.matcher
+    return m.covers is live.covers and not (m.pair_at or m.assign or m.owner or m.trails)
+
+
 class TestKernelState:
     """The live state the Turán search hands the kernel equals a fresh
-    build of its edge list after every push, pop and sync."""
+    build of its edge list after every push, pop and sync. Every call
+    searches with the state's one matcher and leaves it empty: after a
+    found cycle, a free answer and a call the budget stops, the next call
+    returns what a fresh state returns."""
 
     @given(_state_script())
     @settings(max_examples=150, deadline=None)
@@ -168,8 +176,39 @@ class TestKernelState:
             assert live.adj == [
                 sorted({w for e in edges if v in e for w in e if w != v}) for v in range(n)
             ]
+            assert live.wide == sum(len(e) != 2 for e in edges)
         fresh = spectrum_search(n, edges, 3, n, _KERNEL_BUDGET)
         assert spectrum_search(n, edges, 3, n, _KERNEL_BUDGET, None, live) == fresh
+        assert _matcher_empty(live)
+
+    # K_5^(3) has Berge cycles of every length 3..5, the loose path on 7
+    # vertices has none
+    CYCLIC = list(combinations(range(5), 3))
+    ACYCLIC = [(0, 1, 2), (2, 3, 4), (4, 5, 6)]
+
+    def test_empty_after_each_kind_of_call(self):
+        live = KernelState(7)
+        calls = [
+            (self.CYCLIC, 3, 5, 10**6),  # found cycles
+            (self.ACYCLIC, 3, 7, 10**6),  # free
+            (self.CYCLIC, 3, 5, 2),  # the budget stops it mid-search
+            (self.CYCLIC, 3, 5, 10**6),
+            (self.CYCLIC[:4], 3, 5, 3),
+            (self.ACYCLIC, 3, 7, 10**6),
+        ]
+        for edges, lo, hi, budget in calls:
+            got = spectrum_search(7, edges, lo, hi, budget, None, live)
+            assert got == spectrum_search(7, edges, lo, hi, budget)
+            assert _matcher_empty(live)
+        hits, _, exhausted = spectrum_search(7, self.CYCLIC, 3, 5, 2, None, live)
+        assert exhausted and not hits
+
+    def test_anchored_calls_leave_it_empty(self):
+        live = KernelState(7)
+        for budget in (10**6, 1, 10**6):
+            got = spectrum_search(7, self.CYCLIC, 3, 3, budget, (2, 3, 4), live)
+            assert got == spectrum_search(7, self.CYCLIC, 3, 3, budget, (2, 3, 4))
+            assert _matcher_empty(live)
 
 
 class TestExactness:
@@ -289,6 +328,16 @@ class TestCheckCache:
         # makes redundant must not change which checks reach the kernel
         rec = turan_exhaustive(n, r, ell)
         assert (rec.kernel_calls, rec.cache_hits) == counters
+
+    @pytest.mark.parametrize(
+        "n,r,ell,row",
+        [(8, 3, 5, (9, 164638, True, 24604, 123929)), (9, 3, 4, (7, 157505, True, 15218, 125879))],
+    )
+    def test_deep_rows_pinned(self, n, r, ell, row):
+        # over 120,000 freeness checks each, nearly all decided by the
+        # watched cycle nogoods and the free masks
+        rec = turan_exhaustive(n, r, ell)
+        assert (rec.value, rec.nodes, rec.exact, rec.kernel_calls, rec.cache_hits) == row
 
     def test_ell_2_calls_no_kernel(self, monkeypatch):
         calls = _counting_kernel(monkeypatch)
