@@ -12,12 +12,14 @@ returned, and dichotomies surface their counting as exact inequalities.
 
 The sweep never recomputes components. `_SweepComponents` builds them once
 and keeps them under deletion: each iteration pops the densest component
-from a heap, reads only the incidence lists of the tree it builds, and
-splits what the deletion left by lockstep probes that stop as soon as a
-single probe is still running, so only the smaller pieces are explored.
-A sweep costs O(m log m) for the heaps plus the probes plus the skeleton
-and classification work, which is proportional to the edges deleted; the
-component picks, roots and trees are those of a full recompute.
+from a heap, builds a skeleton over the alive edges (the build reads each
+alive edge meeting the tree once and files it as a tree image or in its
+level class), deletes exactly the edges the build read, and splits what
+the deletion left by lockstep probes that stop as soon as a single probe
+is still running, so only the smaller pieces are explored. A sweep costs
+O(m log m) for the heaps plus the probes plus the skeleton work, which is
+proportional to the edges deleted; the component picks, roots and trees
+are those of a full recompute.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .certify import BergeCycleWitness, verify_cycle
 from .errors import (
@@ -55,7 +57,6 @@ from .pathtools import (
     tripartite_ladder,
 )
 from .skeleton import (
-    LevelEdgeClasses,
     Skeleton,
     build_skeleton,
     classify_levels,
@@ -172,20 +173,12 @@ def _close_through_tree(
 # the two per-level routes
 
 
-def cycles_from_down_edges(
-    H: Hypergraph,
-    sk: Skeleton,
-    i: int,
-    k: int,
-    classes: Optional[LevelEdgeClasses] = None,
-) -> ConsecutiveRun:
+def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> ConsecutiveRun:
     """Run of k consecutive lengths from a heavy down-class at level i
     (edges with two vertices in L_i and one in L_{i-1}); shortest <= 2i."""
-    if classes is None:
-        classes = classify_levels(H, sk)
     if k < 1 or i < 1 or i > sk.height:
         raise PreconditionUnmet("need k >= 1 and a level inside the tree")
-    down = classes.down[i]
+    down = classify_levels(H, sk).down[i]
     li = len(sk.levels[i])
     if len(down) < (k + 2) * li:
         raise PreconditionUnmet(f"need |down_{i}| >= {(k + 2) * li}, have {len(down)}")
@@ -240,21 +233,15 @@ def cycles_from_down_edges(
 
 
 def cycles_or_level_bound(
-    H: Hypergraph,
-    sk: Skeleton,
-    i: int,
-    k: int,
-    classes: Optional[LevelEdgeClasses] = None,
+    H: Hypergraph, sk: Skeleton, i: int, k: int
 ) -> Union[ConsecutiveRun, LevelEdgeBound]:
     """The level dichotomy: either a run with shortest length <= 2i+2, or a
     certificate that the within/up classes at level i are sparse."""
-    if classes is None:
-        classes = classify_levels(H, sk)
     if k < 1 or i < 1 or i > sk.height:
         raise PreconditionUnmet("need k >= 1 and a level inside the tree")
-    within = classes.within[i] if i < len(classes.within) else ()
-    up = classes.up[i] if i < len(classes.up) else ()
-    ids = sorted(within) + sorted(up)
+    classes = classify_levels(H, sk)
+    within, up = classes.within[i], classes.up[i]
+    ids = [*within, *up]
     li = len(sk.levels[i])
     li1 = len(sk.levels[i + 1]) if i + 1 <= sk.height else 0
     bound = Fraction(7 * k, 2) * li + li + (Fraction(5 * k, 2) + 2) * li1
@@ -406,13 +393,14 @@ def _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of):
 class _SweepComponents:
     """Components of the shadow of a 3-graph whose edges are only ever deleted.
 
-    Holds the alive edge set, each vertex's alive degree, and per component
-    label its edge count, vertex count and a lazy min-heap of its vertices
-    (entries whose vertex lost its edges or moved to another label are
-    dropped when they surface). One global heap orders the live components
-    by (-3|E|/|V|, smallest vertex); components are vertex-disjoint, so the
-    key is unique and each live label has exactly one entry, pushed after
-    its last change.
+    Holds the alive edge set (the active set each skeleton is built over;
+    the sweep deletes the edges that build read), each vertex's alive
+    degree, and per component label its edge count, vertex count and a
+    lazy min-heap of its vertices (entries whose vertex lost its edges or
+    moved to another label are dropped when they surface). One global
+    heap orders the live components by (-3|E|/|V|, smallest vertex);
+    components are vertex-disjoint, so the key is unique and each live
+    label has exactly one entry, pushed after its last change.
 
     The initial components come from one breadth-first walk over the
     incidence lists, started at each unlabelled vertex of positive degree
@@ -477,10 +465,6 @@ class _SweepComponents:
         smallest vertex; the label is off the heap until `delete`."""
         _, root, c = heapq.heappop(self.heap)
         return c, root
-
-    def incident(self, vertices: Iterable[int]) -> set[int]:
-        alive, inc = self.alive, self.inc
-        return {ei for v in vertices for ei in inc[v] if ei in alive}
 
     def delete(self, c: int, dead: set[int]) -> None:
         """Delete alive edges, all in component c, and relabel its pieces."""
@@ -568,16 +552,14 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     while comps.heap:
         c, root = comps.pop_densest()
         sk = build_skeleton(H, root, active_edges=comps.alive)
-        classes = classify_levels(H, sk, active_edges=comps.alive)
-        run = _levels_once(H, sk, k, classes)
+        run = _levels_once(H, sk, k)
         if run is not None:
             return run
-        vt = sk.tree_vertices()
-        incident = comps.incident(vt)
-        if len(incident) >= 7 * (k + 1) * len(vt):
+        incident, nt = sk.read_edges(), len(sk.parent)
+        if len(incident) >= 7 * (k + 1) * nt:
             raise InternalProofFailure(
                 "sweep counting",
-                f"{len(incident)} incident edges on a {len(vt)}-vertex tree "
+                f"{len(incident)} incident edges on a {nt}-vertex tree "
                 f"despite certified levels",
             )
         comps.delete(c, incident)
@@ -588,12 +570,13 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     return None
 
 
-def _levels_once(H, sk, k, classes) -> Optional[ConsecutiveRun]:
+def _levels_once(H, sk, k) -> Optional[ConsecutiveRun]:
+    down = classify_levels(H, sk).down
     for i in range(1, sk.height + 1):
-        if len(classes.down[i]) >= (k + 2) * len(sk.levels[i]):
-            return cycles_from_down_edges(H, sk, i, k, classes)
+        if len(down[i]) >= (k + 2) * len(sk.levels[i]):
+            return cycles_from_down_edges(H, sk, i, k)
     for i in range(1, sk.height + 1):
-        res = cycles_or_level_bound(H, sk, i, k, classes)
+        res = cycles_or_level_bound(H, sk, i, k)
         if isinstance(res, ConsecutiveRun):
             return res
     return None
@@ -745,28 +728,22 @@ def min_codegree_cycles(H: Hypergraph, k: int) -> list[BergeCycleWitness]:
     if not covers or min(len(ids) for ids in covers.values()) < k + 1:
         raise PreconditionUnmet(f"minimum nonzero co-degree below {k + 1}")
     index_of = {e: i for i, e in enumerate(H.edges)}
-    # tails and heads lie on the path, so an edge covering one offers only
-    # the vertex it adds
+    # grow the tail, then the head as the tail of the reversed path; a tail
+    # lies on the path, so an edge covering it offers only the vertex it adds
     path = list(H.edges[0])
     onpath = set(path)
-    grown = True
-    while grown:
-        grown = False
-        tail = tuple(sorted(path[-(r - 1) :]))
-        cands = sorted(w for i in covers.get(tail, ()) for w in H.edges[i] if w not in onpath)
-        if cands:
-            path.append(cands[0])
-            onpath.add(cands[0])
-            grown = True
-    grown = True
-    while grown:
-        grown = False
-        head = tuple(sorted(path[: r - 1]))
-        cands = sorted(w for i in covers.get(head, ()) for w in H.edges[i] if w not in onpath)
-        if cands:
-            path.insert(0, cands[0])
-            onpath.add(cands[0])
-            grown = True
+    for _ in range(2):
+        while True:
+            tail = tuple(sorted(path[-(r - 1) :]))
+            w = min(
+                (x for i in covers.get(tail, ()) for x in H.edges[i] if x not in onpath),
+                default=None,
+            )
+            if w is None:
+                break
+            path.append(w)
+            onpath.add(w)
+        path.reverse()
     m = len(path) - r + 1
     if m < k + 1:
         raise InternalProofFailure("tight path", f"maximal length {m} below k+1")
@@ -952,30 +929,32 @@ def _derandomized_good_set(H: Hypergraph, entries):
     touch = cover_lists([H.edges[ei] for ei, _ in entries], 1)
     state: dict[int, bool] = {}
 
-    def prob(idx) -> Fraction:
+    def weight(idx) -> int:
+        """27 times the chance that entry idx ends good, 2^a * 3^(3-a-b)
+        with a (b) its undecided mark (third) vertices, or 0."""
         mark, t = info[idx]
-        p = Fraction(1)
+        w = 27
         for v in mark:
             if v in state:
                 if not state[v]:
-                    return Fraction(0)
+                    return 0
             else:
-                p *= Fraction(2, 3)
+                w = w // 3 * 2
         if t in state:
             if state[t]:
-                return Fraction(0)
+                return 0
         else:
-            p *= Fraction(1, 3)
-        return p
+            w //= 3
+        return w
 
     for (v,), idxs in sorted(touch.items()):
-        gain_in = gain_out = Fraction(0)
+        gain_in = gain_out = 0
         for idx in idxs:
-            base = prob(idx)
+            base = weight(idx)
             state[v] = True
-            gain_in += prob(idx) - base
+            gain_in += weight(idx) - base
             state[v] = False
-            gain_out += prob(idx) - base
+            gain_out += weight(idx) - base
             del state[v]
         state[v] = gain_in >= gain_out
     out = []

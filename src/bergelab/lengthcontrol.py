@@ -73,7 +73,7 @@ def length_controlled_search(
     core_min = min(core_deg.values())
     root = min(core_deg)
     sk = build_skeleton(H, root, active_edges=core_ids)
-    classes = classify_levels(H, sk, active_edges=core_ids)
+    classes = classify_levels(H, sk)
 
     run: Optional[ConsecutiveRun] = None
     levels: list[LevelReport] = []
@@ -85,10 +85,10 @@ def length_controlled_search(
         mass = len(classes.within[i]) + len(classes.up[i])
         certified = True
         if down > 2 * k * li:
-            run = cycles_from_down_edges(H, sk, i, k, classes)
+            run = cycles_from_down_edges(H, sk, i, k)
             certified = False
         elif mass > 4 * k * li + 4 * k * li1:
-            res = cycles_or_level_bound(H, sk, i, k, classes)
+            res = cycles_or_level_bound(H, sk, i, k)
             if isinstance(res, ConsecutiveRun):
                 run = res
                 certified = False

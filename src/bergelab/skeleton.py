@@ -1,11 +1,17 @@
 """Maximal extendable skeletons of 3-graphs.
 
 A skeleton is a tree in the shadow grown by a modified breadth-first
-search: scanning the queue-head vertex's unseen edges in canonical order,
+search: scanning the queue-head vertex's unread edges in canonical order,
 each edge either attaches one new vertex (and is consumed as that tree
-edge's image) or is discarded. Level sets, the classification of the
-remaining incident edges into the three per-level classes, and the
-common-ancestor frame used by the cycle builders all live here.
+edge's image) or is classified on the spot. When the head u, on level l,
+reads an edge whose other two vertices are already in the tree, neither of
+them has been dequeued (it would have read the edge first), so both sit on
+level l or l + 1, and the edge goes to the one class the pair of levels
+names: within_l, up_l or down_{l+1}. The skeleton keeps what the build saw
+(its level map and the three class lists, which with the tree images are
+the edges it read), so no later step scans the tree's incidence lists
+again. The common-ancestor frame used by the cycle builders also lives
+here.
 """
 
 from __future__ import annotations
@@ -25,8 +31,13 @@ class Skeleton:
     parent: dict[int, int]            # vertex -> parent (root -> -1)
     edge_for: dict[Pair, int]         # tree edge -> consumed hyperedge index
     levels: tuple[tuple[int, ...], ...]
-    # vertex -> level, built once by level_of(); left out of __init__ and ==
-    _level_of: Optional[dict[int, int]] = field(
+    # What build_skeleton saw, left out of ==: per level its down, within
+    # and up edges in read order.
+    seen: tuple[list[list[int]], ...] = field(default=(), repr=False, compare=False)
+    # vertex -> level, from the build or built once by level_of()
+    _level_of: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
+    # the sorted classes, built once by classify_levels()
+    _classes: Optional[LevelEdgeClasses] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -47,6 +58,15 @@ class Skeleton:
     def tree_edge_images(self) -> set[int]:
         return set(self.edge_for.values())
 
+    def read_edges(self) -> set[int]:
+        """Every edge the build read: the tree images and the classified
+        edges, that is every active edge meeting the tree."""
+        out = self.tree_edge_images()
+        for lists in self.seen:
+            for ids in lists:
+                out.update(ids)
+        return out
+
     def tree_path(self, anc: int, v: int) -> list[int]:
         """Vertices from anc down to v along the tree; anc must be an ancestor."""
         up = path_to_root(self.parent, v)
@@ -62,7 +82,7 @@ class Skeleton:
 @dataclass(frozen=True)
 class LevelEdgeClasses:
     """Per level i: down (2 here + 1 below), within (all here),
-    up (2 here + 1 above); every surviving incident edge sits in exactly one.
+    up (2 here + 1 above); every non-tree edge the build read sits in exactly one.
     """
 
     down: tuple[tuple[int, ...], ...]
@@ -78,41 +98,45 @@ def path_to_root(parent: dict[int, int], v: int) -> list[int]:
     return path
 
 
-def _active_set(H: Hypergraph, active_edges: Optional[Iterable[int]]):
-    """Membership view of the active edge ids; a set is used as given."""
-    if active_edges is None:
-        return range(len(H.edges))
-    if isinstance(active_edges, (set, frozenset)):
-        return active_edges
-    return set(active_edges)
-
-
 def build_skeleton(
     H: Hypergraph, root: int, active_edges: Optional[Iterable[int]] = None
 ) -> Skeleton:
     """Run the modified BFS from `root` over the given (default: all) edges.
 
     Deterministic: edges are scanned in canonical index order and, when an
-    edge offers two new vertices, the smaller id is attached.
+    edge offers two new vertices, the smaller id is attached. An edge read
+    from the head u on level l whose other vertices x, y are both in the
+    tree has them on levels l or l + 1, as neither is dequeued yet: levels
+    (l, l) file it under within_l, (l, l + 1) under up_l and (l + 1, l + 1)
+    under down_{l+1}; any other pair raises ClassificationFailure.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("skeletons are built on 3-graphs")
     if not (0 <= root < H.n):
         raise PreconditionUnmet(f"root {root} out of range")
-    active = _active_set(H, active_edges)
+    if active_edges is None:
+        active = range(len(H.edges))
+    elif isinstance(active_edges, (set, frozenset)):
+        active = active_edges
+    else:
+        active = set(active_edges)
     inc = incidence(H)
     edges = H.edges
     parent: dict[int, int] = {root: -1}
     level: dict[int, int] = {root: 0}
     edge_for: dict[Pair, int] = {}
-    processed: set[int] = set()
+    read: set[int] = set()
+    down: list[list[int]] = [[]]
+    within: list[list[int]] = [[]]
+    up: list[list[int]] = [[]]
     q: deque[int] = deque([root])
     while q:
         u = q[0]
+        l = level[u]
         for ei in inc[u]:
-            if ei in processed or ei not in active:
+            if ei in read or ei not in active:
                 continue
-            processed.add(ei)
+            read.add(ei)
             a, b, c = edges[ei]
             # x < y are the edge's vertices other than u; the smaller fresh one is attached
             x, y = (b, c) if a == u else (a, c) if b == u else (a, b)
@@ -121,13 +145,28 @@ def build_skeleton(
             elif y not in parent:
                 v = y
             else:
+                lx, ly = level[x], level[y]
+                if lx == ly == l:
+                    within[l].append(ei)
+                elif lx == ly == l + 1:
+                    down[l + 1].append(ei)
+                elif (lx, ly) in ((l, l + 1), (l + 1, l)):
+                    up[l].append(ei)
+                else:
+                    raise ClassificationFailure(
+                        f"edge {ei} read from level {l} meets levels {lx} and {ly}"
+                    )
                 continue
             parent[v] = u
-            level[v] = level[u] + 1
+            level[v] = l + 1
             edge_for[(u, v) if u < v else (v, u)] = ei
             q.append(v)
+            if len(down) == l + 1:  # v opens a level
+                down.append([])
+                within.append([])
+                up.append([])
         q.popleft()
-    levels: list[list[int]] = [[] for _ in range(max(level.values()) + 1)]
+    levels: list[list[int]] = [[] for _ in down]
     for v, l in level.items():
         levels[l].append(v)
     return Skeleton(
@@ -135,65 +174,25 @@ def build_skeleton(
         parent=parent,
         edge_for=edge_for,
         levels=tuple(tuple(sorted(lv)) for lv in levels),
+        seen=(down, within, up),
+        _level_of=level,
     )
 
 
-def classify_levels(
-    H: Hypergraph, sk: Skeleton, active_edges: Optional[Iterable[int]] = None
-) -> LevelEdgeClasses:
-    """Assign every non-tree edge meeting the tree to its unique level class.
+def classify_levels(H: Hypergraph, sk: Skeleton) -> LevelEdgeClasses:
+    """The non-tree edges the build read, by level class.
 
-    Only the tree vertices' incidence lists are read, so the cost follows the
-    edges meeting the tree, not the size of `active_edges`.
+    `build_skeleton` files each edge as it reads it; this sorts every list
+    and pads them to height + 2 levels, once per skeleton.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("level classes are built on 3-graphs")
-    active = _active_set(H, active_edges)
-    tree_images = sk.tree_edge_images()
-    level_of = sk.level_of()
-    inc = incidence(H)
-    edges = H.edges
-    meeting = sorted({ei for v in level_of for ei in inc[v] if ei in active})
-    h = sk.height
-    down: list[list[int]] = [[] for _ in range(h + 2)]
-    within: list[list[int]] = [[] for _ in range(h + 2)]
-    up: list[list[int]] = [[] for _ in range(h + 2)]
-    residual: list[int] = []
-    for ei in meeting:
-        if ei in tree_images:
-            continue
-        a, b, c = edges[ei]
-        la, lb, lc = level_of.get(a), level_of.get(b), level_of.get(c)
-        if la is None or lb is None or lc is None:
-            residual.append(ei)
-            continue
-        # l is the level two of the vertices share, o the third vertex's level
-        if la == lb:
-            l, o = la, lc
-        elif la == lc:
-            l, o = la, lb
-        elif lb == lc:
-            l, o = lb, la
-        else:
-            residual.append(ei)
-            continue
-        if o == l:
-            within[l].append(ei)
-        elif o == l - 1:
-            down[l].append(ei)
-        elif o == l + 1:
-            up[l].append(ei)
-        else:
-            residual.append(ei)
-    if residual:
-        raise ClassificationFailure(
-            f"{len(residual)} incident edges fit no class: {residual[:5]}"
+    if sk._classes is None:
+        down, within, up = (
+            tuple(tuple(sorted(ids)) for ids in lists) + ((),) for lists in sk.seen
         )
-    return LevelEdgeClasses(
-        down=tuple(tuple(x) for x in down),
-        within=tuple(tuple(x) for x in within),
-        up=tuple(tuple(x) for x in up),
-    )
+        object.__setattr__(sk, "_classes", LevelEdgeClasses(down, within, up))
+    return sk._classes
 
 
 def frame_from_parent(

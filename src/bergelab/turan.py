@@ -117,8 +117,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
             i -= 1
         start.append(e[i])
     past = [e[-1] + 1 for e in universe]
-    per_edge_pairs = comb(r, 2)
-    total_pairs = comb(n, 2)
+    # for ell == 2 the edges cover disjoint pairs, so at most this many fit
+    pair_cap = comb(n, 2) // comb(r, 2)
     best: list[tuple[int, ...]] = []
     nodes = 0
     exhausted = False
@@ -187,48 +187,55 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         armed[p] += 1
         return False
 
-    def dfs(pos: int, frontier: int, used_pairs: int, mask: int) -> None:
-        nonlocal best, nodes, exhausted
-        if exhausted:
-            return
+    # Depth-first search as a loop, keep before skip: each node either keeps
+    # universe[pos] and descends, or moves on to the node that skips it.
+    # `stack` holds each kept edge's position and the frontier before it;
+    # a finished subtree drops the top edge and resumes with its skip node.
+    stack: list[tuple[int, int]] = []
+    pos = frontier = mask = 0
+    while True:
         nodes += 1
         if nodes > budget:
             exhausted = True
-            return
+            break
         if len(chosen) > len(best):
             best = list(chosen)
-        if pos == len(universe):
-            return
         remaining = len(universe) - pos
         if ell == 2:
-            cap = (total_pairs - used_pairs) // per_edge_pairs
-            if len(chosen) + min(cap, remaining) <= len(best):
-                return
-        elif len(chosen) + remaining <= len(best):
-            return
-        if frontier >= start[pos]:
+            remaining = min(remaining, pair_cap - len(chosen))
+        if pos < len(universe) and len(chosen) + remaining > len(best):
+            if frontier < start[pos]:
+                pos += 1
+                continue
             chosen.append(universe[pos])
             chosen_pos.append(pos)
             # chosen[:-1] passed this check when each edge was kept
             if chosen_free(pos):
                 # arm the nogoods watched here that `chosen` now holds
-                grown = mask | 1 << pos
+                mask |= 1 << pos
                 log = armed_at[pos]
                 for c, group in watch[pos].items():
-                    if c & grown == c:
+                    if c & mask == c:
                         for p in group:
                             armed[p] += 1
                         log.append(group)
-                dfs(pos + 1, max(frontier, past[pos]), used_pairs + per_edge_pairs, grown)
-                for group in log:
-                    for p in group:
-                        armed[p] -= 1
-                log.clear()
-            chosen_pos.pop()
-            chosen.pop()
-        dfs(pos + 1, frontier, used_pairs, mask)
-
-    dfs(0, 0, 0, 0)
+                stack.append((pos, frontier))
+                frontier = max(frontier, past[pos])
+                pos += 1
+                continue
+        elif stack:
+            pos, frontier = stack.pop()
+            log = armed_at[pos]
+            for group in log:
+                for p in group:
+                    armed[p] -= 1
+            log.clear()
+            mask ^= 1 << pos
+        else:
+            break
+        chosen_pos.pop()
+        chosen.pop()
+        pos += 1
     extremal = Hypergraph.from_edges(n, best, uniformity=r)
     if ell == 2:
         extremal_free = no_pair_twice(list(extremal.edges))

@@ -14,7 +14,9 @@ skeleton build and level classification with the generic per-edge loops
 they had before they unpacked each edge's three vertices; and
 `naive_parse`, the `.hg` reader's per-line loop as it was before canonical
 documents were read in bulk; and `naive_from_edges`, `Hypergraph.from_edges`
-as the per-edge loop it was before edges of one size were checked in bulk.
+as the per-edge loop it was before edges of one size were checked in bulk;
+and `naive_derandomized_good_set`, the good-set choice computed with
+`Fraction` probabilities, as it was before they became integer weights.
 """
 
 from __future__ import annotations
@@ -116,8 +118,7 @@ def naive_sweep(H, k):
         )
         root = min(covered_vertices(H, comp_ids))
         sk = fd.build_skeleton(H, root, active_edges=comp_ids)
-        classes = fd.classify_levels(H, sk, active_edges=comp_ids)
-        run = fd._levels_once(H, sk, k, classes)
+        run = fd._levels_once(H, sk, k)
         if run is not None:
             return run
         vt = sk.tree_vertices()
@@ -128,6 +129,48 @@ def naive_sweep(H, k):
     if guaranteed:
         raise InternalProofFailure("sweep exhaustion", "naive")
     return None
+
+
+def naive_derandomized_good_set(H, entries):
+    """`finder._derandomized_good_set` with exact `Fraction` probabilities."""
+    from bergelab.hypergraph import cover_lists
+
+    info = [(mark, next(v for v in H.edges[ei] if v not in mark)) for ei, mark in entries]
+    touch = cover_lists([H.edges[ei] for ei, _ in entries], 1)
+    state = {}
+
+    def prob(idx):
+        mark, t = info[idx]
+        p = Fraction(1)
+        for v in mark:
+            if v in state:
+                if not state[v]:
+                    return Fraction(0)
+            else:
+                p *= Fraction(2, 3)
+        if t in state:
+            if state[t]:
+                return Fraction(0)
+        else:
+            p *= Fraction(1, 3)
+        return p
+
+    for (v,), idxs in sorted(touch.items()):
+        gain_in = gain_out = Fraction(0)
+        for idx in idxs:
+            base = prob(idx)
+            state[v] = True
+            gain_in += prob(idx) - base
+            state[v] = False
+            gain_out += prob(idx) - base
+            del state[v]
+        state[v] = gain_in >= gain_out
+    out = []
+    for idx, (ei, mark) in enumerate(entries):
+        t = info[idx][1]
+        if all(state.get(v, False) for v in mark) and not state.get(t, False):
+            out.append((ei, mark))
+    return out
 
 
 def naive_split_by_codegree(H, k):

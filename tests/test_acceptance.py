@@ -247,8 +247,8 @@ class TestAcceptance:
             if not H.edges:
                 continue
             root = rng.randrange(n)
-            sk = build_skeleton(H, root)
-            classify_levels(H, sk)  # ClassificationFailure = nonempty residual
+            sk = build_skeleton(H, root)  # an edge in no class: ClassificationFailure
+            classify_levels(H, sk)
             assert len(sk.edge_for) == len(sk.tree_vertices()) - 1
         print(
             "\nACCEPTANCE 7: PASS - 500 random 3-graphs: empty residual and "

@@ -245,7 +245,7 @@ class TestOtherCommands:
 
 # The input contract, one row per command line: "STS13" stands for a file
 # holding STS(13). A row with exit 2 names its one stderr line; a row with
-# exit 0 names the value `turan` prints.
+# exit 0 or 3 names the value `turan` prints.
 CONTRACT = [
     (["find", "--k", "0", "--input", "STS13"], 2, "--k must be at least 1"),
     (["find", "--k", "-2", "--input", "STS13"], 2, "--k must be at least 1"),
@@ -267,6 +267,8 @@ CONTRACT = [
     ),
     (["turan", "--n", "5", "--r", "3", "--ell", "9"], 0, "10"),  # C(5, 3): no 9-cycle fits
     (["turan", "--n", "4", "--r", "7", "--ell", "3"], 0, "0"),  # no 7-set in 4 vertices
+    # 1,035 positions, deeper than Python's recursion limit: runs out of budget
+    (["turan", "--n", "46", "--r", "2", "--ell", "3", "--budget", "100000"], 3, "88"),
 ]
 
 

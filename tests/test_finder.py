@@ -28,7 +28,7 @@ from bergelab.hypergraph import (
 from bergelab.oracle import oracle_spectrum
 from bergelab.skeleton import build_skeleton, classify_levels
 
-from naive import naive_split_by_codegree, naive_sweep
+from naive import naive_derandomized_good_set, naive_split_by_codegree, naive_sweep
 
 
 def down_heavy_fixture(seed=0):
@@ -265,7 +265,7 @@ class TestDownEdges:
         cls = classify_levels(H, sk)
         assert len(cls.down[2]) == 48
         assert len(sk.levels[2]) == 12
-        run = fd.cycles_from_down_edges(H, sk, 2, 2, classes=cls)
+        run = fd.cycles_from_down_edges(H, sk, 2, 2)
         check_run(H, run, 2)
         assert run.shortest_bound == 4
         assert run.lengths() == (4, 5)
@@ -489,7 +489,7 @@ class TestDichotomyRoutes:
         sk = build_skeleton(H, 0)
         cls = classify_levels(H, sk)
         assert len(cls.down[4]) >= 4 * len(sk.levels[4])
-        run = fd.cycles_from_down_edges(H, sk, 4, 2, classes=cls)
+        run = fd.cycles_from_down_edges(H, sk, 4, 2)
         check_run(H, run, 2)
         # the common ancestor sits at level 2, so the run starts at 2(4-2)
         assert run.lengths() == (4, 5)
@@ -806,6 +806,38 @@ class TestFindGeneral3:
             spec = oracle_spectrum(H, H.n)
             for L in run.lengths():
                 assert L in spec.lengths
+
+
+@st.composite
+def marked_entries(draw):
+    """A random 3-graph and a random list of (edge, marked pair) entries."""
+    n = draw(st.integers(3, 9))
+    edges = draw(
+        st.lists(st.sampled_from(list(combinations(range(n), 3))), unique=True, min_size=1)
+    )
+    H = Hypergraph.from_edges(n, edges, uniformity=3)
+    picks = st.tuples(st.integers(0, len(H.edges) - 1), st.integers(0, 2))
+    entries = [
+        (ei, tuple(p for j, p in enumerate(H.edges[ei]) if j != drop))
+        for ei, drop in draw(st.lists(picks, max_size=25))
+    ]
+    return H, entries
+
+
+class TestDerandomizedGoodSet:
+    @given(marked_entries())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_probabilities(self, case):
+        H, entries = case
+        assert fd._derandomized_good_set(H, entries) == naive_derandomized_good_set(H, entries)
+
+    def test_meets_four_in_27(self):
+        # a star of edges {0, v, v+1}, each marked {0, v}: the chosen set keeps
+        # at least 4/27 of the entries good
+        H = Hypergraph.from_edges(40, [(0, v, v + 1) for v in range(1, 39, 2)], uniformity=3)
+        entries = [(ei, e[:2]) for ei, e in enumerate(H.edges)]
+        chosen = fd._derandomized_good_set(H, entries)
+        assert 27 * len(chosen) >= 4 * len(entries)
 
 
 class TestFindGeneralR:
