@@ -7,9 +7,12 @@ into a component/block that still satisfies it, then grow a maximal path
 and close it through crossing chords. For cycles, a stuck state (no
 closure) is resolved from chord candidates: the two end cycles, the best
 "straddle" cycle through both endpoints, and a cycle merging the end
-cycles through two disjoint connectors. These meet the m+1 bound for all
-m <= 6, which covers every caller here; an exact DP backs up small stuck
-instances and InternalProofFailure surfaces anything else.
+cycles through two disjoint connectors. That these meet the m+1 bound is
+checked, not proven: the tests draw random graphs for m <= 6 and graphs
+exactly at the density bound for m = 2..12. The finders pass m = k and
+m = 2k - 2 (through `pathtools.special_path`), so `find --k 7` already
+asks for m = 12; an exact DP backs up stuck instances of at most 12
+vertices and InternalProofFailure surfaces anything else.
 """
 
 from __future__ import annotations

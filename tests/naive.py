@@ -2,9 +2,10 @@
 
 These deliberately share no code with the package's search paths: spines
 are enumerated by raw permutation, assignments by exhaustive recursion.
-The exceptions are `naive_sweep`, the skeleton sweep's loop as it was before
-its components were kept under deletion: it recomputes every component on
-every iteration and reuses the package's per-skeleton steps; and
+The exceptions are `naive_sweep`, the skeleton sweep as a from-scratch
+loop: it looks for each root, the smallest vertex with an alive edge, and
+for the tree's incident edges by scanning every alive edge, and reuses the
+package's per-skeleton steps; and
 `naive_turan`, the exact Turán search as it was before freeness answers
 were filed: it calls the package's kernel for every check; and
 `naive_split_by_codegree`, the co-degree split with every (edge, subset)
@@ -99,25 +100,18 @@ def naive_shortest_cycle(adj_pairs, n):
 
 
 def naive_sweep(H, k):
-    """Skeleton sweep that recomputes the shadow components of all alive
-    edges on every iteration; Theta(iterations * m)."""
+    """Skeleton sweep that roots each skeleton at the smallest vertex with an
+    alive edge and finds the tree's incident edges by scanning every alive
+    edge; Theta(iterations * m)."""
     from bergelab import finder as fd
     from bergelab.errors import InternalProofFailure
-    from bergelab.hypergraph import average_degree, covered_vertices, edge_components
+    from bergelab.hypergraph import average_degree
 
     guaranteed = average_degree(H) >= 21 * (k + 1)
     alive = set(range(len(H.edges)))
     while alive:
-        comps = edge_components(H, sorted(alive))
-        comp_ids = max(
-            comps,
-            key=lambda ids: (
-                Fraction(3 * len(ids), len(covered_vertices(H, ids))),
-                -min(covered_vertices(H, ids)),
-            ),
-        )
-        root = min(covered_vertices(H, comp_ids))
-        sk = fd.build_skeleton(H, root, active_edges=comp_ids)
+        root = min(v for ei in alive for v in H.edges[ei])
+        sk = fd.build_skeleton(H, root, active_edges=alive)
         run = fd._levels_once(H, sk, k)
         if run is not None:
             return run

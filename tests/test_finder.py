@@ -21,7 +21,6 @@ from bergelab.hypergraph import (
     Hypergraph,
     average_degree,
     cover_lists,
-    covered_vertices,
     edge_components,
     serialize,
 )
@@ -600,8 +599,8 @@ def _sparse_union(seed):
 
 
 class TestSweepIdentity:
-    """The kept-under-deletion sweep picks the same components and roots, in
-    the same order, as the loop that recomputes every component."""
+    """The sweep builds the same skeletons, from the same roots in the same
+    order, as the from-scratch loop that scans every alive edge."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_sparse_unions(self, monkeypatch, seed):
@@ -629,46 +628,50 @@ class TestSweepIdentity:
             assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
 
     def test_run_found_after_sparse_components(self, monkeypatch):
-        # only the STS(13) part yields a run; both sweeps reach it by the same picks
+        # only the STS(13) part yields a run; both sweeps reach it by the same roots
         H = _union([_loose_path(30), steiner_triple(13), _loose_cycle(9)], 5)
         got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 1)
         assert got == _sweep_trace(monkeypatch, naive_sweep, H, 1)
         assert isinstance(got[1], fd.ConsecutiveRun)
 
 
-@st.composite
-def scattered_3graphs(draw):
-    """Random 3-graphs on a few vertex blocks plus isolated vertices, under
-    a random relabelling; blocks need not be connected or linear."""
-    blocks = draw(st.lists(st.integers(3, 7), min_size=1, max_size=5))
-    n = sum(blocks) + draw(st.integers(0, 6))
-    edges, base = [], 0
-    for size in blocks:
-        universe = list(combinations(range(base, base + size), 3))
-        edges += draw(st.lists(st.sampled_from(universe), unique=True, max_size=6))
-        base += size
-    relabel = draw(st.permutations(range(n)))
-    return Hypergraph.from_edges(n, [[relabel[v] for v in e] for e in edges], uniformity=3)
+class TestSweepGuarantee:
+    """The 21(k+1) count holds for any order of roots: the sparse parts on
+    the low labels are swept first, by vertex-disjoint trees whose incident
+    edges all go, and the STS(127) part on the highest labels still yields
+    the run the average degree guarantees."""
 
-
-class TestSweepComponentsInit:
-    @given(scattered_3graphs())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_edge_components(self, H):
-        comps = fd._SweepComponents(H)
-        groups = edge_components(H, range(len(H.edges)))
-        want_label = [-1] * H.n
-        for c, ids in enumerate(groups):
-            for v in covered_vertices(H, ids):
-                want_label[v] = c
-        assert comps.label == want_label
-        assert comps.n_edges == [len(ids) for ids in groups]
-        assert comps.n_verts == [len(covered_vertices(H, ids)) for ids in groups]
+    @pytest.mark.parametrize(
+        "sparse",
+        [
+            [_loose_path(8), _loose_cycle(6), _loose_cycle(9)],
+            [_loose_path(20), _loose_path(5)],
+            [_loose_cycle(3)] * 6,
+        ],
+    )
+    def test_dense_part_last(self, monkeypatch, sparse):
+        parts = sparse + [steiner_triple(127)]
+        edges, base = [], 0
+        for P in parts:
+            edges.extend(tuple(v + base for v in e) for e in P.edges)
+            base += P.n
+        H = Hypergraph.from_edges(base, edges, uniformity=3)
+        assert average_degree(H) >= 21 * (1 + 1)
+        trees, run = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 1)
+        assert isinstance(run, fd.ConsecutiveRun)  # not the "sweep exhaustion" repr
+        check_run(H, run, 1)
+        roots = [root for root, _ in trees]
+        assert max(roots[:-1]) < roots[-1] == base - 127  # the STS part comes last
+        seen = set()
+        for _, tree in trees:
+            assert seen.isdisjoint(tree)
+            seen.update(tree)
 
 
 class TestSweepWorkBound:
-    """Deterministic cost check: the component set-up the sweep hands to the
-    shadow primitives totals O(m), not O(iterations * m)."""
+    """Deterministic cost check: one skeleton per edge on a loose path, and
+    what the sweep's levels hand to the shadow primitives totals O(m), not
+    O(iterations * m)."""
 
     def test_natural_loose_path(self, monkeypatch):
         m = 3000

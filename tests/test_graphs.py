@@ -200,6 +200,24 @@ class TestLongPath:
         assert len(path) - 1 >= m + 1
 
 
+@st.composite
+def at_cycle_bound(draw):
+    """(G, m) with m in 2..12 and exactly floor(m(n-1)/2) + 1 edges: a random
+    clique pocket is filled first, then random pairs, under a relabelling."""
+    m = draw(st.integers(2, 12))
+    n = draw(st.integers(m + 1, m + 12))
+    pocket = draw(st.integers(0, n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    inside = list(combinations(range(pocket), 2))
+    outside = [p for p in combinations(range(n), 2) if p[1] >= pocket]
+    rng.shuffle(inside)
+    rng.shuffle(outside)
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    edges = [(relabel[a], relabel[b]) for a, b in (inside + outside)[: m * (n - 1) // 2 + 1]]
+    return gr.Graph.build(range(n), edges), m
+
+
 class TestLongCycle:
     def test_k4_hamilton(self):
         cyc = gr.long_cycle_from_density(complete_graph(4), 3)
@@ -257,8 +275,7 @@ class TestLongCycle:
     @given(st.integers(0, 10**6), st.integers(2, 6))
     @settings(max_examples=150, deadline=None)
     def test_bound_up_to_m6(self, seed, m):
-        # every in-package caller stays at m <= 6; the candidate set is
-        # guaranteed there, so no internal failure may surface
+        # random densities for small m; no internal failure may surface
         rng = random.Random(seed)
         n = rng.randrange(6, 15)
         G = random_graph(n, rng.uniform(0.3, 0.95), seed)
@@ -267,6 +284,19 @@ class TestLongCycle:
         cyc = gr.long_cycle_from_density(G, m)
         check_cycle(G, cyc)
         assert len(cyc) >= m + 1
+
+    @given(at_cycle_bound())
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_at_bound(self, drawn):
+        # e = floor(m(n-1)/2) + 1, the fewest edges the bound accepts; callers
+        # pass m = k and m = 2k - 2, so `find --k 7` reaches m = 12
+        G, m = drawn
+        assert 2 * G.e > m * (G.n - 1) >= 2 * (G.e - 1)
+        cyc = gr.long_cycle_from_density(G, m)
+        check_cycle(G, cyc)
+        assert len(cyc) >= m + 1
+        with pytest.raises(PreconditionUnmet):  # one edge fewer is below it
+            gr.long_cycle_from_density(gr.Graph.build(G.vertices, G.edges[1:]), m)
 
     @given(st.integers(0, 10**5), st.integers(1, 4), st.integers(2, 6))
     @settings(max_examples=80, deadline=None)
