@@ -215,34 +215,40 @@ def spectrum_search(
                     return found
             return None
 
-        if anchors is not None:
-            for a, b in anchors:
-                if not can_start(a):
+        # dfs calls itself through its closure cell, a cycle that would keep
+        # this search's state for the cyclic collector; emptying the cell on
+        # the way out leaves it all to reference counting
+        try:
+            if anchors is not None:
+                for a, b in anchors:
+                    if not can_start(a):
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise _Budget
+                    if not push((a, b)):
+                        continue
+                    path[0], path[1] = a, b
+                    used[a] = used[b] = True
+                    found = dfs(2)
+                    used[a] = used[b] = False
+                    pop()
+                    if found:
+                        return found
+                return None
+            for v1 in range(n):
+                if not can_start(v1):
                     continue
-                nodes += 1
-                if nodes > budget:
-                    raise _Budget
-                if not push((a, b)):
-                    continue
-                path[0], path[1] = a, b
-                used[a] = used[b] = True
-                found = dfs(2)
-                used[a] = used[b] = False
-                pop()
+                floor = v1
+                path[0] = v1
+                used[v1] = True
+                found = dfs(1)
+                used[v1] = False
                 if found:
                     return found
             return None
-        for v1 in range(n):
-            if not can_start(v1):
-                continue
-            floor = v1
-            path[0] = v1
-            used[v1] = True
-            found = dfs(1)
-            used[v1] = False
-            if found:
-                return found
-        return None
+        finally:
+            del dfs
 
     exhausted = False
     try:

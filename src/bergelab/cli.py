@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 precondition, 3 budget.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import (
@@ -228,12 +229,21 @@ def main(argv=None) -> int:
     if getattr(args, "k", None) is not None and args.cmd == "find" and args.k < 1:
         print("--k must be at least 1", file=sys.stderr)
         return EXIT_PRECONDITION
+    # `find` makes no reference cycles, so the cyclic collector could only
+    # rescan the caller's heap: it is paused for that command alone and
+    # restored as found on every exit
+    paused = args.cmd == "find" and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         return args.fn(args)
     except (BergelabError, OSError, UnicodeDecodeError) as exc:
         prefix, code = next(row for kind, *row in _ERRORS if isinstance(exc, kind))
         print(f"{prefix}{exc}", file=sys.stderr)
         return code
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ returned, and dichotomies surface their counting as exact inequalities.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -186,21 +187,25 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
             raise InternalProofFailure("linearity", f"pair {key} repeats in the down class")
         pair_to_edge[key] = ei
         third[key] = below
-    proj = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
+    # the keys are unique pairs (b, c) with b < c, so no re-validation
+    proj = Graph(
+        tuple(sorted({v for p in pair_to_edge for v in p})), tuple(sorted(pair_to_edge))
+    )
     comp = densest_component(proj)
     if comp.average_degree() < 2 * k + 4:
         raise InternalProofFailure("component density", f"d = {comp.average_degree()}")
-    conbrs = sorted({third[e] for e in comp.edges})
-    if len(conbrs) < 2:
+    per_conbr = Counter(map(third.__getitem__, comp.edges))
+    if len(per_conbr) < 2:
         raise InternalProofFailure("co-neighbors", "a single link must be a matching")
-    frame = frame_from_parent(sk.parent, conbrs)
+    frame = frame_from_parent(sk.parent, sorted(per_conbr))
     if frame is None:
         raise InternalProofFailure("ancestor frame", "co-neighbors on a single branch")
     anchor, color_of, _kids = frame
-    phi = {e: color_of[third[e]] for e in comp.edges}
-    if sum(1 for c in phi.values() if c == 2) > sum(1 for c in phi.values() if c == 1):
-        phi = {e: 3 - c for e, c in phi.items()}
-    cg = ColoredGraph(comp, phi)
+    # an edge takes its co-neighbour's colour; colour 1 names the larger class
+    twos = sum(cnt for t, cnt in per_conbr.items() if color_of[t] == 2)
+    if 2 * twos > comp.e:
+        color_of = {t: 3 - color_of[t] for t in per_conbr}
+    cg = ColoredGraph(comp, {e: color_of[third[e]] for e in comp.edges})
     try:
         sp = special_path(cg, k + 1)
     except PreconditionUnmet as exc:

@@ -188,59 +188,58 @@ def shortest_path(
 
 
 def blocks(G: Graph) -> list[tuple[Pair, ...]]:
-    """Biconnected components as edge tuples (iterative lowpoint algorithm)."""
+    """Biconnected components as tuples of G's own edges, each sorted.
+
+    One iterative lowpoint search (Hopcroft and Tarjan) with a vertex
+    stack: when a tree edge (p, u) closes a block, the vertices from u up
+    the stack are popped into it. Every vertex but a search root is popped
+    exactly once, and an edge lies in the block of its later-discovered
+    end, so one final pass over `G.edges` (sorted) fills each block in
+    sorted order without an edge stack or a sort. Blocks come in the order
+    they complete in the search, which takes roots in vertex order and
+    neighbours in adjacency order; `long_cycle_from_density` takes the
+    first block that meets its bound, so that order is part of the result.
+    """
     adj = G.adjacency()
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
-    out: list[tuple[Pair, ...]] = []
-    estack: list[Pair] = []
-    timer = 0
+    block_of: dict[int, int] = {}
+    vstack: list[int] = []
+    nblocks = 0
     for root in G.vertices:
         if root in disc:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [[root, -1, 0, False]]  # vertex, parent, next-neighbor ptr, parent seen
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]))]  # vertex, parent, neighbours left
         while stack:
-            frame = stack[-1]
-            u, pu, ptr, _ = frame
-            nbrs = adj[u]
-            pushed = False
-            while ptr < len(nbrs):
-                w = nbrs[ptr]
-                ptr += 1
-                if w == pu and not frame[3]:
-                    frame[3] = True
-                    continue
+            u, pu, nbrs = stack[-1]
+            for w in nbrs:
                 if w not in disc:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    estack.append(norm_edge(u, w))
-                    frame[2] = ptr
-                    stack.append([w, u, 0, False])
-                    pushed = True
+                    disc[w] = low[w] = len(disc)
+                    vstack.append(w)
+                    stack.append((w, u, iter(adj[w])))
                     break
-                if disc[w] < disc[u]:
-                    estack.append(norm_edge(u, w))
-                    if disc[w] < low[u]:
-                        low[u] = disc[w]
-            if pushed:
-                continue
-            frame[2] = ptr
-            stack.pop()
-            if pu != -1:
+                if disc[w] < low[u] and w != pu:
+                    low[u] = disc[w]
+            else:
+                stack.pop()
+                if pu is None:
+                    continue
                 if low[u] < low[pu]:
                     low[pu] = low[u]
                 if low[u] >= disc[pu]:
-                    blk: list[Pair] = []
-                    tree_edge = norm_edge(pu, u)
-                    while estack:
-                        e = estack.pop()
-                        blk.append(e)
-                        if e == tree_edge:
-                            break
-                    out.append(tuple(sorted(blk)))
-    return out
+                    v = None
+                    while v != u:
+                        v = vstack.pop()
+                        block_of[v] = nblocks
+                    nblocks += 1
+    if nblocks == 1:
+        return [G.edges]
+    out: list[list[Pair]] = [[] for _ in range(nblocks)]
+    for e in G.edges:
+        a, b = e
+        out[block_of[a] if disc[a] > disc[b] else block_of[b]].append(e)
+    return [tuple(blk) for blk in out]
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +625,13 @@ def long_cycle_from_density(G: Graph, m: int) -> list[int]:
         if len(blks) == 1:
             H = comp  # 2-connected with min degree > m/2
             break
-        blk = None
-        for cand in blks:
-            nb = len({v for e in cand for v in e})
-            if 2 * len(cand) > m * (nb - 1):
-                blk = cand
+        for blk in blks:
+            verts = {v for e in blk for v in e}
+            if 2 * len(blk) > m * (len(verts) - 1):
                 break
-        if blk is None:
+        else:
             raise InternalProofFailure("block selection", "no block meets the bound")
-        work = comp.edge_subgraph(blk)
+        work = Graph(tuple(sorted(verts)), blk)  # blocks hold sorted edges of comp
     if H is None:
         raise InternalProofFailure("core narrowing", "did not stabilize")
     adj = H.adjacency()

@@ -147,8 +147,14 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
     edges suffices.
     """
     G = cg.graph
-    ones = cg.color_class(1)
-    twos = cg.color_class(2)
+    ones: list[tuple[int, int]] = []
+    twos: list[tuple[int, int]] = []
+    for e in G.edges:
+        c = cg.edge_color[e]
+        if c == 1:
+            ones.append(e)
+        elif c == 2:
+            twos.append(e)
     if not ones or not twos:
         raise PreconditionUnmet("both colors must appear")
     if len(bfs_tree(G, G.vertices[0])[2]) != G.n:

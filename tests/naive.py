@@ -17,7 +17,10 @@ they had before they unpacked each edge's three vertices; and
 documents were read in bulk; and `naive_from_edges`, `Hypergraph.from_edges`
 as the per-edge loop it was before edges of one size were checked in bulk;
 and `naive_derandomized_good_set`, the good-set choice computed with
-`Fraction` probabilities, as it was before they became integer weights.
+`Fraction` probabilities, as it was before they became integer weights;
+and `naive_blocks`, the biconnected components by the lowpoint search with
+an edge stack and a sort per block, as they were before the search kept a
+vertex stack.
 """
 
 from __future__ import annotations
@@ -458,3 +461,62 @@ def naive_from_edges(n, edges, uniformity=None):
     if sizes:
         uniformity = sizes.pop() if len(sizes) == 1 else None
     return Hypergraph(n=n, edges=tuple(canon), uniformity=uniformity)
+
+
+def naive_blocks(G):
+    """`graphs.blocks` with an edge stack: same blocks, same order (by
+    completion), each block's edges sorted."""
+    from bergelab.graphs import norm_edge
+
+    adj = G.adjacency()
+    disc = {}
+    low = {}
+    out = []
+    estack = []
+    timer = 0
+    for root in G.vertices:
+        if root in disc:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [[root, -1, 0, False]]  # vertex, parent, next-neighbor ptr, parent seen
+        while stack:
+            frame = stack[-1]
+            u, pu, ptr, _ = frame
+            nbrs = adj[u]
+            pushed = False
+            while ptr < len(nbrs):
+                w = nbrs[ptr]
+                ptr += 1
+                if w == pu and not frame[3]:
+                    frame[3] = True
+                    continue
+                if w not in disc:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    estack.append(norm_edge(u, w))
+                    frame[2] = ptr
+                    stack.append([w, u, 0, False])
+                    pushed = True
+                    break
+                if disc[w] < disc[u]:
+                    estack.append(norm_edge(u, w))
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
+            if pushed:
+                continue
+            frame[2] = ptr
+            stack.pop()
+            if pu != -1:
+                if low[u] < low[pu]:
+                    low[pu] = low[u]
+                if low[u] >= disc[pu]:
+                    blk = []
+                    tree_edge = norm_edge(pu, u)
+                    while estack:
+                        e = estack.pop()
+                        blk.append(e)
+                        if e == tree_edge:
+                            break
+                    out.append(tuple(sorted(blk)))
+    return out

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import graphs as gr
+from bergelab.finder import skeleton_sweep
+from bergelab.generators import steiner_triple
 from bergelab.errors import PreconditionUnmet
 
-from naive import naive_shortest_cycle
+from naive import naive_blocks, naive_shortest_cycle
 
 
 def complete_graph(n):
@@ -31,6 +33,36 @@ def random_graph(n, p, seed):
     return gr.Graph.build(
         range(n), [e for e in combinations(range(n), 2) if rng.random() < p]
     )
+
+
+@st.composite
+def glued_blocks(draw):
+    """Cycles with chords and single edges (bridges), each glued at a cut
+    vertex or starting a new component, plus isolated vertices, relabelled."""
+    edges = []
+    n = 0
+    for _ in range(draw(st.integers(0, 6))):
+        size = draw(st.integers(2, 5))
+        if n and draw(st.booleans()):
+            vs = [draw(st.integers(0, n - 1))]
+        else:
+            vs = [n]
+            n += 1
+        vs += range(n, n + size - 1)
+        n += size - 1
+        edges += zip(vs, vs[1:] + vs[:1]) if size > 2 else [tuple(vs)]
+        if size > 3:
+            edges += draw(st.lists(st.sampled_from(list(combinations(vs, 2))), max_size=3))
+    n += draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(n)))
+    return gr.Graph.build(range(n), [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def dense_or_sparse(draw):
+    n = draw(st.integers(1, 12))
+    p = draw(st.sampled_from([0.15, 0.3, 0.6]))
+    return random_graph(n, p, draw(st.integers(0, 10**6)))
 
 
 def check_cycle(G, cyc):
@@ -128,6 +160,29 @@ class TestBlocks:
         blks = gr.blocks(G)
         flat = [e for b in blks for e in b]
         assert sorted(flat) == list(G.edges)
+
+    # The edge-stack search is the reference, list order included:
+    # long_cycle_from_density takes the first block that meets its bound.
+    @given(st.one_of(glued_blocks(), dense_or_sparse()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_edge_stack_search(self, G):
+        assert gr.blocks(G) == naive_blocks(G)
+
+    def test_matches_edge_stack_search_on_sts127_down_class(self, monkeypatch):
+        # the graphs long_cycle_from_density splits on the way to the
+        # special path: the peeled colour-1 projection of a down class
+        seen = []
+        real = gr.blocks
+
+        def spy(G):
+            seen.append(G)
+            return real(G)
+
+        monkeypatch.setattr(gr, "blocks", spy)
+        assert skeleton_sweep(steiner_triple(127), 2) is not None
+        assert seen and seen[0].e > 1000
+        for G in seen:
+            assert real(G) == naive_blocks(G)
 
 
 class TestTwoDisjointPaths:
