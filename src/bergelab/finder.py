@@ -206,8 +206,8 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
     if 2 * twos > comp.e:
         color_of = {t: 3 - color_of[t] for t in per_conbr}
     cg = ColoredGraph(comp, {e: color_of[third[e]] for e in comp.edges})
-    try:
-        sp = special_path(cg, k + 1)
+    try:  # a component by `densest_component`'s BFS, so connected
+        sp = special_path(cg, k + 1, connected=True)
     except PreconditionUnmet as exc:
         raise InternalProofFailure("special path", str(exc)) from exc
     walk = sp.vertices

@@ -78,72 +78,53 @@ def complete_bipartite_incidence(a: int, b: int) -> Hypergraph:
 
 def steiner_triple(n: int) -> Hypergraph:
     """STS(n) via Bose (n = 6t+3) or Skolem (n = 6t+1)."""
-    if n % 6 == 3:
-        return _bose(n)
-    if n % 6 == 1 and n >= 7:
-        return _skolem(n)
-    raise InvalidParameters(f"Steiner triple systems need n = 1 or 3 mod 6, got {n}")
+    if n < 3 or n % 6 not in (1, 3):
+        raise InvalidParameters(
+            f"Steiner triple systems need n >= 3 with n = 1 or 3 mod 6, got {n}"
+        )
+    return _bose(n) if n % 6 == 3 else _skolem(n)
 
 
 def _bose(n: int) -> Hypergraph:
-    t = (n - 3) // 6
-    q = 2 * t + 1
-    inv2 = (t + 1) % q  # 2 * (t+1) = 2t+2 = 1 (mod q)
-
-    def vid(x: int, j: int) -> int:
-        return 3 * x + j
-
-    triples = [tuple(sorted((vid(x, 0), vid(x, 1), vid(x, 2)))) for x in range(q)]
-    for j in range(3):
-        for x in range(q):
-            for y in range(x + 1, q):
-                z = ((x + y) * inv2) % q
-                triples.append(
-                    tuple(sorted((vid(x, j), vid(y, j), vid(z, (j + 1) % 3))))
-                )
+    # x*y = (x+y)/2 mod q, the idempotent commutative quasigroup of odd order q
+    q = n // 3
+    inv2 = (q + 1) // 2  # 2 * inv2 = 1 (mod q)
+    triples = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(q)]
+    triples += _latin_triples(q, [s * inv2 % q for s in range(q)])
     return Hypergraph.from_edges(n, triples)
-
-
-def _half_idempotent_quasigroup(order: int) -> list[list[int]]:
-    """Commutative half-idempotent quasigroup on 0..order-1 (order = 2t):
-    x*y = g((x+y) mod 2t) with g(2j) = j and g(2j+1) = t+j. g is a
-    bijection, so each row is a permutation; g(2i mod 2t) gives the
-    half-idempotent diagonal i, .., t-1, 0, .., t-1."""
-    t = order // 2
-
-    def g(s: int) -> int:
-        return s // 2 if s % 2 == 0 else t + (s - 1) // 2
-
-    table = [[g((x + y) % order) for y in range(order)] for x in range(order)]
-    for row in table:
-        assert sorted(row) == list(range(order))
-    return table
 
 
 def _skolem(n: int) -> Hypergraph:
+    # x*y = g((x+y) mod 2t) with g(2j) = j and g(2j+1) = t+j: commutative,
+    # and half-idempotent (x*x = (t+x)*(t+x) = x for x < t)
     t = (n - 1) // 6
     q = 2 * t
-    qg = _half_idempotent_quasigroup(q)
+    g = [s // 2 + (s % 2) * t for s in range(q)]
+    # every row of the quasigroup is g after a cyclic shift
+    assert sorted(g) == list(range(q))
     infinity = n - 1
-
-    def vid(x: int, j: int) -> int:
-        return 3 * x + j
-
-    triples = []
-    for x in range(t):
-        triples.append(tuple(sorted((vid(x, 0), vid(x, 1), vid(x, 2)))))
-    for x in range(t, q):
-        triples.append(tuple(sorted((infinity, vid(x, 0), vid(x - t, 1)))))
-        triples.append(tuple(sorted((infinity, vid(x, 1), vid(x - t, 2)))))
-        triples.append(tuple(sorted((infinity, vid(x, 2), vid(x - t, 0)))))
-    for j in range(3):
-        for x in range(q):
-            for y in range(x + 1, q):
-                z = qg[x][y]
-                triples.append(
-                    tuple(sorted((vid(x, j), vid(y, j), vid(z, (j + 1) % 3))))
-                )
+    triples = [(3 * x, 3 * x + 1, 3 * x + 2) for x in range(t)]
+    for x in range(t):  # the triples through infinity, pairing x with t + x
+        u, w = 3 * x, 3 * (t + x)
+        triples += ((u + 1, w, infinity), (u + 2, w + 1, infinity), (u, w + 2, infinity))
+    triples += _latin_triples(q, g)
     return Hypergraph.from_edges(n, triples)
+
+
+def _latin_triples(q: int, g: list[int]) -> list[tuple[int, int, int]]:
+    """For j = 0, 1, 2 and x < y < q, the triple {3x+j, 3y+j, 3z+j'} with
+    z = g[(x+y) mod q] and j' = j+1 mod 3, each in increasing order:
+    3x+j < 3y+j, so only the third vertex needs placing."""
+    triples: list[tuple[int, int, int]] = []
+    for j in range(3):
+        zs = [3 * z + (j + 1) % 3 for z in g] * 2  # read at x + y < 2q
+        for x in range(q):
+            a = 3 * x + j
+            triples += [
+                (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
+                for b, c in zip(range(a + 3, 3 * q, 3), zs[2 * x + 1 : x + q])
+            ]
+    return triples
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +138,26 @@ def random_linear_r(n: int, r: int, m: int, seed: int = 0) -> tuple[Hypergraph, 
     if r < 2 or n < r or m < 0:
         raise InvalidParameters("need n >= r >= 2 and m >= 0")
     rng = random.Random(seed)
-    used_pairs: set[tuple[int, int]] = set()
+    used_pairs: set[int] = set()  # pair (a, b) with a < b is the key a*n+b
     edges: list[tuple[int, ...]] = []
     tries = 0
     while len(edges) < m and tries < 200 * m + 2000:
         tries += 1
         e = tuple(sorted(rng.sample(range(n), r)))
-        pairs = list(combinations(e, 2))
-        if any(p in used_pairs for p in pairs):
-            continue
-        used_pairs.update(pairs)
-        edges.append(e)
+        pairs = [a * n + b for a, b in combinations(e, 2)]
+        if used_pairs.isdisjoint(pairs):
+            used_pairs.update(pairs)
+            edges.append(e)
     return Hypergraph.from_edges(n, edges, uniformity=r), len(edges)
 
 
 def permuted(H: Hypergraph, seed: int) -> Hypergraph:
-    """Relabel vertices by a seeded permutation (canonical edge order kept)."""
+    """Relabel vertices by a seeded permutation (canonical edge order kept).
+    A bijection keeps every edge of a valid H valid and distinct, so the
+    relabelled edges need only sorting, not `from_edges`' checks."""
     rng = random.Random(seed)
     perm = list(range(H.n))
     rng.shuffle(perm)
-    return Hypergraph.from_edges(
-        H.n, [tuple(sorted(perm[v] for v in e)) for e in H.edges], H.uniformity
-    )
+    relabel = perm.__getitem__
+    edges = sorted([tuple(sorted(map(relabel, e))) for e in H.edges])
+    return Hypergraph(H.n, tuple(edges), H.uniformity)

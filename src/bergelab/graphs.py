@@ -38,8 +38,8 @@ class Graph:
     `build` is the one validating constructor. Every `Graph` keeps the
     invariant it establishes: `vertices` sorted and unique, `edges`
     normalised (u < v), sorted and unique, with both ends in `vertices`.
-    Derived views (`subgraph`, `edge_subgraph`, components, peeled cores)
-    rely on it and call the plain constructor on already-valid data.
+    Derived views (`subgraph`, components, peeled cores) rely on it and
+    call the plain constructor on already-valid data.
     """
 
     vertices: tuple[int, ...]
@@ -92,12 +92,6 @@ class Graph:
             tuple(sorted(keep)),
             tuple(e for e in self.edges if e[0] in keep and e[1] in keep),
         )
-
-    def edge_subgraph(self, edges: Iterable[Pair]) -> "Graph":
-        """The graph formed by some of this graph's edges, in either
-        orientation, and their endpoints."""
-        es = tuple(sorted({norm_edge(u, v) for u, v in edges}))
-        return Graph(tuple(sorted({v for e in es for v in e})), es)
 
 
 def connected_components(G: Graph) -> list[Graph]:

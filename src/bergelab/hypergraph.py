@@ -124,29 +124,45 @@ class DegreeProfile:
 
 def _bulk_edges(n: int, raws: list[tuple]) -> Optional[list[tuple[int, ...]]]:
     """The sorted edge list when the edges all have one size r >= 2, have
-    distinct vertices in 0..n-1 and appear once; None on anything else."""
+    distinct vertices in 0..n-1 and appear once; None on anything else.
+
+    The edges are read as r columns, and rebuilt from them. Only when a
+    column does not lie strictly below the next (an edge not given
+    increasing) is each edge sorted and the columns read again."""
     if not raws:
         return []
     r = len(raws[0])
     if r < 2 or len(set(map(len, raws))) != 1:
         return None
     try:
+        cols = _columns(raws, r)
+        if not _increasing_columns(cols):
+            cols = _columns(map(sorted, raws), r)
+            if not _increasing_columns(cols):
+                return None
+        if min(cols[0]) < 0 or max(cols[-1]) >= n:
+            return None
         # fresh tuples even for edges given sorted, as the per-edge loop
         # made them: keeping the caller's tuples alive made later `find`
         # runs in the same process 8-12 % slower on a 2-vCPU host, through
         # the heap layout they leave
-        canon = list(map(tuple, map(sorted, raws)))
-        flat = list(chain.from_iterable(canon))
-        # column i of the edges is flat[i::r]: each must lie below the next
-        distinct = all(all(map(lt, flat[i::r], flat[i + 1 :: r])) for i in range(r - 1))
-        if not distinct or min(flat[0::r]) < 0 or max(flat[r - 1 :: r]) >= n:
-            return None
-        canon.sort()
+        canon = sorted(zip(*cols))
     except TypeError:  # vertices that do not compare with each other or with ints
         return None
     if any(map(eq, canon, canon[1:])):
         return None
     return canon
+
+
+def _columns(edges: Iterable[Sequence], r: int) -> list[list]:
+    """The r columns of edges of size r: column i holds each edge's i-th entry."""
+    flat = list(chain.from_iterable(edges))
+    return [flat[i::r] for i in range(r)]
+
+
+def _increasing_columns(cols: list[list]) -> bool:
+    """True when each column lies strictly below the next, edge by edge."""
+    return all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
 
 
 def _canonical_edges(n: int, raws: Iterable[tuple]) -> list[tuple[int, ...]]:
@@ -217,9 +233,7 @@ def _parse_canonical(text: str) -> Optional[Hypergraph]:
     # ids are digit runs, so none is negative; once every edge increases,
     # the last column holds each edge's largest id
     cols = [ids[j::r] for j in range(r)]
-    if m and not (
-        all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])) and max(cols[-1]) < n
-    ):
+    if m and not (_increasing_columns(cols) and max(cols[-1]) < n):
         return None
     edges = tuple(zip(*cols))
     if not all(map(lt, edges, edges[1:])):
@@ -277,12 +291,17 @@ def _parse_lines(text: str) -> Hypergraph:
 def serialize(H: Hypergraph) -> str:
     """Canonical writer: sorted edges, LF endings, no trailing whitespace.
 
-    parse(serialize(H)) == H for every canonical hypergraph.
+    parse(serialize(H)) == H for every canonical hypergraph. A uniform H is
+    written with one format per edge ("%s %s %s" and a newline at r = 3) in
+    one join, and under r = 0 each edge is joined on its own: both write
+    each edge's `str(v)` split by single spaces.
     """
     r = H.uniformity if H.uniformity is not None else 0
-    out = [f"{r} {H.n} {len(H.edges)}"]
-    out.extend(" ".join(str(v) for v in e) for e in H.edges)
-    return "\n".join(out) + "\n"
+    head = f"{r} {H.n} {len(H.edges)}\n"
+    if r:  # one format for every edge
+        line = " ".join(["%s"] * r) + "\n"
+        return head + "".join(map(line.__mod__, H.edges))
+    return head + "".join(" ".join(map(str, e)) + "\n" for e in H.edges)
 
 
 def incidence(H: Hypergraph) -> tuple[tuple[int, ...], ...]:

@@ -56,9 +56,6 @@ class ColoredGraph:
     graph: Graph
     edge_color: dict[tuple[int, int], int]  # 1 or 2 per edge
 
-    def color_class(self, c: int) -> list[tuple[int, int]]:
-        return [e for e in self.graph.edges if self.edge_color[e] == c]
-
 
 @dataclass(frozen=True)
 class LinearPathWitness:
@@ -137,7 +134,7 @@ def linear_xy_path(
 # two-colored special paths
 
 
-def special_path(cg: ColoredGraph, p: int) -> GraphPath:
+def special_path(cg: ColoredGraph, p: int, *, connected: bool = False) -> GraphPath:
     """Path of length >= p whose first edge has color 2 and the rest color 1.
 
     For p >= 2 this needs d(G_1) >= p+1; the construction extracts a long
@@ -145,6 +142,9 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
     splices the shortest connector onto it. For p <= 1, and for p = 2 when
     that graph is a forest, a color-2 edge extended greedily with color-1
     edges suffices.
+
+    The graph must be connected, which a BFS checks unless the caller
+    passes `connected=True` for a graph it has just found as a component.
     """
     G = cg.graph
     ones: list[tuple[int, int]] = []
@@ -157,7 +157,7 @@ def special_path(cg: ColoredGraph, p: int) -> GraphPath:
             twos.append(e)
     if not ones or not twos:
         raise PreconditionUnmet("both colors must appear")
-    if len(bfs_tree(G, G.vertices[0])[2]) != G.n:
+    if not connected and len(bfs_tree(G, G.vertices[0])[2]) != G.n:
         raise PreconditionUnmet("graph must be connected")
     adj = G.adjacency()
     if p <= 1:

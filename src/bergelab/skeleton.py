@@ -45,9 +45,6 @@ class Skeleton:
     def height(self) -> int:
         return len(self.levels) - 1
 
-    def tree_vertices(self) -> set[int]:
-        return set(self.parent)
-
     def level_of(self) -> dict[int, int]:
         """Vertex -> level; one shared map per skeleton, not to be mutated."""
         if self._level_of is None:

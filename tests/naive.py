@@ -20,15 +20,23 @@ and `naive_derandomized_good_set`, the good-set choice computed with
 `Fraction` probabilities, as it was before they became integer weights;
 and `naive_blocks`, the biconnected components by the lowpoint search with
 an edge stack and a sort per block, as they were before the search kept a
-vertex stack.
+vertex stack; and `naive_steiner_triple`, `naive_permuted`,
+`naive_serialize` and `naive_bulk_edges`, the Steiner triple constructions
+(a q x q quasigroup table, each triple sorted), the relabelling through
+`from_edges`, the per-edge writer and the bulk edge check (each edge sorted
+first), as they were before instances were built and written in bulk.
+`tree_vertices` and `color_class` are the one-line views the package's
+`Skeleton` and `ColoredGraph` no longer carry.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
+from operator import eq, lt
 
 
 def naive_extend(edges, pairs):
@@ -118,7 +126,7 @@ def naive_sweep(H, k):
         run = fd._levels_once(H, sk, k)
         if run is not None:
             return run
-        vt = sk.tree_vertices()
+        vt = tree_vertices(sk)
         incident = {ei for ei in alive if set(H.edges[ei]) & vt}
         if len(incident) >= 7 * (k + 1) * len(vt):
             raise InternalProofFailure("sweep counting", "naive")
@@ -520,3 +528,95 @@ def naive_blocks(G):
                             break
                     out.append(tuple(sorted(blk)))
     return out
+
+
+def tree_vertices(sk):
+    """The vertices of a skeleton's tree."""
+    return set(sk.parent)
+
+
+def color_class(cg, c):
+    """The edges of a two-coloured graph that have colour c, in edge order."""
+    return [e for e in cg.graph.edges if cg.edge_color[e] == c]
+
+
+def naive_steiner_triple(n):
+    """STS(n) via Bose (n = 6t+3) or Skolem (n = 6t+1), with the quasigroup
+    as a q x q table and every triple sorted."""
+    from bergelab.hypergraph import Hypergraph
+
+    def vid(x, j):
+        return 3 * x + j
+
+    if n % 6 == 3:
+        t = (n - 3) // 6
+        q = 2 * t + 1
+        inv2 = (t + 1) % q
+        triples = [tuple(sorted((vid(x, 0), vid(x, 1), vid(x, 2)))) for x in range(q)]
+        table = [[((x + y) * inv2) % q for y in range(q)] for x in range(q)]
+    else:
+        assert n % 6 == 1 and n >= 7
+        t = (n - 1) // 6
+        q = 2 * t
+
+        def g(s):
+            return s // 2 if s % 2 == 0 else t + (s - 1) // 2
+
+        table = [[g((x + y) % q) for y in range(q)] for x in range(q)]
+        for row in table:
+            assert sorted(row) == list(range(q))
+        infinity = n - 1
+        triples = [tuple(sorted((vid(x, 0), vid(x, 1), vid(x, 2)))) for x in range(t)]
+        for x in range(t, q):
+            triples.append(tuple(sorted((infinity, vid(x, 0), vid(x - t, 1)))))
+            triples.append(tuple(sorted((infinity, vid(x, 1), vid(x - t, 2)))))
+            triples.append(tuple(sorted((infinity, vid(x, 2), vid(x - t, 0)))))
+    for j in range(3):
+        for x in range(q):
+            for y in range(x + 1, q):
+                z = table[x][y]
+                triples.append(tuple(sorted((vid(x, j), vid(y, j), vid(z, (j + 1) % 3)))))
+    return Hypergraph.from_edges(n, triples)
+
+
+def naive_permuted(H, seed):
+    """H relabelled by the seeded permutation, through `from_edges`."""
+    from bergelab.hypergraph import Hypergraph
+
+    rng = random.Random(seed)
+    perm = list(range(H.n))
+    rng.shuffle(perm)
+    return Hypergraph.from_edges(
+        H.n, [tuple(sorted(perm[v] for v in e)) for e in H.edges], H.uniformity
+    )
+
+
+def naive_serialize(H):
+    """The canonical writer, one join per edge."""
+    r = H.uniformity if H.uniformity is not None else 0
+    out = [f"{r} {H.n} {len(H.edges)}"]
+    out.extend(" ".join(str(v) for v in e) for e in H.edges)
+    return "\n".join(out) + "\n"
+
+
+def naive_bulk_edges(n, raws):
+    """The bulk edge check with every edge sorted first: the sorted edge
+    list, or None for mixed sizes, a size below 2, a repeated vertex, an id
+    outside 0..n-1, a duplicate edge or ids that do not compare."""
+    if not raws:
+        return []
+    r = len(raws[0])
+    if r < 2 or len(set(map(len, raws))) != 1:
+        return None
+    try:
+        canon = list(map(tuple, map(sorted, raws)))
+        flat = list(chain.from_iterable(canon))
+        distinct = all(all(map(lt, flat[i::r], flat[i + 1 :: r])) for i in range(r - 1))
+        if not distinct or min(flat[0::r]) < 0 or max(flat[r - 1 :: r]) >= n:
+            return None
+        canon.sort()
+    except TypeError:
+        return None
+    if any(map(eq, canon, canon[1:])):
+        return None
+    return canon

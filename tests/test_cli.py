@@ -259,11 +259,15 @@ CONTRACT = [
     ),
     (
         ["gen", "--family", "steinerTriple", "--n", "2"], 2,
-        "precondition unmet: Steiner triple systems need n = 1 or 3 mod 6, got 2",
+        "precondition unmet: Steiner triple systems need n >= 3 with n = 1 or 3 mod 6, got 2",
     ),
     (
         ["gen", "--family", "steinerTriple", "--n", "8"], 2,
-        "precondition unmet: Steiner triple systems need n = 1 or 3 mod 6, got 8",
+        "precondition unmet: Steiner triple systems need n >= 3 with n = 1 or 3 mod 6, got 8",
+    ),
+    (
+        ["gen", "--family", "steinerTriple", "--n", "1"], 2,
+        "precondition unmet: Steiner triple systems need n >= 3 with n = 1 or 3 mod 6, got 1",
     ),
     (["turan", "--n", "5", "--r", "3", "--ell", "9"], 0, "10"),  # C(5, 3): no 9-cycle fits
     (["turan", "--n", "4", "--r", "7", "--ell", "3"], 0, "0"),  # no 7-set in 4 vertices
@@ -287,6 +291,32 @@ class TestInputContract:
         else:
             assert err == ""
             assert out.splitlines()[1].split(",")[3] == expected
+
+
+# Turán rows pinned as `bergelab turan` prints them: the CSV row on the
+# second line, and for (8, 3, 5) the whole of stdout with its extremal
+# example.
+T835 = (
+    "n,r,forbidden_length,value,exact,nodes\n8,3,5,9,1,164638\n3 8 9\n"
+    "0 1 2\n0 1 3\n0 1 4\n0 2 3\n0 5 6\n0 5 7\n0 6 7\n1 2 3\n5 6 7\n"
+)
+TURAN_PINS = [
+    ("6 3 3", "6,3,3,4,1,240", None),
+    ("7 3 4", "7,3,4,6,1,4057", None),
+    ("10 3 3", "10,3,3,12,1,216617", None),
+    ("8 3 5", "8,3,5,9,1,164638", T835),
+    ("9 3 4", "9,3,4,7,1,157505", None),
+]
+
+
+@pytest.mark.parametrize("row,line,stdout", TURAN_PINS, ids=[r[0] for r in TURAN_PINS])
+def test_turan_pinned(capsys, row, line, stdout):
+    n, r, ell = row.split()
+    code, out, err = run_cli(["turan", "--n", n, "--r", r, "--ell", ell], capsys)
+    assert code == 0 and err == ""
+    assert out.split("\n")[1] == line
+    if stdout is not None:
+        assert out == stdout
 
 
 # One document per parse error, with the message it must report.

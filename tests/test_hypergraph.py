@@ -21,7 +21,7 @@ from bergelab.errors import (
 )
 from bergelab.generators import random_linear_r
 
-from naive import naive_from_edges, naive_parse
+from naive import naive_bulk_edges, naive_from_edges, naive_parse, naive_serialize
 
 FANO = [
     (0, 1, 2),
@@ -199,6 +199,47 @@ class TestFromEdgesMatchesPerEdgeLoop:
         assert got.uniformity == 3
 
 
+@st.composite
+def _bulk_input(draw):
+    """`_edge_input`, with every edge given increasing half of the time, so
+    that the column read takes both of its paths."""
+    n, edges, uniformity, one_shot = draw(_edge_input())
+    if draw(st.booleans()):
+        edges = [sorted(e) for e in edges]
+    return n, edges, uniformity, one_shot
+
+
+class TestBulkEdgesMatchesSortingCheck:
+    """`_bulk_edges` (columns read once, edges sorted only when a column
+    does not lie below the next) against `naive_bulk_edges` (every edge
+    sorted first), and `from_edges` on either."""
+
+    @given(_bulk_input())
+    @settings(max_examples=400, deadline=None)
+    def test_differential(self, case):
+        n, edges, uniformity, one_shot = case
+        raws = [tuple(e) for e in edges]
+        got = hg._bulk_edges(n, raws)
+        assert got == naive_bulk_edges(n, raws)
+        # fresh tuples only: none of the caller's edge objects is kept
+        given_ids = set(map(id, raws))
+        assert not any(id(e) in given_ids for e in got or ())
+        outcome = from_edges_outcome(hg.Hypergraph.from_edges, *case)
+        with mock.patch.object(hg, "_bulk_edges", naive_bulk_edges):
+            assert outcome == from_edges_outcome(hg.Hypergraph.from_edges, *case)
+
+    @pytest.mark.parametrize(
+        "raws",
+        [[(0, 1, 2), (0, 1, 3)], [(0, 1), (1, 2), (0, 2)], [(2, 1, 0)], [(0, 1, 2)] * 2,
+         [(0, 1, 2), (0.5, 1, 2)], [(0, 1, 9)], [(-1, 0, 1)], [(0, 0, 1)], [(0, "a")]],
+    )
+    def test_edge_inputs(self, raws):
+        got = hg._bulk_edges(5, raws)
+        assert got == naive_bulk_edges(5, raws)
+        for e in got or ():
+            assert all(e is not raw for raw in raws)
+
+
 def random_hypergraph(rng, kind):
     """A random canonical hypergraph: "uniform" (r = 2..5), "mixed" (sizes
     2..4, so usually r = 0), "no-edges" (m = 0) or "no-vertices" (n = 0)."""
@@ -237,6 +278,12 @@ class TestSerialize:
     def test_round_trip_kinds(self, seed, kind):
         H = random_hypergraph(random.Random(seed), kind)
         assert hg.parse(hg.serialize(H)) == H
+
+    @given(st.integers(0, 10**6), st.sampled_from(KINDS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_edge_writer(self, seed, kind):
+        H = random_hypergraph(random.Random(seed), kind)
+        assert hg.serialize(H) == naive_serialize(H)
 
     @given(st.integers(0, 10**6), st.sampled_from(("uniform", "no-edges")))
     @settings(max_examples=60, deadline=None)

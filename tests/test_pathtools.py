@@ -12,7 +12,7 @@ from bergelab.generators import complete_bipartite_incidence, random_linear_r, s
 from bergelab.graphs import Graph, norm_edge
 from bergelab.hypergraph import Hypergraph
 
-from naive import naive_extend
+from naive import color_class, naive_extend
 
 
 def colored(edges, twos):
@@ -54,6 +54,16 @@ class TestSpecialPath:
         with pytest.raises(PreconditionUnmet):
             pt.special_path(cg, 2)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_disconnected_rejected(self, p):
+        # two 6-cliques: d(G_1) >= p + 1 holds, so only the connectivity
+        # check can refuse
+        left = list(combinations(range(6), 2))
+        cg = colored(left + [(u + 6, v + 6) for u, v in left], twos=[(0, 1)])
+        assert 2 * len(color_class(cg, 1)) >= (p + 1) * cg.graph.n
+        with pytest.raises(PreconditionUnmet, match="graph must be connected"):
+            pt.special_path(cg, p)
+
     def test_both_colors_required(self):
         cg = colored([(0, 1), (1, 2)], twos=[])
         with pytest.raises(PreconditionUnmet):
@@ -65,7 +75,7 @@ class TestSpecialPath:
         path = [(v, v + 1) for v in range(1, 7)]
         star = [(0, v) for v in range(2, 8)]
         cg = colored(path + star + [(0, 1)], twos=[(0, 1)])
-        assert 2 * len(cg.color_class(1)) == 3 * cg.graph.n
+        assert 2 * len(color_class(cg, 1)) == 3 * cg.graph.n
         out = pt.special_path(cg, 2)
         check_special(cg, out, 2)
         assert out.vertices == (1, 0, 2, 3, 4, 5, 6, 7)
@@ -86,7 +96,7 @@ class TestSpecialPath:
             return
         twos = [e for e in G.edges if rng.random() < 0.15] or [G.edges[0]]
         cg = pt.ColoredGraph(G, {e: (2 if e in set(twos) else 1) for e in G.edges})
-        ones = cg.color_class(1)
+        ones = color_class(cg, 1)
         if not ones or 2 * len(ones) < (p + 1) * G.n:
             return
         out = pt.special_path(cg, p)

@@ -10,7 +10,7 @@ from bergelab.errors import ClassificationFailure, PreconditionUnmet
 from bergelab.generators import random_linear_r
 from bergelab.hypergraph import Hypergraph
 
-from naive import naive_build_skeleton, naive_classify_levels
+from naive import naive_build_skeleton, naive_classify_levels, tree_vertices
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
@@ -28,7 +28,7 @@ class TestBuild:
         S = sk.build_skeleton(H, 0)
         assert S.levels == ((0,), (1,))
         assert S.edge_for == {(0, 1): 0}
-        assert 2 not in S.tree_vertices()
+        assert 2 not in tree_vertices(S)
 
     def test_two_edges(self):
         H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
@@ -44,7 +44,7 @@ class TestBuild:
     def test_tree_shape(self):
         H = random_3graph(9, 12, 5)
         S = sk.build_skeleton(H, 0)
-        assert len(S.edge_for) == len(S.tree_vertices()) - 1
+        assert len(S.edge_for) == len(tree_vertices(S)) - 1
         # psi injective
         assert len(set(S.edge_for.values())) == len(S.edge_for)
 
@@ -83,14 +83,14 @@ class TestClassify:
         root = seed % n
         S = sk.build_skeleton(H, root)
         cl = sk.classify_levels(H, S)
-        assert len(S.edge_for) == len(S.tree_vertices()) - 1
+        assert len(S.edge_for) == len(tree_vertices(S)) - 1
         classified = [e for grp in (cl.down, cl.within, cl.up) for lv in grp for e in lv]
         assert len(classified) == len(set(classified))
         expect = {
             ei
             for ei in range(len(H.edges))
             if ei not in S.tree_edge_images()
-            and set(H.edges[ei]) & S.tree_vertices()
+            and set(H.edges[ei]) & tree_vertices(S)
         }
         assert set(classified) == expect
 
@@ -110,7 +110,7 @@ class TestClassify:
         expect = {
             ei
             for ei in active
-            if ei not in S.tree_edge_images() and set(H.edges[ei]) & S.tree_vertices()
+            if ei not in S.tree_edge_images() and set(H.edges[ei]) & tree_vertices(S)
         }
         assert sorted(classified) == sorted(expect)
         assert S.read_edges() == expect | S.tree_edge_images()
