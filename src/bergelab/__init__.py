@@ -31,13 +31,7 @@ from .finder import (
     tight_path_cycles,
 )
 from .generators import GeneratorSpec, generate
-from .hypergraph import (
-    DegreeProfile,
-    Hypergraph,
-    parse,
-    profile,
-    serialize,
-)
+from .hypergraph import Hypergraph, parse, serialize
 from .lengthcontrol import LevelGrowthReport, length_controlled_search
 from .oracle import CycleSpectrum, oracle_spectrum
 from .pathtools import (

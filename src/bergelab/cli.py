@@ -226,15 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "k", None) is not None and args.cmd == "find" and args.k < 1:
+    if getattr(args, "k", 1) < 1:
         print("--k must be at least 1", file=sys.stderr)
         return EXIT_PRECONDITION
-    # `find` makes no reference cycles, so the cyclic collector could only
-    # rescan the caller's heap: it is paused for that command alone and
+    # no command makes reference cycles, so the cyclic collector could only
+    # rescan the caller's heap: it is paused for the whole command and
     # restored as found on every exit
-    paused = args.cmd == "find" and gc.isenabled()
-    if paused:
-        gc.disable()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except (BergelabError, OSError, UnicodeDecodeError) as exc:
@@ -242,7 +241,7 @@ def main(argv=None) -> int:
         print(f"{prefix}{exc}", file=sys.stderr)
         return code
     finally:
-        if paused:
+        if enabled:
             gc.enable()
 
 

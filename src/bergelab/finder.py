@@ -171,7 +171,7 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
     li = len(sk.levels[i])
     if len(down) < (k + 2) * li:
         raise PreconditionUnmet(f"need |down_{i}| >= {(k + 2) * li}, have {len(down)}")
-    level_of = sk.level_of()
+    level_of = sk.level_of
     pair_to_edge: dict[tuple[int, int], int] = {}
     third: dict[tuple[int, int], int] = {}
     for ei in down:
@@ -238,7 +238,7 @@ def cycles_or_level_bound(
     li = len(sk.levels[i])
     li1 = len(sk.levels[i + 1]) if i + 1 <= sk.height else 0
     bound = Fraction(7 * k, 2) * li + li + (Fraction(5 * k, 2) + 2) * li1
-    level_of = sk.level_of()
+    level_of = sk.level_of
     for comp_ids in edge_components(H, ids):
         run = _bc_component_routes(H, sk, i, k, comp_ids, set(up), level_of)
         if run is not None:
@@ -410,14 +410,14 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         run = _levels_once(H, sk, k)
         if run is not None:
             return run
-        incident, nt = sk.read_edges(), len(sk.parent)
-        if len(incident) >= 7 * (k + 1) * nt:
+        nt = len(sk.parent)
+        if len(sk.read) >= 7 * (k + 1) * nt:
             raise InternalProofFailure(
                 "sweep counting",
-                f"{len(incident)} incident edges on a {nt}-vertex tree "
+                f"{len(sk.read)} incident edges on a {nt}-vertex tree "
                 f"despite certified levels",
             )
-        alive -= incident
+        alive -= sk.read
     if guaranteed:
         raise InternalProofFailure(
             "sweep exhaustion", "edges ran out above the density threshold"

@@ -114,14 +114,6 @@ class Hypergraph:
         return Hypergraph(self.n, sub, r if sub else self.uniformity), tuple(ids)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    per_vertex_degree: tuple[int, ...]
-    average_degree: Fraction
-    min_degree: int
-    is_linear: bool
-
-
 def _bulk_edges(n: int, raws: list[tuple]) -> Optional[list[tuple[int, ...]]]:
     """The sorted edge list when the edges all have one size r >= 2, have
     distinct vertices in 0..n-1 and appear once; None on anything else.
@@ -334,21 +326,6 @@ def pair_covers(H: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
         cov = cover_lists(H.edges, 2)
         object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in sorted(cov.items())})
     return H._pair_covers
-
-
-def profile(H: Hypergraph) -> DegreeProfile:
-    deg = [0] * H.n
-    for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    total = sum(len(e) for e in H.edges)
-    avg = Fraction(total, H.n) if H.n else Fraction(0)
-    return DegreeProfile(
-        per_vertex_degree=tuple(deg),
-        average_degree=avg,
-        min_degree=min(deg) if deg else 0,
-        is_linear=is_linear(H),
-    )
 
 
 def average_degree(H: Hypergraph) -> Fraction:

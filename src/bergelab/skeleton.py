@@ -7,10 +7,10 @@ edge's image) or is classified on the spot. When the head u, on level l,
 reads an edge whose other two vertices are already in the tree, neither of
 them has been dequeued (it would have read the edge first), so both sit on
 level l or l + 1, and the edge goes to the one class the pair of levels
-names: within_l, up_l or down_{l+1}. The skeleton keeps what the build saw
-(its level map and the three class lists, which with the tree images are
-the edges it read), so no later step scans the tree's incidence lists
-again. The common-ancestor frame used by the cycle builders also lives
+names: within_l, up_l or down_{l+1}. The build stores what it saw, once:
+the level map, the three classes (each level sorted) and the set of edges
+it read, so no later step scans the tree's incidence lists or rebuilds
+these. The common-ancestor frame used by the cycle builders also lives
 here.
 """
 
@@ -26,43 +26,33 @@ from .hypergraph import Hypergraph, incidence
 
 
 @dataclass(frozen=True)
+class LevelEdgeClasses:
+    """Per level i: down (2 here + 1 below), within (all here),
+    up (2 here + 1 above); every non-tree edge the build read sits in exactly one.
+    """
+
+    down: tuple[tuple[int, ...], ...]
+    within: tuple[tuple[int, ...], ...]
+    up: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class Skeleton:
     root: int
     parent: dict[int, int]            # vertex -> parent (root -> -1)
     edge_for: dict[Pair, int]         # tree edge -> consumed hyperedge index
     levels: tuple[tuple[int, ...], ...]
-    # What build_skeleton saw, left out of ==: per level its down, within
-    # and up edges in read order.
-    seen: tuple[list[list[int]], ...] = field(default=(), repr=False, compare=False)
-    # vertex -> level, from the build or built once by level_of()
-    _level_of: Optional[dict[int, int]] = field(default=None, repr=False, compare=False)
-    # the sorted classes, built once by classify_levels()
-    _classes: Optional[LevelEdgeClasses] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # What the build saw, set once, left out of == and repr and not to be
+    # mutated: vertex -> level; the classes, each level sorted and padded to
+    # height + 2 levels; every edge read (the tree images and the classified
+    # edges, that is every active edge meeting the tree).
+    level_of: dict[int, int] = field(repr=False, compare=False)
+    classes: LevelEdgeClasses = field(repr=False, compare=False)
+    read: set[int] = field(repr=False, compare=False)
 
     @property
     def height(self) -> int:
         return len(self.levels) - 1
-
-    def level_of(self) -> dict[int, int]:
-        """Vertex -> level; one shared map per skeleton, not to be mutated."""
-        if self._level_of is None:
-            out = {v: i for i, lv in enumerate(self.levels) for v in lv}
-            object.__setattr__(self, "_level_of", out)
-        return self._level_of
-
-    def tree_edge_images(self) -> set[int]:
-        return set(self.edge_for.values())
-
-    def read_edges(self) -> set[int]:
-        """Every edge the build read: the tree images and the classified
-        edges, that is every active edge meeting the tree."""
-        out = self.tree_edge_images()
-        for lists in self.seen:
-            for ids in lists:
-                out.update(ids)
-        return out
 
     def tree_path(self, anc: int, v: int) -> list[int]:
         """Vertices from anc down to v along the tree; anc must be an ancestor."""
@@ -74,17 +64,6 @@ class Skeleton:
     def spine_edges(self, vertex_path: Sequence[int]) -> list[int]:
         """Hyperedge images of consecutive tree edges along a vertex path."""
         return [self.edge_for[norm_edge(a, b)] for a, b in zip(vertex_path, vertex_path[1:])]
-
-
-@dataclass(frozen=True)
-class LevelEdgeClasses:
-    """Per level i: down (2 here + 1 below), within (all here),
-    up (2 here + 1 above); every non-tree edge the build read sits in exactly one.
-    """
-
-    down: tuple[tuple[int, ...], ...]
-    within: tuple[tuple[int, ...], ...]
-    up: tuple[tuple[int, ...], ...]
 
 
 def path_to_root(parent: dict[int, int], v: int) -> list[int]:
@@ -105,7 +84,8 @@ def build_skeleton(
     from the head u on level l whose other vertices x, y are both in the
     tree has them on levels l or l + 1, as neither is dequeued yet: levels
     (l, l) file it under within_l, (l, l + 1) under up_l and (l + 1, l + 1)
-    under down_{l+1}; any other pair raises ClassificationFailure.
+    under down_{l+1}; any other pair raises ClassificationFailure. The
+    skeleton keeps the level map, the classes and the read set it built.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("skeletons are built on 3-graphs")
@@ -171,25 +151,19 @@ def build_skeleton(
         parent=parent,
         edge_for=edge_for,
         levels=tuple(tuple(sorted(lv)) for lv in levels),
-        seen=(down, within, up),
-        _level_of=level,
+        level_of=level,
+        classes=LevelEdgeClasses(
+            *(tuple(tuple(sorted(ids)) for ids in lists) + ((),) for lists in (down, within, up))
+        ),
+        read=read,
     )
 
 
 def classify_levels(H: Hypergraph, sk: Skeleton) -> LevelEdgeClasses:
-    """The non-tree edges the build read, by level class.
-
-    `build_skeleton` files each edge as it reads it; this sorts every list
-    and pads them to height + 2 levels, once per skeleton.
-    """
+    """The non-tree edges the build read, by level class: `sk.classes`."""
     if H.uniformity != 3:
         raise PreconditionUnmet("level classes are built on 3-graphs")
-    if sk._classes is None:
-        down, within, up = (
-            tuple(tuple(sorted(ids)) for ids in lists) + ((),) for lists in sk.seen
-        )
-        object.__setattr__(sk, "_classes", LevelEdgeClasses(down, within, up))
-    return sk._classes
+    return sk.classes
 
 
 def frame_from_parent(

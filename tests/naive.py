@@ -236,7 +236,8 @@ def _naive_active_set(H, active_edges):
 
 
 def naive_build_skeleton(H, root, active_edges=None):
-    """`skeleton.build_skeleton` with its list-building per-edge loop."""
+    """`skeleton.build_skeleton` with its list-building per-edge loop, and
+    its classes by `naive_classify_levels`."""
     from bergelab.errors import PreconditionUnmet
     from bergelab.graphs import norm_edge
     from bergelab.hypergraph import incidence
@@ -276,21 +277,22 @@ def naive_build_skeleton(H, root, active_edges=None):
         parent=parent,
         edge_for=edge_for,
         levels=tuple(tuple(sorted(lv)) for lv in levels),
+        level_of=level,
+        classes=naive_classify_levels(H, level, set(edge_for.values()), active),
+        read=processed,
     )
 
 
-def naive_classify_levels(H, sk, active_edges=None):
-    """`skeleton.classify_levels` with its sorted level-list per edge."""
+def naive_classify_levels(H, level_of, tree_images, active):
+    """The level classes with a sorted level list per edge, over every
+    active edge that meets the tree and is no tree image."""
     from bergelab.errors import ClassificationFailure
     from bergelab.hypergraph import incidence
     from bergelab.skeleton import LevelEdgeClasses
 
-    active = _naive_active_set(H, active_edges)
-    tree_images = sk.tree_edge_images()
-    level_of = sk.level_of()
     inc = incidence(H)
     meeting = sorted({ei for v in level_of for ei in inc[v] if ei in active})
-    h = sk.height
+    h = max(level_of.values())
     down = [[] for _ in range(h + 2)]
     within = [[] for _ in range(h + 2)]
     up = [[] for _ in range(h + 2)]

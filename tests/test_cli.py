@@ -319,6 +319,99 @@ def test_turan_pinned(capsys, row, line, stdout):
         assert out == stdout
 
 
+# Witness and skeleton-CSV pins as `bergelab` prints them. Each row names
+# its document, the command run on it and the exact bytes it must give: the
+# `--emit-witnesses` file for `find`, stdout for `skeleton`. Documents are
+# made by `gen` with the argv in DOCUMENTS, except FANO_STS9.
+DOCUMENTS = {
+    "sts769": ["--family", "steinerTriple", "--n", "769"],
+    "sts255": ["--family", "steinerTriple", "--n", "255"],
+    "sts381": ["--family", "steinerTriple", "--n", "381"],
+    "linear4": ["--family", "randomLinearR", "--n", "180", "--r", "4", "--m", "1300",
+                "--seed", "1006"],
+    "k9": ["--family", "completeR", "--n", "9", "--r", "3"],
+}
+# The Fano plane on 0..6 beside STS(9) on 7..15: the sweep's first root is
+# 0, so the run comes from the Fano part, not from the denser STS(9).
+FANO_STS9 = (
+    "3 16 19\n0 1 2\n0 3 4\n0 5 6\n1 3 6\n1 4 5\n2 3 5\n2 4 6\n7 8 9\n7 10 14\n"
+    "7 11 13\n7 12 15\n8 10 13\n8 11 15\n8 12 14\n9 10 15\n9 11 14\n9 12 13\n"
+    "10 11 12\n13 14 15\n"
+)
+
+
+W255 = (
+    '{"type":"berge-cycle","length":4,"spine":[0,3,133,5],"edges":[1,380,728,3]}',
+    '{"type":"berge-cycle","length":5,"spine":[0,3,133,130,129],"edges":[1,380,728,9493,106]}',
+)
+WK9 = (
+    '{"type":"berge-cycle","length":3,"spine":[1,3,2],"edges":[28,49,0]}',
+    '{"type":"berge-cycle","length":4,"spine":[1,3,4,2],"edges":[28,64,49,0]}',
+)
+# (document, argv, the lines it must give, each ending in a newline)
+PINS = [
+    ("sts769", ["find", "--k", "2"], (
+        '{"type":"berge-cycle","length":4,"spine":[0,3,388,387],"edges":[1,1151,86336,320]}',
+        '{"type":"berge-cycle","length":5,"spine":[0,3,388,390,393],'
+        '"edges":[1,1151,86336,86525,321]}',
+    )),
+    ("sts255", ["find", "--k", "2", "--mode", "general3"], W255),
+    ("sts255", ["find", "--k", "2", "--mode", "linearR"], W255),
+    ("sts381", ["find", "--k", "2", "--mode", "general3"], (
+        '{"type":"berge-cycle","length":4,"spine":[0,3,196,175],"edges":[1,569,20557,144]}',
+        '{"type":"berge-cycle","length":5,"spine":[0,3,196,377,183],'
+        '"edges":[1,569,20557,20914,151]}',
+    )),
+    ("linear4", ["find", "--k", "2"], (
+        '{"type":"berge-cycle","length":4,"spine":[0,1,67,75],"edges":[0,47,107,25]}',
+        '{"type":"berge-cycle","length":5,"spine":[0,1,67,75,12],"edges":[0,47,107,339,6]}',
+    )),
+    ("k9", ["find", "--k", "2", "--mode", "general3"], WK9),
+    ("k9", ["find", "--k", "3", "--mode", "generalR"], WK9 + (
+        '{"type":"berge-cycle","length":5,"spine":[1,3,5,4,2],"edges":[28,64,74,49,0]}',
+    )),
+    ("fano_sts9", ["find", "--k", "1", "--mode", "linear3"], (
+        '{"type":"berge-cycle","length":5,"spine":[0,3,2,6,1],"edges":[1,5,6,3,0]}',
+    )),
+    ("sts381", ["skeleton", "--root", "0"],
+     ("i,L,A,B,C", "0,1,0,0,0", "1,190,0,2992,8820", "2,190,8945,2993,0")),
+    ("k9", ["skeleton", "--root", "0"], ("i,L,A,B,C", "0,1,0,0,0", "1,8,20,56,0")),
+]
+
+
+@pytest.fixture(scope="module")
+def pin_document(tmp_path_factory):
+    """Path of a pinned document, each made once per module."""
+    made = {}
+
+    def document(name):
+        if name not in made:
+            path = tmp_path_factory.mktemp("pins") / f"{name}.hg"
+            if name == "fano_sts9":
+                path.write_text(FANO_STS9)
+            else:
+                assert main(["gen", *DOCUMENTS[name], "--out", str(path)]) == 0
+            made[name] = str(path)
+        return made[name]
+
+    return document
+
+
+@pytest.mark.parametrize("doc,argv,lines", PINS, ids=[" ".join([r[0], *r[1]]) for r in PINS])
+def test_pinned(pin_document, tmp_path, capsys, doc, argv, lines):
+    path = pin_document(doc)
+    capsys.readouterr()
+    if argv[0] == "find":
+        witnesses = tmp_path / "w.jsonl"
+        code, _, err = run_cli([*argv, "--input", path, "--emit-witnesses", str(witnesses)], capsys)
+        got = witnesses.read_bytes()
+    else:
+        code, out, err = run_cli([*argv, "--input", path], capsys)
+        got = out.encode()
+    assert (code, err) == (0, "")
+    assert got == "".join(line + "\n" for line in lines).encode()
+
+
 # One document per parse error, with the message it must report.
 BAD_INPUTS = {
     "MalformedLine": ("garbage line\n", "header must be 'r n m'"),

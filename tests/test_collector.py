@@ -1,7 +1,7 @@
 """Reference cycles and the cyclic garbage collector.
 
-`bergelab find` pauses the collector for the whole command, which is only
-sound while the find path makes no reference cycles; the search kernel
+`cli.main` pauses the collector for the whole of every command, which is
+only sound while no command makes reference cycles; the search kernel
 frees each call's state by reference counting alone. Each check runs with
 the collector disabled and asks `gc.collect()` how many unreachable
 objects were left behind.
@@ -95,15 +95,65 @@ class TestFindRestoresTheCollector:
             cli.main(["find", "--k", "1", "--mode", "linear3", "--input", str(path)])
         assert gc.isenabled() == collector_state
 
-    def test_other_commands_keep_the_collector(self, collector_state, monkeypatch, capsys):
+
+# One row per command and exit code it can give: (argv, exit code). FANO,
+# WITNESSES and BAD are replaced by files the fixture writes, MISSING by a
+# path that does not exist.
+COMMANDS = [
+    (["gen", "--family", "steinerTriple", "--n", "7"], 0),
+    (["gen", "--family", "steinerTriple", "--n", "8"], 2),
+    (["find", "--k", "1", "--input", "FANO"], 0),
+    (["find", "--k", "1", "--input", "MISSING"], 2),
+    (["skeleton", "--input", "FANO"], 0),
+    (["skeleton", "--input", "FANO", "--root", "9"], 2),
+    (["spectrum", "--input", "FANO"], 0),
+    (["spectrum", "--input", "FANO", "--max-len", "-3"], 2),
+    (["spectrum", "--input", "FANO", "--budget", "1"], 3),
+    (["turan", "--n", "5", "--r", "3", "--ell", "3"], 0),
+    (["turan", "--n", "5", "--r", "3", "--ell", "1"], 2),
+    (["turan", "--n", "6", "--r", "3", "--ell", "3", "--budget", "10"], 3),
+    (["verify", "--input", "FANO", "--witnesses", "WITNESSES"], 0),
+    (["verify", "--input", "FANO", "--witnesses", "BAD"], 1),
+    (["verify", "--input", "FANO", "--witnesses", "MISSING"], 2),
+]
+
+
+@pytest.fixture
+def command_files(tmp_path, capsys):
+    files = {name: str(tmp_path / name) for name in ("FANO", "WITNESSES", "BAD", "MISSING")}
+    with open(files["FANO"], "w") as fh:
+        fh.write(serialize(steiner_triple(7)))
+    with open(files["BAD"], "w") as fh:
+        fh.write("not a witness\n")
+    argv = ["find", "--k", "1", "--input", files["FANO"], "--emit-witnesses", files["WITNESSES"]]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return files
+
+
+@pytest.mark.parametrize("argv, code", COMMANDS, ids=[f"{r[0][0]}-exit{r[1]}" for r in COMMANDS])
+class TestEveryCommand:
+    def test_pauses_and_restores_the_collector(
+        self, argv, code, collector_state, command_files, monkeypatch, capsys
+    ):
         seen = []
-        real = cli.turan_exhaustive
+        name = f"_cmd_{argv[0]}"
+        real = getattr(cli, name)
 
-        def spy(*args, **kw):
+        def spy(args):
             seen.append(gc.isenabled())
-            return real(*args, **kw)
+            return real(args)
 
-        monkeypatch.setattr(cli, "turan_exhaustive", spy)
-        assert cli.main(["turan", "--n", "5", "--r", "3", "--ell", "3"]) == 0
-        assert seen == [collector_state]
+        monkeypatch.setattr(cli, name, spy)
+        assert cli.main([command_files.get(a, a) for a in argv]) == code
+        assert seen == [False]
         assert gc.isenabled() == collector_state
+
+    def test_leaves_only_the_parsers_garbage(self, argv, code, command_files, capsys):
+        argv = [command_files.get(a, a) for a in argv]
+        with collector_off():
+            cli.build_parser().parse_args(argv)
+            parser_left = gc.collect()
+        with collector_off():
+            assert cli.main(argv) == code
+            assert gc.collect() == parser_left

@@ -476,7 +476,7 @@ class TestDichotomyRoutes:
     def test_mono_route_upper_endpoint(self):
         H = mono_route_upper_fixture()
         sk = build_skeleton(H, 0)
-        assert sk.level_of()[4] == 3  # the bridge endpoint sits one level up
+        assert sk.level_of[4] == 3  # the bridge endpoint sits one level up
         out = fd.cycles_or_level_bound(H, sk, 2, 2)
         assert isinstance(out, fd.ConsecutiveRun)
         check_run(H, out, 2)

@@ -59,7 +59,7 @@ class TestParse:
         # independent linearity check: all 21 edge pairs intersect in <= 1 vertex
         for a, b in combinations(H.edges, 2):
             assert len(set(a) & set(b)) <= 1
-        assert hg.profile(H).is_linear
+        assert hg.is_linear(H)
 
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
@@ -417,23 +417,29 @@ class TestParseMatchesPerLineLoop:
         assert parse_outcome(hg.parse, text) == parse_outcome(naive_parse, text)
 
 
+def degrees(H):
+    return tuple(map(len, hg.incidence(H)))
+
+
 class TestProfile:
+    """Degrees (from `incidence`), average degree and linearity."""
+
     def test_complete_3_graph_on_5(self):
-        p = hg.profile(complete3(5))
-        assert p.per_vertex_degree == (6,) * 5
-        assert p.average_degree == Fraction(6)
-        assert not p.is_linear
+        H = complete3(5)
+        assert degrees(H) == (6,) * 5
+        assert hg.average_degree(H) == Fraction(6)
+        assert not hg.is_linear(H)
 
     def test_fano(self):
-        p = hg.profile(fano())
-        assert p.per_vertex_degree == (3,) * 7
-        assert p.is_linear
+        H = fano()
+        assert degrees(H) == (3,) * 7
+        assert hg.is_linear(H)
 
     def test_single_edge(self):
-        p = hg.profile(hg.Hypergraph.from_edges(3, [(0, 1, 2)]))
-        assert p.average_degree == Fraction(1)
-        assert p.min_degree == 1
-        assert p.is_linear
+        H = hg.Hypergraph.from_edges(3, [(0, 1, 2)])
+        assert hg.average_degree(H) == Fraction(1)
+        assert min(degrees(H)) == 1
+        assert hg.is_linear(H)
 
 
 def edge_size_average(H):
@@ -489,7 +495,6 @@ class TestIsLinear:
         want = all(len(ids) <= 1 for ids in hg.pair_covers(H).values())
         twin = hg.Hypergraph.from_edges(n, sorted(edges))
         assert hg.is_linear(twin) is want
-        assert hg.profile(twin).is_linear is want
 
     @given(
         st.integers(0, 10**6),
@@ -559,14 +564,14 @@ class TestIsLinear:
     def test_builds_no_pair_index(self):
         H, K = fano(), complete3(5)
         assert hg.is_linear(H) and not hg.is_linear(K)
-        hg.profile(H)
+        hg.incidence(H), hg.average_degree(H)
         assert H._pair_covers is None and K._pair_covers is None
 
     def test_scanned_once_per_instance(self, monkeypatch):
         H = fano()
         assert hg.is_linear(H)
         monkeypatch.setattr(hg, "no_pair_twice", lambda edges: pytest.fail("rescanned"))
-        assert hg.is_linear(H) and hg.profile(H).is_linear
+        assert hg.is_linear(H)
 
 
 class TestShadow:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import skeleton as sk
-from bergelab.errors import ClassificationFailure, PreconditionUnmet
+from bergelab.errors import PreconditionUnmet
 from bergelab.generators import random_linear_r
 from bergelab.hypergraph import Hypergraph
 
-from naive import naive_build_skeleton, naive_classify_levels, tree_vertices
+from naive import naive_build_skeleton, tree_vertices
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
@@ -51,11 +51,10 @@ class TestBuild:
     def test_attach_levels_monotone(self):
         H = random_3graph(10, 20, 11)
         S = sk.build_skeleton(H, 0)
-        level_of = S.level_of()
-        assert level_of[S.root] == 0
+        assert S.level_of[S.root] == 0
         for v, u in S.parent.items():
             if v != S.root:
-                assert level_of[v] == level_of[u] + 1
+                assert S.level_of[v] == S.level_of[u] + 1
 
 
 class TestClassify:
@@ -65,7 +64,8 @@ class TestClassify:
             S = sk.build_skeleton(H, root)
             cl = sk.classify_levels(H, S)
             used = {e for grp in (cl.down, cl.within, cl.up) for lv in grp for e in lv}
-            assert used | S.tree_edge_images() == set(range(7))
+            assert used | set(S.edge_for.values()) == set(range(7))
+            assert S.read == set(range(7))
 
     def test_star_classes(self):
         H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)])
@@ -89,7 +89,7 @@ class TestClassify:
         expect = {
             ei
             for ei in range(len(H.edges))
-            if ei not in S.tree_edge_images()
+            if ei not in S.edge_for.values()
             and set(H.edges[ei]) & tree_vertices(S)
         }
         assert set(classified) == expect
@@ -110,10 +110,10 @@ class TestClassify:
         expect = {
             ei
             for ei in active
-            if ei not in S.tree_edge_images() and set(H.edges[ei]) & tree_vertices(S)
+            if ei not in S.edge_for.values() and set(H.edges[ei]) & tree_vertices(S)
         }
         assert sorted(classified) == sorted(expect)
-        assert S.read_edges() == expect | S.tree_edge_images()
+        assert S.read == expect | set(S.edge_for.values())
 
     def test_active_set_used_as_given(self):
         class Probed(set):
@@ -126,7 +126,7 @@ class TestClassify:
         H = Hypergraph.from_edges(7, FANO)
         S = sk.build_skeleton(H, 0, Probed(range(6)))
         assert Probed.hits > 0
-        assert 6 not in S.tree_edge_images()
+        assert 6 not in S.edge_for.values()
 
     @given(st.integers(0, 10**6), st.sampled_from(("linear", "random")))
     @settings(max_examples=200, deadline=None)
@@ -136,7 +136,7 @@ class TestClassify:
         H = random_input(rng, seed, kind)
         S = sk.build_skeleton(H, rng.randrange(H.n), random_active(rng, len(H.edges)))
         cl = sk.classify_levels(H, S)
-        level_of = S.level_of()
+        level_of = S.level_of
         for l in range(S.height + 2):
             for ei, shape in (
                 [(ei, (l - 1, l, l)) for ei in cl.down[l]]
@@ -157,17 +157,8 @@ class TestClassify:
         assert cl.within == ((), (3,), (), ())
         assert cl.up == ((), (7,), (), ())
         assert cl.down == ((), (), (6,), ())
-        assert S.read_edges() == set(range(8))
-        assert sk.classify_levels(H, S) is cl  # sorted once per skeleton
-
-
-def skeleton_outcome(S, classify):
-    """Everything observable of one build and its classification, failures included."""
-    try:
-        classes = classify(S)
-    except ClassificationFailure as exc:
-        classes = str(exc)
-    return S, list(S.parent.items()), list(S.edge_for.items()), classes
+        assert S.read == set(range(8))
+        assert cl is S.classes  # sorted once, by the build
 
 
 def random_input(rng, seed, kind):
@@ -190,15 +181,14 @@ class TestMatchesGenericLoops:
         H = random_input(rng, seed, kind)
         root = rng.randrange(H.n)
         active = random_active(rng, len(H.edges))
-        want = skeleton_outcome(
-            naive_build_skeleton(H, root, active),
-            lambda S: naive_classify_levels(H, S, active),
-        )
-        got = skeleton_outcome(
-            sk.build_skeleton(H, root, active), lambda S: sk.classify_levels(H, S)
-        )
-        assert got == want
-        assert not isinstance(got[-1], str)
+        want = naive_build_skeleton(H, root, active)
+        got = sk.build_skeleton(H, root, active)
+        assert got == want  # root, parent, edge_for, levels
+        assert list(got.parent.items()) == list(want.parent.items())
+        assert list(got.edge_for.items()) == list(want.edge_for.items())
+        assert got.classes == want.classes
+        assert got.read == want.read  # the edges the generic loop read
+        assert got.level_of == {v: i for i, lv in enumerate(got.levels) for v in lv}
 
     def test_classify_needs_3_graph(self):
         S = sk.build_skeleton(Hypergraph.from_edges(3, [(0, 1, 2)]), 0)
