@@ -1,18 +1,16 @@
-"""2-graph toolkit: density-driven long paths and cycles, blocks,
-disjoint paths, BFS trees, components and shortest paths.
+"""2-graph toolkit: density-driven long paths and cycles, blocks, BFS
+trees, components and shortest paths.
 
 The long-path/long-cycle extractors realize the classical density bounds
 constructively: peel low-degree vertices (the bound is preserved), recurse
 into a component/block that still satisfies it, then grow a maximal path
-and close it through crossing chords. For cycles, a stuck state (no
-closure) is resolved from chord candidates: the two end cycles, the best
-"straddle" cycle through both endpoints, and a cycle merging the end
-cycles through two disjoint connectors. That these meet the m+1 bound is
-checked, not proven: the tests draw random graphs for m <= 6 and graphs
-exactly at the density bound for m = 2..12. The finders pass m = k and
-m = 2k - 2 (through `pathtools.special_path`), so `find --k 7` already
-asks for m = 12; an exact DP backs up stuck instances of at most 12
-vertices and InternalProofFailure surfaces anything else.
+and close it through crossing chords. A cycle rotation can stall: no
+closure exists, or a closure spans the block below the bound. The block
+then has minimum degree at least (m+1)/2 and at least m+1 vertices and is
+2-connected, so Dirac's theorem (1952) gives it a cycle of length at least
+min(n, 2*delta) >= m+1. The spectrum kernel finds the shortest such cycle
+exactly, one length at a time from m+1, under a fixed node budget;
+InternalProofFailure surfaces a budget spent first.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._spectrum import KernelState, spectrum_search
 from .errors import InternalProofFailure, PreconditionUnmet
 
 Pair = tuple[int, int]
@@ -316,209 +315,18 @@ def _reopen(adj: dict[int, list[int]], cycle: list[int]) -> Optional[list[int]]:
     return None
 
 
-def _cycle_arcs(cycle_path: list[int], u: int, v: int) -> tuple[list[int], list[int]]:
-    """Both arcs between u and v around the cycle v_0..v_k (chord closing it)."""
-    iu, iv = cycle_path.index(u), cycle_path.index(v)
-    if iu > iv:
-        iu, iv = iv, iu
-    inner = cycle_path[iu : iv + 1]
-    outer = cycle_path[iv:] + cycle_path[: iu + 1]
-    return inner, outer
-
-
-def _longer_arc(cycle_path: list[int], u: int, v: int) -> list[int]:
-    a, b = _cycle_arcs(cycle_path, u, v)
-    arc = a if len(a) >= len(b) else b
-    if arc[0] != u:
-        arc = arc[::-1]
-    return arc
-
-
-def two_disjoint_paths(G: Graph, A: Iterable[int], B: Iterable[int]):
-    """Two vertex-disjoint A-B paths with interiors outside A and B, or None.
-
-    Unit-vertex-capacity max flow with two BFS augmentations.
-    """
-    Aset, Bset = set(A), set(B)
-    if Aset & Bset:
-        raise PreconditionUnmet("A and B must be disjoint")
-    adj = G.adjacency()
-    # residual graph over nodes ('in', v) / ('out', v) plus 'S', 'T'
-    cap: dict[tuple, dict[tuple, int]] = {}
-
-    def add(u, v, c):
-        cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for v in G.vertices:
-        add(("in", v), ("out", v), 1)
-    for u, v in G.edges:
-        add(("out", u), ("in", v), 1)
-        add(("out", v), ("in", u), 1)
-    for a in sorted(Aset):
-        add("S", ("in", a), 1)
-    for b in sorted(Bset):
-        add(("out", b), "T", 1)
-
-    def bfs_augment() -> bool:
-        prev: dict = {"S": None}
-        q = deque(["S"])
-        while q:
-            u = q.popleft()
-            if u == "T":
-                break
-            for w in sorted(cap.get(u, {}), key=str):
-                if w not in prev and cap[u][w] > 0:
-                    prev[w] = u
-                    q.append(w)
-        if "T" not in prev:
-            return False
-        node = "T"
-        while prev[node] is not None:
-            p = prev[node]
-            cap[p][node] -= 1
-            cap[node][p] += 1
-            node = p
-        return True
-
-    if not (bfs_augment() and bfs_augment()):
-        return None
-    # extract the two paths by walking saturated vertex capacities
-    succ: dict[int, int] = {}
-    for v in G.vertices:
-        if cap[("in", v)][("out", v)] == 0:  # used vertex
-            for w in sorted(adj[v]):
-                if cap.get(("out", v), {}).get(("in", w), 1) == 0:
-                    succ[v] = w
-                    break
-    paths = []
-    starts = [a for a in sorted(Aset) if cap["S"][("in", a)] == 0]
-    for a in starts:
-        path = [a]
-        while path[-1] not in Bset:
-            path.append(succ[path[-1]])
-        # trim so interiors avoid A and B
-        last_a = max(i for i, v in enumerate(path) if v in Aset)
-        path = path[last_a:]
-        first_b = next(i for i, v in enumerate(path) if v in Bset)
-        paths.append(path[: first_b + 1])
-    if len(paths) != 2 or len({p[0] for p in paths}) != 2 or len({p[-1] for p in paths}) != 2:
-        return None
-    return paths[0], paths[1]
-
-
-def _stuck_candidates(G: Graph, adj, path: list[int]) -> list[list[int]]:
-    """Cycle candidates from a maximal path with no closure."""
-    x, y = path[0], path[-1]
-    p = len(path) - 1
-    pos = {v: i for i, v in enumerate(path)}
-    I = sorted(pos[w] for w in adj[x] if w in pos)
-    J = sorted(pos[w] for w in adj[y] if w in pos)
-    cands: list[list[int]] = []
-    i_star, j_star = max(I), min(J)
-    if i_star >= 2:
-        cands.append(path[: i_star + 1])
-    if p - j_star >= 2:
-        cands.append(path[j_star:])
-    # straddle cycles: a in I, c in J with c < a, closed through both ends
-    bmax = max(J)
-    jset = set(J)
-    best: Optional[tuple[int, int]] = None
-    ci = 0
-    # minimize a - c over c in J, a in I, c < a <= bmax
-    for a in I:
-        if a > bmax:
-            break
-        cs = [c for c in J if c < a]
-        if cs:
-            c = max(cs)
-            if best is None or a - c < best[0] - best[1]:
-                best = (a, c)
-    if best is not None:
-        a, c = best
-        cyc = [x] + path[a : bmax + 1] + [y] + path[c:0:-1]
-        if len(cyc) >= 3 and len(set(cyc)) == len(cyc):
-            cands.append(cyc)
-    # merge the two end cycles through disjoint connectors
-    if i_star <= j_star and i_star >= 1 and j_star <= p - 1:
-        c0 = path[: i_star + 1]
-        cp = path[j_star:]
-        if i_star < j_star:
-            dp = two_disjoint_paths(G, c0, cp)
-            if dp:
-                q1, q2 = dp
-                arc0 = _longer_arc(c0, q1[0], q2[0])
-                arcp = _longer_arc(cp, q2[-1], q1[-1])
-                cyc = arc0 + q2[1:-1] + arcp + q1[::-1][1:-1]
-                if len(set(cyc)) == len(cyc) and len(cyc) >= 3:
-                    cands.append(cyc)
-        else:
-            t = path[i_star]
-            r = shortest_path(adj, [v for v in c0 if v != t], [v for v in cp if v != t], {t})
-            if r:
-                arc0 = _longer_arc(c0, r[0], t)
-                arcp = _longer_arc(cp, t, r[-1])
-                cyc = arc0 + arcp[1:] + r[::-1][1:-1]
-                if len(set(cyc)) == len(cyc) and len(cyc) >= 3:
-                    cands.append(cyc)
-    return cands
-
-
 def _cycle_is_valid(adj, cyc: list[int]) -> bool:
     if len(cyc) < 3 or len(set(cyc)) != len(cyc):
         return False
     return all(cyc[(i + 1) % len(cyc)] in adj[cyc[i]] for i in range(len(cyc)))
 
 
-def longest_cycle_exact(G: Graph) -> Optional[list[int]]:
-    """Exact longest cycle by bitmask DP over anchored paths; for n <= 12."""
-    vs = list(G.vertices)
-    idx = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
-    adjm = [0] * n
-    for u, v in G.edges:
-        adjm[idx[u]] |= 1 << idx[v]
-        adjm[idx[v]] |= 1 << idx[u]
-    best: Optional[list[int]] = None
-    for a in range(n):
-        # cycles whose smallest vertex index is a
-        allowed = -1 << a
-        start = 1 << a
-        prev: dict[tuple[int, int], int] = {(start, a): -1}
-        frontier = [(start, a)]
-        depth = 1
-        while frontier:
-            nxt: list[tuple[int, int]] = []
-            for mask, v in frontier:
-                m = adjm[v] & allowed & ~mask
-                while m:
-                    b = m & -m
-                    w = b.bit_length() - 1
-                    key = (mask | b, w)
-                    if key not in prev:
-                        prev[key] = v
-                        nxt.append(key)
-                    m ^= b
-            depth += 1
-            frontier = nxt
-            if depth < 3:
-                continue
-            for mask, v in sorted(frontier):
-                if adjm[v] & (1 << a) and (best is None or depth > len(best)):
-                    seq = [v]
-                    mk = mask
-                    while seq[-1] != a:
-                        p = prev[(mk, seq[-1])]
-                        mk ^= 1 << seq[-1]
-                        seq.append(p)
-                    best = [vs[i] for i in reversed(seq)]
-    return best
-
-
 # ---------------------------------------------------------------------------
 # density-guaranteed long paths and cycles
 
-_DP_LIMIT = 12
+# Kernel nodes a stalled rotation may spend (see long_cycle_from_density);
+# the stalls met in tests and stress draws took at most a few hundred.
+_STALL_BUDGET = 1_000_000
 
 
 def _any_cycle(G: Graph) -> Optional[list[int]]:
@@ -595,7 +403,11 @@ def long_path_from_density(G: Graph, m: int) -> list[int]:
 def long_cycle_from_density(G: Graph, m: int) -> list[int]:
     """A cycle with at least m+1 edges, given e(G) > m*(n-1)/2. Vertex list.
 
-    The closing edge (last vertex back to first) is implicit.
+    The closing edge (last vertex back to first) is implicit. The rotation
+    on the narrowed block H returns its first closure of length >= m+1.
+    When it stalls, the result is the spectrum kernel's first cycle of the
+    least length >= m+1 in H: Dirac's theorem guarantees one, and only the
+    `_STALL_BUDGET` node budget can fail (InternalProofFailure).
     """
     if G.n == 0:
         raise PreconditionUnmet("the graph has no vertices")
@@ -630,29 +442,37 @@ def long_cycle_from_density(G: Graph, m: int) -> list[int]:
         raise InternalProofFailure("core narrowing", "did not stabilize")
     adj = H.adjacency()
     path = _maximal_extend(adj, [H.vertices[0]])
-    best: Optional[list[int]] = None
     for _ in range(H.n + 1):
         cyc = _close(adj, path)
-        if cyc is not None:
-            if len(cyc) >= m + 1:
-                return cyc
-            best = cyc if best is None or len(cyc) > len(best) else best
-            reopened = _reopen(adj, cyc)
-            if reopened is None:
-                break  # spanning cycle below bound; fall through to candidates
-            path = _maximal_extend(adj, reopened)
-            continue
-        for cand in _stuck_candidates(H, adj, path):
-            if _cycle_is_valid(adj, cand) and (best is None or len(cand) > len(best)):
-                best = cand
-        break
-    if best is not None and len(best) >= m + 1:
-        return best
-    if H.n <= _DP_LIMIT:
-        exact = longest_cycle_exact(H)
-        if exact is not None and len(exact) >= m + 1:
-            return exact
+        if cyc is None:
+            break  # stalled: no closure
+        if len(cyc) >= m + 1:
+            return cyc
+        reopened = _reopen(adj, cyc)
+        if reopened is None:
+            break  # stalled: a spanning cycle below the bound
+        path = _maximal_extend(adj, reopened)
+    return _shortest_long_cycle(H, m)
+
+
+def _shortest_long_cycle(H: Graph, m: int) -> list[int]:
+    """The kernel's first cycle of the least length >= m+1 in H, searched
+    one length at a time on one `KernelState` within `_STALL_BUDGET` nodes."""
+    index = {v: i for i, v in enumerate(H.vertices)}  # increasing: edges stay sorted
+    edges = [(index[u], index[v]) for u, v in H.edges]
+    live = KernelState(H.n)
+    left = _STALL_BUDGET
+    for L in range(m + 1, H.n + 1):
+        hits, nodes, exhausted = spectrum_search(H.n, edges, L, L, left, live=live)
+        if hits:
+            cyc = [H.vertices[i] for i in hits[0][1]]
+            if not _cycle_is_valid(H.adjacency(), cyc):
+                raise InternalProofFailure("cycle extraction", "kernel spine is not a cycle")
+            return cyc
+        if exhausted:
+            break
+        left -= nodes
     raise InternalProofFailure(
         "cycle extraction",
-        f"bound m+1={m + 1} unmet (best {len(best) if best else 0}, n={H.n})",
+        f"bound m+1={m + 1} unmet within {_STALL_BUDGET} kernel nodes (n={H.n})",
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .certify import BergePathWitness, verify_path
 from .errors import (
@@ -101,11 +101,11 @@ def linear_xy_path(
     H: Hypergraph,
     X: Iterable[int],
     Y: Iterable[int],
-    edge_ids: Optional[Sequence[int]] = None,
+    edge_ids: Sequence[int],
 ) -> LinearPathWitness:
     """Linear path whose first edge meets X and last meets Y, lifted from a
     shortest shadow path (shortestness is what makes the lift linear)."""
-    ids = list(range(len(H.edges))) if edge_ids is None else sorted(edge_ids)
+    ids = sorted(edge_ids)
     Xs, Ys = set(X), set(Y)
     if not Xs or not Ys or Xs & Ys:
         raise PreconditionUnmet("X and Y must be disjoint and nonempty")
@@ -228,7 +228,7 @@ def special_linear_path(
     H: Hypergraph,
     colors: Sequence[int],
     p: int,
-    edge_ids: Optional[Sequence[int]] = None,
+    edge_ids: Sequence[int],
 ) -> LinearPathWitness:
     """Linear path of length >= p, first edge color 2, rest color 1.
 
@@ -237,7 +237,7 @@ def special_linear_path(
     shortest lift, then extend greedily at the core endpoint. Densities are
     measured over covered vertices, so edge-subset views work unchanged.
     """
-    ids = list(range(len(H.edges))) if edge_ids is None else sorted(edge_ids)
+    ids = sorted(edge_ids)
     r = H.uniformity
     if r is None:
         raise PreconditionUnmet("uniform hypergraph required")
@@ -328,7 +328,7 @@ def tripartite_ladder(
     H: Hypergraph,
     parts: tuple[Iterable[int], Iterable[int], Iterable[int]],
     p: int,
-    edge_ids: Optional[Sequence[int]] = None,
+    edge_ids: Sequence[int],
 ):
     """A start vertex u in part 1 plus, for each l in 1..p, an extendable
     path of length l from u ending in part 2.
@@ -336,7 +336,7 @@ def tripartite_ladder(
     Built from a long path in the (part1, part3) projection, closed into
     part 2 through the unique covering edges.
     """
-    ids = list(range(len(H.edges))) if edge_ids is None else sorted(edge_ids)
+    ids = sorted(edge_ids)
     V1, V2, V3 = (set(x) for x in parts)
     if p < 1:
         raise PreconditionUnmet("p must be at least 1")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bergelab import graphs as gr
 from bergelab.finder import skeleton_sweep
 from bergelab.generators import steiner_triple
-from bergelab.errors import PreconditionUnmet
+from bergelab.errors import InternalProofFailure, PreconditionUnmet
 
 from naive import naive_blocks, naive_shortest_cycle
 
@@ -182,23 +182,6 @@ class TestBlocks:
             assert real(G) == naive_blocks(G)
 
 
-class TestTwoDisjointPaths:
-    def test_cycle(self):
-        G = cycle_graph(8)
-        res = gr.two_disjoint_paths(G, [0, 1], [4, 5])
-        assert res is not None
-        p1, p2 = res
-        assert not (set(p1) & set(p2))
-        for p in (p1, p2):
-            check_path(G, p)
-            assert p[0] in {0, 1} and p[-1] in {4, 5}
-            assert all(v not in {0, 1, 4, 5} for v in p[1:-1])
-
-    def test_bridge_blocks(self):
-        G = gr.Graph.build(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
-        assert gr.two_disjoint_paths(G, [0, 1], [4, 5]) is None
-
-
 class TestLongPath:
     def test_k4(self):
         path = gr.long_path_from_density(complete_graph(4), 2)
@@ -253,12 +236,14 @@ class TestLongPath:
 
 
 @st.composite
-def at_cycle_bound(draw):
-    """(G, m) with m in 2..12 and exactly floor(m(n-1)/2) + 1 edges: a random
-    clique pocket is filled first, then random pairs, under a relabelling."""
-    m = draw(st.integers(2, 12))
-    n = draw(st.integers(m + 1, m + 12))
-    pocket = draw(st.integers(0, n))
+def at_cycle_bound(draw, ms=(2, 12), ns=None, small_pocket=False):
+    """(G, m) with exactly floor(m(n-1)/2) + 1 edges: a random clique pocket
+    is filled first, then random pairs, under a relabelling. m is drawn
+    from the closed range `ms` and n from `ns` (default m+1..m+12); the
+    pocket has at most n vertices, or at most m+3 with `small_pocket`."""
+    m = draw(st.integers(*ms))
+    n = draw(st.integers(*ns) if ns else st.integers(m + 1, m + 12))
+    pocket = draw(st.integers(0, min(n, m + 3) if small_pocket else n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     inside = list(combinations(range(pocket), 2))
     outside = [p for p in combinations(range(n), 2) if p[1] >= pocket]
@@ -268,6 +253,22 @@ def at_cycle_bound(draw):
     rng.shuffle(relabel)
     edges = [(relabel[a], relabel[b]) for a, b in (inside + outside)[: m * (n - 1) // 2 + 1]]
     return gr.Graph.build(range(n), edges), m
+
+
+@st.composite
+def short_closure_first(draw):
+    """(G, m) with floor(m(n-1)/2) + 1 edges whose first maximal path closes
+    below m+1: a clique on 0..s-1, s <= m, whose ends 0 and s-1 have no
+    other neighbour, then random pairs. About a third of these draws then
+    stall the rotation."""
+    m = draw(st.integers(3, 8))
+    s = draw(st.integers(m // 2 + 2, m))
+    n = draw(st.integers(s + m + 2, s + 3 * m + 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    outside = [p for p in combinations(range(1, n), 2) if p[1] >= s and p[0] != s - 1]
+    rng.shuffle(outside)
+    edges = list(combinations(range(s), 2)) + outside
+    return gr.Graph.build(range(n), edges[: m * (n - 1) // 2 + 1]), m
 
 
 class TestLongCycle:
@@ -281,13 +282,28 @@ class TestLongCycle:
         check_cycle(cycle_graph(5), cyc)
         assert len(cyc) == 5
 
-    def test_petersen_m2(self):
-        # girth 5 (independently verified), so any cycle found has length >= 5
+    def test_petersen_m2(self, monkeypatch):
+        # girth 5 (independently verified): the rotation stalls below it and
+        # the kernel, searching lengths 3 and 4 in vain, returns a 5-cycle
         G = petersen()
         assert naive_shortest_cycle(G.edges, 10) == 5
+        calls = []
+        real = gr.spectrum_search
+
+        def spy(n, edges, min_len, max_len, budget, live=None):
+            calls.append(min_len)
+            return real(n, edges, min_len, max_len, budget, live=live)
+
+        monkeypatch.setattr(gr, "spectrum_search", spy)
         cyc = gr.long_cycle_from_density(G, 2)
         check_cycle(G, cyc)
-        assert len(cyc) >= 5
+        assert len(cyc) == 5
+        assert calls == [3, 4, 5]
+
+    def test_stall_budget_spent(self, monkeypatch):
+        monkeypatch.setattr(gr, "_STALL_BUDGET", 0)
+        with pytest.raises(InternalProofFailure, match="cycle extraction"):
+            gr.long_cycle_from_density(petersen(), 2)
 
     def test_acyclic_m1(self):
         G = gr.Graph.build(range(5), [(i, i + 1) for i in range(4)])
@@ -350,6 +366,26 @@ class TestLongCycle:
         with pytest.raises(PreconditionUnmet):  # one edge fewer is below it
             gr.long_cycle_from_density(gr.Graph.build(G.vertices, G.edges[1:]), m)
 
+    @given(at_cycle_bound(ms=(4, 12), ns=(60, 250), small_pocket=True))
+    @settings(max_examples=60, deadline=None)
+    def test_large_at_bound(self, drawn):
+        # about two thirds of these stall the rotation, so the kernel
+        # finishes them
+        G, m = drawn
+        cyc = gr.long_cycle_from_density(G, m)
+        check_cycle(G, cyc)
+        assert len(cyc) >= m + 1
+
+    @given(short_closure_first())
+    @settings(max_examples=100, deadline=None)
+    def test_stall_after_short_closure(self, drawn):
+        # a closure below m+1 is never the answer, also when the rotation
+        # stalls after it
+        G, m = drawn
+        cyc = gr.long_cycle_from_density(G, m)
+        check_cycle(G, cyc)
+        assert len(cyc) >= m + 1
+
     @given(st.integers(0, 10**5), st.integers(1, 4), st.integers(2, 6))
     @settings(max_examples=80, deadline=None)
     def test_barbell_double_bars(self, seed, bar, m):
@@ -367,35 +403,3 @@ class TestLongCycle:
         cyc = gr.long_cycle_from_density(G, m)
         check_cycle(G, cyc)
         assert len(cyc) >= m + 1
-
-
-class TestExactDP:
-    @given(st.integers(4, 9), st.integers(0, 10**5))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bruteforce(self, n, seed):
-        from itertools import permutations
-
-        G = random_graph(n, 0.4, seed)
-        got = gr.longest_cycle_exact(G)
-        adj = G.adjacency()
-        best = 0
-        for k in range(n, 2, -1):
-            if best:
-                break
-            for verts in combinations(G.vertices, k):
-                done = False
-                for perm in permutations(verts[1:]):
-                    seq = (verts[0],) + perm
-                    if all(
-                        seq[(i + 1) % k] in adj[seq[i]] for i in range(k)
-                    ):
-                        best = k
-                        done = True
-                        break
-                if done:
-                    break
-        if best == 0:
-            assert got is None
-        else:
-            check_cycle(G, got)
-            assert len(got) == best

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergelab import graphs as gr
 from bergelab._spectrum import spectrum_search
 from bergelab.certify import extend
 from bergelab.errors import NotLinear
@@ -23,6 +24,7 @@ from bergelab.graphs import (
 from bergelab.hypergraph import Hypergraph, edge_components, pair_covers
 from bergelab.oracle import oracle_spectrum
 from bergelab.pathtools import linear_xy_path
+from test_graphs import at_cycle_bound
 
 nx = pytest.importorskip("networkx")
 
@@ -131,7 +133,7 @@ def test_linear_xy_path_names_the_first_pair_met_twice():
     # in edge order; a view without edge 1 meets (1, 2) twice instead
     H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 3, 5), (1, 2, 6)])
     with pytest.raises(NotLinear, match=r"^pair \(0, 3\) has co-degree above 1$"):
-        linear_xy_path(H, [0], [6])
+        linear_xy_path(H, [0], [6], range(len(H.edges)))
     with pytest.raises(NotLinear, match=r"^pair \(1, 2\) has co-degree above 1$"):
         linear_xy_path(H, [0], [6], edge_ids=[3, 2, 0])
 
@@ -211,3 +213,28 @@ def test_anchored_search_matches_full_search(drawn, rnd):
     want = incidence_lengths(n, edges, max_len)
     assert {L for L, _, _ in full} == want
     assert {L for L, _, _ in anchored} == want
+
+
+@given(at_cycle_bound(ms=(2, 5), ns=(20, 40), small_pocket=True))
+@settings(max_examples=150, deadline=None)
+def test_stalled_rotation_returns_the_least_long_cycle(drawn):
+    # about two in five of these stall the rotation; the kernel then searches
+    # the narrowed block, and its cycle has the least length >= m+1 there
+    G, m = drawn
+    blocks_searched = []
+    real = gr.spectrum_search
+
+    def spy(n, edges, min_len, max_len, budget, live=None):
+        blocks_searched.append(edges)
+        return real(n, edges, min_len, max_len, budget, live=live)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gr, "spectrum_search", spy)
+        cyc = gr.long_cycle_from_density(G, m)
+    assert len(set(cyc)) == len(cyc) >= m + 1
+    assert all(to_nx(G).has_edge(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+    if not blocks_searched:
+        return
+    block = nx.Graph(blocks_searched[0])
+    lengths = {len(c) for c in nx.simple_cycles(block, length_bound=len(cyc))}
+    assert len(cyc) == min(L for L in lengths if L >= m + 1)

@@ -106,24 +106,24 @@ class TestSpecialPath:
 class TestLinearXYPath:
     def test_two_triples(self):
         H = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3, 4)])
-        w = pt.linear_xy_path(H, [0], [4])
+        w = pt.linear_xy_path(H, [0], [4], range(len(H.edges)))
         assert w.edges == (0, 1)
         assert w.endpoints == (0, 4)
 
     def test_inside_one_edge(self):
         H = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3, 4)])
-        w = pt.linear_xy_path(H, [0], [2])
+        w = pt.linear_xy_path(H, [0], [2], range(len(H.edges)))
         assert w.edges == (0,)
 
     def test_disconnected(self):
         H = Hypergraph.from_edges(6, [(0, 1, 2), (3, 4, 5)])
         with pytest.raises(Disconnected):
-            pt.linear_xy_path(H, [0], [5])
+            pt.linear_xy_path(H, [0], [5], range(len(H.edges)))
 
     def test_not_linear(self):
         H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
         with pytest.raises(NotLinear):
-            pt.linear_xy_path(H, [2], [3])
+            pt.linear_xy_path(H, [2], [3], range(len(H.edges)))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
@@ -145,7 +145,7 @@ class TestLinearXYPath:
         Y = {cov[-1]}
         if X & Y:
             return
-        w = pt.linear_xy_path(H, X, Y)
+        w = pt.linear_xy_path(H, X, Y, range(len(H.edges)))
         assert pt.check_linear_path(H, w.edges)
         assert w.endpoints[0] in X and w.endpoints[1] in Y
         first, last = set(H.edges[w.edges[0]]), set(H.edges[w.edges[-1]])
@@ -157,7 +157,7 @@ class TestSpecialLinearPath:
         H = steiner_triple(15)  # d(H_1) = 3*34/15 = 6.8 >= 6
         colors = [1] * len(H.edges)
         colors[0] = 2
-        w = pt.special_linear_path(H, colors, 1)
+        w = pt.special_linear_path(H, colors, 1, range(len(H.edges)))
         assert w.length >= 1
         assert colors[w.edges[0]] == 2
 
@@ -166,7 +166,7 @@ class TestSpecialLinearPath:
         colors = [1] * len(H.edges)
         colors[0] = 2
         # d(H_1) = 3*(301-1)/43 ~ 20.9 >= 6*(2-1)+6 = 12
-        w = pt.special_linear_path(H, colors, 2)
+        w = pt.special_linear_path(H, colors, 2, range(len(H.edges)))
         assert w.length >= 2
         assert pt.check_linear_path(H, w.edges)
         assert colors[w.edges[0]] == 2
@@ -176,7 +176,7 @@ class TestSpecialLinearPath:
         H = Hypergraph.from_edges(12, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
         colors = [2, 1, 1, 1]
         with pytest.raises(PreconditionUnmet):
-            pt.special_linear_path(H, colors, 1)
+            pt.special_linear_path(H, colors, 1, range(len(H.edges)))
 
     @given(st.integers(0, 200), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -192,7 +192,7 @@ class TestSpecialLinearPath:
         ones = sum(1 for c in colors if c == 1)
         if 3 * ones < (6 * (p - 1) + 6) * H.n:
             return
-        w = pt.special_linear_path(H, colors, p)
+        w = pt.special_linear_path(H, colors, p, range(len(H.edges)))
         assert w.length >= p
         assert pt.check_linear_path(H, w.edges)
         assert colors[w.edges[0]] == 2
@@ -223,7 +223,7 @@ def tripartite_fixture(t, seed=0):
 class TestTripartiteLadder:
     def test_p1(self):
         H, parts = tripartite_fixture(3)
-        u, wits = pt.tripartite_ladder(H, parts, 1)
+        u, wits = pt.tripartite_ladder(H, parts, 1, range(len(H.edges)))
         assert u in set(parts[0])
         assert len(wits) == 1
         assert verify_path(H, wits[0])
@@ -231,7 +231,7 @@ class TestTripartiteLadder:
     def test_not_tripartite(self):
         H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
         with pytest.raises(PreconditionUnmet):
-            pt.tripartite_ladder(H, ([0, 1], [2], [3]), 1)
+            pt.tripartite_ladder(H, ([0, 1], [2], [3]), 1, range(len(H.edges)))
 
     @pytest.mark.parametrize("p", range(1, 13))
     def test_ladder_up_to_12(self, p):
@@ -241,7 +241,7 @@ class TestTripartiteLadder:
         H, parts = tripartite_fixture(t)
         covered = {v for e in H.edges for v in e}
         assert 2 * len(H.edges) >= p * len(covered)
-        u, wits = pt.tripartite_ladder(H, parts, p)
+        u, wits = pt.tripartite_ladder(H, parts, p, range(len(H.edges)))
         assert len(wits) == p
         for l, w in enumerate(wits, start=1):
             assert w.length == l

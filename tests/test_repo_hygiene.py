@@ -1,5 +1,7 @@
-"""No build output or generated file is tracked in git."""
+"""No build output or generated file is tracked in git, and no module of
+the package imports another module's private names."""
 
+import ast
 import subprocess
 from fnmatch import fnmatch
 from pathlib import Path
@@ -25,4 +27,20 @@ def tracked_files():
 
 def test_no_build_output_tracked():
     bad = [f for f in tracked_files() if any(fnmatch(f, pat) for pat in FORBIDDEN)]
+    assert bad == []
+
+
+def test_no_private_imports_across_modules():
+    # a module's `_`-prefixed names are its own: no other module of the
+    # package imports them
+    bad = []
+    for path in sorted((ROOT / "src" / "bergelab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("bergelab"):
+                continue
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    bad.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert bad == []
