@@ -30,7 +30,6 @@ from .graphs import Graph, densest_component, long_path_from_density, norm_edge
 from .hypergraph import (
     Hypergraph,
     average_degree,
-    codegree_covers,
     cover_lists,
     covered_vertices,
     edge_components,
@@ -462,49 +461,25 @@ def find_linear_r(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
 def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     """Greedy dichotomy: either a subgraph in which every (r-1)-subset of an
     edge has co-degree >= k+1, or a slice of >= |H|/k edges with distinct
-    marked (r-1)-subsets, one per edge.
-
-    Short-cut: when every (r-1)-subset lies in one edge (at r = 3, when H
-    is linear, which `codegree_covers` records) the slice is every edge
-    marked by its first r-1 vertices, which is what the walk below returns
-    there: each taken entry deletes only its own edge, and a count falling
-    from 1 to 0 never equals k."""
+    marked (r-1)-subsets, one per edge."""
     if H.uniformity is None:
         raise PreconditionUnmet("uniform hypergraph required")
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
     r = H.uniformity
-    members = codegree_covers(H)
-    if len(members) == r * len(H.edges):
-        return _marked_slice(
-            tuple((ei, e[: r - 1], True) for ei, e in enumerate(H.edges)),
-            members,
-            (1,) * len(H.edges),
-        )
+    members = cover_lists(H.edges, r - 1)
     count = {sub: len(ids) for sub, ids in members.items()}
     alive = set(range(len(H.edges)))
-    # The initial (edge, subset) entries are generated in sorted order, so a
-    # cursor walks them and the heap holds only the later pushes; taking the
-    # smaller head each step gives the order of one heap holding both. As
-    # `count` only falls, and a subset whose count drops to k pushes its alive
-    # edges, an entry this lazy filter admits that an up-front filter would
-    # not is a copy of a pushed entry: the copies are taken in a row and the
-    # second is skipped.
-    initial = (
+    # edges are sorted tuples, so the entries come out sorted: already a heap
+    heap = [
         (ei, sub)
         for ei, e in enumerate(H.edges)
         for sub in combinations(e, r - 1)
         if count[sub] <= k
-    )
-    head = next(initial, None)
-    heap: list[tuple[int, tuple[int, ...]]] = []
+    ]
     slice_entries: list[tuple[int, tuple[int, ...]]] = []
-    while head is not None or heap:
-        if heap and (head is None or heap[0] < head):
-            ei, sub = heapq.heappop(heap)
-        else:
-            ei, sub = head
-            head = next(initial, None)
+    while heap:
+        ei, sub = heapq.heappop(heap)
         if ei not in alive or count[sub] > k or count[sub] < 1:
             continue
         slice_entries.append((ei, sub))
@@ -524,10 +499,7 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
         raise InternalProofFailure("slice count", "fewer than |H|/k representatives")
     # re-mark with slice-co-degree-1 subsets when available
     slice_entries.sort()
-    if len(slice_entries) == len(H.edges):
-        covers = members  # every edge, sorted: position j is edge j
-    else:
-        covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
+    covers = cover_lists([H.edges[ei] for ei, _ in slice_entries], r - 1)
     out = []
     top = []
     for ei, sub0 in slice_entries:
@@ -538,14 +510,9 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
             out.append((ei, subs[codeg.index(1)], True))
         else:
             out.append((ei, sub0, False))
-    return _marked_slice(tuple(out), covers, tuple(top))
-
-
-def _marked_slice(entries, covers, max_codegree) -> MarkedSlice:
-    marked = {m for _, m, _ in entries}
-    if len(marked) != len(entries):
+    if len({m for _, m, _ in out}) != len(out):
         raise InternalProofFailure("slice marks", "marked subsets collide")
-    return MarkedSlice(entries=entries, covers=covers, max_codegree=max_codegree)
+    return MarkedSlice(entries=tuple(out), covers=covers, max_codegree=tuple(top))
 
 
 def tight_path_cycles(P: TightPath) -> list[BergeCycleWitness]:
@@ -684,12 +651,15 @@ def find_general_3(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         raise PreconditionUnmet("need a 3-graph")
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
-    split = split_by_codegree(H, k)
-    if isinstance(split, DenseCore):
-        return _run_from_core(H, split.edge_ids, k)
-    run = _case_high_pairs(H, split, k)
-    if run is None:
-        run = _case_low_pairs(H, split, k)
+    if is_linear(H):  # no high pair, and the low family is all of H
+        run = _gated_sweep(H, k)
+    else:
+        split = split_by_codegree(H, k)
+        if isinstance(split, DenseCore):
+            return _run_from_core(H, split.edge_ids, k)
+        run = _case_high_pairs(H, split, k)
+        if run is None:
+            run = _case_low_pairs(H, split, k)
     if run is None and average_degree(H) >= general_3_threshold(k):
         raise InternalProofFailure("general 3-graph", "no run above the threshold")
     return run
@@ -848,13 +818,17 @@ def _case_low_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecut
         if sl.max_codegree[j] > 1:  # else entry j alone covers its pairs
             for p in combinations(H.edges[ei], 2):
                 banned.update(sl.covers[p])
-    sub, idx = H.restrict(chosen)
-    if average_degree(sub) < 21 * (k + 1):
+    sub, idx = H.restrict(chosen)  # linear, so never all of the non-linear H
+    run3 = _gated_sweep(sub, k)
+    return None if run3 is None else _lift_run(H, idx, run3)
+
+
+def _gated_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
+    """The sweep on a linear 3-graph of average degree at least 21(k+1),
+    where it is guaranteed a run; None below."""
+    if average_degree(H) < 21 * (k + 1):
         return None
-    run3 = skeleton_sweep(sub, k)
-    if run3 is None or sub is H:  # the sweep already validated its run on H
-        return run3
-    return _lift_run(H, idx, run3)
+    return skeleton_sweep(H, k)
 
 
 def general_r_threshold(r: int, k: int) -> int:

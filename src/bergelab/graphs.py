@@ -5,12 +5,12 @@ The long-path/long-cycle extractors realize the classical density bounds
 constructively: peel low-degree vertices (the bound is preserved), recurse
 into a component/block that still satisfies it, then grow a maximal path
 and close it through crossing chords. A cycle rotation can stall: no
-closure exists, or a closure spans the block below the bound. The block
-then has minimum degree at least (m+1)/2 and at least m+1 vertices and is
-2-connected, so Dirac's theorem (1952) gives it a cycle of length at least
-min(n, 2*delta) >= m+1. The spectrum kernel finds the shortest such cycle
-exactly, one length at a time from m+1, under a fixed node budget;
-InternalProofFailure surfaces a budget spent first.
+closure exists. The block then has minimum degree at least (m+1)/2 and
+at least m+1 vertices and is 2-connected, so Dirac's theorem (1952)
+gives it a cycle of length at least min(n, 2*delta) >= m+1. The
+spectrum kernel finds the shortest such cycle exactly, one length at a
+time from m+1, under a fixed node budget; InternalProofFailure surfaces
+a budget spent first.
 """
 
 from __future__ import annotations
@@ -150,19 +150,16 @@ def bipartition(G: Graph) -> Optional[dict[int, int]]:
 
 
 def shortest_path(
-    adj: dict[int, list[int]],
-    sources: Iterable[int],
-    targets: Iterable[int],
-    avoid: Iterable[int] = (),
+    adj: dict[int, list[int]], sources: Iterable[int], targets: Iterable[int]
 ) -> Optional[list[int]]:
     """Shortest source-target path by BFS over `adj`, as a vertex list, or
-    None. The path meets the sources only at its start and never meets
-    `avoid`; sources in `avoid` or missing from `adj` are skipped. Ties go
-    to the smallest source, then to adjacency order."""
-    goal, bad = set(targets), set(avoid)
+    None. The path meets the sources only at its start; sources missing
+    from `adj` are skipped. Ties go to the smallest source, then to
+    adjacency order."""
+    goal = set(targets)
     prev: dict[int, int] = {}
     q: deque[int] = deque()
-    for s in sorted(set(sources) - bad):
+    for s in sorted(set(sources)):
         if s in adj:
             prev[s] = -1
             q.append(s)
@@ -174,7 +171,7 @@ def shortest_path(
                 path.append(prev[path[-1]])
             return path[::-1]
         for w in adj[u]:
-            if w not in prev and w not in bad:
+            if w not in prev:
                 prev[w] = u
                 q.append(w)
     return None
@@ -305,14 +302,16 @@ def _close(adj: dict[int, list[int]], path: list[int]) -> Optional[list[int]]:
     return None
 
 
-def _reopen(adj: dict[int, list[int]], cycle: list[int]) -> Optional[list[int]]:
-    """Longer path from a spanning cycle plus an outside attachment."""
+def _reopen(adj: dict[int, list[int]], cycle: list[int]) -> list[int]:
+    """Longer path from a cycle plus an outside attachment. Both rotations
+    reopen only a closure shorter than their bound, and such a closure
+    never spans the connected graph it lies in."""
     cset = set(cycle)
     for idx, u in enumerate(cycle):
         for w in adj[u]:
             if w not in cset:
                 return [w] + cycle[idx:] + cycle[:idx]
-    return None
+    raise InternalProofFailure("rotation", "spanning closure below the bound")
 
 
 def _cycle_is_valid(adj, cyc: list[int]) -> bool:
@@ -391,12 +390,9 @@ def long_path_from_density(G: Graph, m: int) -> list[int]:
             raise InternalProofFailure(
                 "path rotation", f"stuck below bound at length {len(path) - 1}"
             )
-        # cyc runs through exactly the path's vertices, so it is short too
-        reopened = _reopen(adj, cyc)
-        if reopened is None:
-            # spanning cycle: impossible, as the density gives comp > m+1 vertices
-            raise InternalProofFailure("path rotation", "spanning cycle below bound")
-        path = _maximal_extend(adj, reopened)
+        # cyc runs through exactly the path's vertices, so it is short too;
+        # the density gives comp more than m+1 vertices, so cyc cannot span it
+        path = _maximal_extend(adj, _reopen(adj, cyc))
     raise InternalProofFailure("path rotation", "no progress")
 
 
@@ -446,12 +442,9 @@ def long_cycle_from_density(G: Graph, m: int) -> list[int]:
         cyc = _close(adj, path)
         if cyc is None:
             break  # stalled: no closure
-        if len(cyc) >= m + 1:
+        if len(cyc) >= m + 1:  # a spanning closure has length H.n >= m+1
             return cyc
-        reopened = _reopen(adj, cyc)
-        if reopened is None:
-            break  # stalled: a spanning cycle below the bound
-        path = _maximal_extend(adj, reopened)
+        path = _maximal_extend(adj, _reopen(adj, cyc))
     return _shortest_long_cycle(H, m)
 
 

@@ -40,7 +40,7 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
     uniformity: Optional[int] = None
     # Derived indexes, each built once by incidence() / pair_covers() /
-    # is_linear() (or codegree_covers() / prefix_3graph() for `_linear`)
+    # is_linear() (or prefix_3graph(), which knows its result is linear)
     # and freed with the instance. Declared as fields (left out
     # of __init__, ==, hash and repr) so that every instance keeps one attribute layout:
     # adding attributes later would slow every read of `H.edges`.
@@ -338,7 +338,7 @@ def average_degree(H: Hypergraph) -> Fraction:
 
 def is_linear(H: Hypergraph) -> bool:
     """True when no two edges share two vertices. Decided once per instance,
-    here or as a by-product of `codegree_covers` or `prefix_3graph`. The scan
+    here or by `prefix_3graph`, whose result is linear by construction. The scan
     stops at the first pair met twice and builds no pair index; a 3-graph's
     pairs are kept as integers a*n+b."""
     if H._linear is None:
@@ -365,19 +365,6 @@ def _no_pair_twice_3(edges: Iterable[tuple[int, int, int]], n: int) -> bool:
         if len(seen) != count:
             return False
     return True
-
-
-def codegree_covers(H: Hypergraph) -> dict[tuple[int, ...], list[int]]:
-    """`cover_lists(H.edges, r - 1)` for a uniform H. At r = 3 the map has
-    3|H| keys exactly when no pair lies in two edges, so it decides
-    linearity too, and records it for `is_linear`."""
-    r = H.uniformity
-    if r is None:
-        raise PreconditionUnmet("uniform hypergraph required")
-    covers = cover_lists(H.edges, r - 1)
-    if r == 3:
-        object.__setattr__(H, "_linear", len(covers) == 3 * len(H.edges))
-    return covers
 
 
 def prefix_3graph(H: Hypergraph) -> Hypergraph:
@@ -444,23 +431,24 @@ def edge_components(H: Hypergraph, edge_ids: Sequence[int]) -> list[list[int]]:
     return [groups[r] for r in sorted(groups)]
 
 
-def peel(
-    H: Hypergraph, edge_ids: Sequence[int], threshold: Fraction
-) -> tuple[dict[int, int], list[int]]:
+def peel(H: Hypergraph, edge_ids: Sequence[int]) -> tuple[dict[int, int], list[int]]:
     """Min-degree core of an edge-subset view, by threshold peeling.
 
-    Repeatedly deletes a vertex whose degree in the view is below
-    `threshold`, together with its edges; the survivors do not depend on the
-    deletion order. Returns (each vertex covered by the surviving
-    edges -> its degree among them, the sorted surviving edge ids). A
-    positive threshold at most the view's |E|/|V| never empties the view:
-    deleting a vertex of degree below that ratio does not lower the ratio.
+    Repeatedly deletes a vertex whose degree in the view is below the
+    view's |E|/|V|, together with its edges; the survivors do not depend on
+    the deletion order. Returns (each vertex covered by the surviving
+    edges -> its degree among them, the sorted surviving edge ids).
+    Deleting a vertex of degree below that ratio does not lower the ratio,
+    so a nonempty view never peels to nothing.
     """
+    if not edge_ids:
+        raise InternalProofFailure("peeling", "empty view")
     deg: dict[int, int] = {}
     for i in edge_ids:
         for v in H.edges[i]:
             deg[v] = deg.get(v, 0) + 1
     alive_e = set(edge_ids)
+    threshold = Fraction(len(alive_e), len(deg))
     inc = incidence(H)
     # a vertex is marked dead when queued, so a deleted edge lowers only
     # the degrees of its ends still alive

@@ -12,8 +12,7 @@ from typing import Optional
 
 from .errors import InternalProofFailure, NotLinear, PreconditionUnmet
 from .finder import ConsecutiveRun, cycles_from_down_edges, cycles_or_level_bound
-from .hypergraph import Hypergraph, is_linear
-from .pathtools import peel_view
+from .hypergraph import Hypergraph, is_linear, peel
 from .skeleton import build_skeleton, classify_levels
 
 
@@ -69,7 +68,7 @@ def length_controlled_search(
     if not all_ids:
         report = LevelGrowthReport(H.n, 0, k, h, met, 0, ())
         return None, report
-    core_deg, core_ids = peel_view(H, all_ids)
+    core_deg, core_ids = peel(H, all_ids)
     core_min = min(core_deg.values())
     root = min(core_deg)
     sk = build_skeleton(H, root, active_edges=core_ids)

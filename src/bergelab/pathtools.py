@@ -260,7 +260,7 @@ def special_linear_path(
     u0 = min(H.edges[h])
     stripped = set(H.edges[h]) - {u0}
     ones_p = [i for i in ones if not stripped & set(H.edges[i])]
-    core_deg, core_ids = peel_view(H, ones_p)
+    core_deg, core_ids = peel(H, ones_p)
     core_v = set(core_deg)
     core_min = min(core_deg.values())
     if core_min < (r - 1) * (p - 1) + 2:
@@ -309,15 +309,6 @@ def special_linear_path(
     if colors[out.edges[0]] != 2 or any(colors[i] != 1 for i in out.edges[1:]):
         raise InternalProofFailure("good path", "color pattern violated")
     return out
-
-
-def peel_view(H: Hypergraph, edge_ids: Sequence[int]) -> tuple[dict[int, int], list[int]]:
-    """Label-preserving min-degree core of an edge-subset view: `peel` at
-    the view's |edges|/|covered vertices|."""
-    ids = sorted(edge_ids)
-    if not ids:
-        raise InternalProofFailure("peeling", "empty view")
-    return peel(H, ids, Fraction(len(ids), len(covered_vertices(H, ids))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ for the tree's incident edges by scanning every alive edge, and reuses the
 package's per-skeleton steps; and
 `naive_turan`, the exact Turán search as it was before freeness answers
 were filed: it calls the package's kernel for every check; and
-`naive_split_by_codegree`, the co-degree split with every (edge, subset)
-entry on one heap, as it was before the initial entries were walked by a
-cursor; and `naive_build_skeleton` / `naive_classify_levels`, the
-skeleton build and level classification with the generic per-edge loops
+`naive_split_by_codegree`, the co-degree split with its initial entries
+heapified rather than trusted to come out sorted, and each entry's mark
+and largest co-degree read by separate scans of the slice map; and
+`naive_build_skeleton` / `naive_classify_levels`, the skeleton build and
+level classification with the generic per-edge loops
 they had before they unpacked each edge's three vertices; and
 `naive_parse`, the `.hg` reader's per-line loop as it was before canonical
 documents were read in bulk; and `naive_from_edges`, `Hypergraph.from_edges`

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -176,8 +177,8 @@ class TestSplitByCodegree:
             if not H.edges:
                 return
             if kind == "near-linear":
-                # one more edge through an (r-1)-subset of an edge: the
-                # short-cut's count misses by one and the walk runs
+                # one more edge through an (r-1)-subset of an edge: that
+                # subset alone has co-degree 2
                 covered = cover_lists(H.edges, r - 1)
                 e = rng.choice(H.edges)
                 sub = tuple(rng.sample(e, r - 1))
@@ -757,8 +758,8 @@ class TestFindGeneral3:
         check_run(H, run, 2)
 
     def test_linear_slice_returns_sweep_run(self, monkeypatch):
-        # a linear input's slice is every edge, so the sweep's run, already
-        # validated on H, comes back as it is
+        # a linear input goes straight to the sweep, so the sweep's run,
+        # already validated on H, comes back as it is
         runs = []
         real = fd.skeleton_sweep
 
@@ -779,9 +780,9 @@ class TestFindGeneral3:
         check_run(H, run, 2)
 
     def test_slice_pair_map_built_once(self, monkeypatch):
-        # only the co-degree split's members map: a linear input's slice is
-        # every edge, so the slice map is that map, and the routes read it
-        # from the MarkedSlice
+        # a linear input skips the co-degree split and builds no pair map; a
+        # non-linear one splits once, building the members map and the
+        # slice map, and the routes read the latter from the MarkedSlice
         calls = []
         real = fd.cover_lists
 
@@ -790,9 +791,40 @@ class TestFindGeneral3:
             return real(edges, k)
 
         monkeypatch.setattr(fd, "cover_lists", counted)
-        monkeypatch.setattr(hg, "cover_lists", counted)  # codegree_covers' builder
-        fd.find_general_3(steiner_triple(31), 2)
-        assert len(calls) == 1
+        monkeypatch.setattr(hg, "cover_lists", counted)
+        split = mock.Mock(wraps=fd.split_by_codegree)
+        monkeypatch.setattr(fd, "split_by_codegree", split)
+        H = steiner_triple(31)
+        fd.find_general_3(H, 2)
+        assert split.call_count == 0 and calls == []
+        H = Hypergraph.from_edges(32, H.edges + ((0, 1, 31),), uniformity=3)
+        fd.find_general_3(H, 2)
+        assert split.call_count == 1 and calls == [2, 2]
+
+    def test_linear_sweep_gated(self, monkeypatch):
+        # a linear 3-graph is swept from average degree 21(k+1) on, and not
+        # below it, though the sweep would find a run there
+        H = steiner_triple(127)  # average degree 63 = 21 * 3
+        assert fd.skeleton_sweep(H, 3) is not None
+        sweep = mock.Mock(wraps=fd.skeleton_sweep)
+        monkeypatch.setattr(fd, "skeleton_sweep", sweep)
+        assert fd.find_general_3(H, 3) is None
+        assert sweep.call_count == 0
+        run = fd.find_general_3(H, 2)
+        assert sweep.call_count == 1
+        check_run(H, run, 2)
+
+    def test_low_pairs_lifts_subgraph_run(self, monkeypatch):
+        # two edges through pairs of STS(127) and a new vertex: the greedy
+        # low family drops an edge, and its run is lifted back to H
+        H0 = steiner_triple(127)
+        H = Hypergraph.from_edges(128, H0.edges + ((0, 1, 127), (2, 3, 127)), uniformity=3)
+        lift = mock.Mock(wraps=fd._lift_run)
+        monkeypatch.setattr(fd, "_lift_run", lift)
+        run = fd.find_general_3(H, 1)
+        assert lift.call_count == 1
+        assert run.lengths() == (4,)
+        check_run(H, run, 1)
 
     def test_small_absent_ok(self):
         H = steiner_triple(7)
@@ -862,6 +894,14 @@ class TestFindGeneralR:
         run = fd.find_general_r(H4, 2)
         assert run is not None
         check_run(H4, run, 2)
+
+    def test_absent_below_threshold(self):
+        # a loose 4-uniform path: the marked 3-graph is a sparse linear one,
+        # whose route finds nothing, and H is far below the threshold
+        edges = [tuple(range(3 * i, 3 * i + 4)) for i in range(10)]
+        H = Hypergraph.from_edges(31, edges, uniformity=4)
+        assert average_degree(H) < fd.general_r_threshold(4, 1)
+        assert fd.find_general_r(H, 1) is None
 
     def test_r3_delegates(self):
         H = complete_r(10, 3)

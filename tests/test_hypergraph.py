@@ -499,7 +499,7 @@ class TestIsLinear:
     @given(
         st.integers(0, 10**6),
         st.integers(3, 5),
-        st.sampled_from(("random", "linear", "near-linear", "split", "prefix")),
+        st.sampled_from(("random", "linear", "near-linear", "general3", "prefix")),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_all_pairs(self, seed, r, kind):
@@ -518,14 +518,14 @@ class TestIsLinear:
             H = hg.Hypergraph.from_edges(
                 n + r - 2, H.edges + (last[:2] + tuple(range(n, n + r - 2)),)
             )
-        if kind == "split":
+        if kind == "general3":
             r = 3
             H, _ = random_linear_r(n, 3, rng.randrange(1, 3 * n), seed=seed)
             if rng.random() < 0.5 and len(H.edges) > 1:  # a shared pair
                 a, b, _ = H.edges[0]
                 H = hg.Hypergraph.from_edges(n + 1, H.edges + ((a, b, n),))
-            fd.split_by_codegree(H, rng.randrange(1, 4))
-            assert H._linear is not None  # recorded by the split
+            fd.find_general_3(H, rng.randrange(1, 4))
+            assert H._linear is not None  # recorded by the route's first check
         if kind == "prefix":
             with mock.patch.object(fd, "skeleton_sweep", wraps=fd.skeleton_sweep) as sweep:
                 fd.find_linear_r(H, 1)
@@ -550,16 +550,6 @@ class TestIsLinear:
                 hg.prefix_3graph(bad)
         with pytest.raises(PreconditionUnmet):
             hg.prefix_3graph(hg.Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]))
-
-    def test_codegree_covers(self):
-        K = complete3(5)
-        covers = hg.codegree_covers(K)
-        assert covers == hg.cover_lists(K.edges, 2) and K._linear is False
-        H4 = hg.Hypergraph.from_edges(6, combinations(range(6), 4))
-        assert hg.codegree_covers(H4) == hg.cover_lists(H4.edges, 3)
-        assert H4._linear is None  # only a 3-graph's cover count decides it
-        with pytest.raises(PreconditionUnmet):
-            hg.codegree_covers(hg.Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]))
 
     def test_builds_no_pair_index(self):
         H, K = fano(), complete3(5)
@@ -637,9 +627,7 @@ class TestPeel:
         ids = [i for i in range(len(H.edges)) if rnd.random() < 0.8] or [0]
         covered = hg.covered_vertices(H, ids)
         threshold = Fraction(len(ids), len(covered))
-        assert hg.peel(H, ids, threshold) == naive_peel(
-            {i: H.edges[i] for i in ids}, threshold
-        )
+        assert hg.peel(H, ids) == naive_peel({i: H.edges[i] for i in ids}, threshold)
 
 
 class TestDerivedIndex:
