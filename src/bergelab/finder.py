@@ -297,8 +297,8 @@ def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
         colors[ei] = 2
     for ei in mono:
         colors[ei] = 1
-    try:
-        w = special_linear_path(H, colors, k + 1, edge_ids=ids)
+    try:  # a component by `cycles_or_level_bound`'s `edge_components`
+        w = special_linear_path(H, colors, k + 1, edge_ids=ids, connected=True)
     except PreconditionUnmet as exc:
         raise InternalProofFailure("bc mono route", str(exc)) from exc
     P = list(w.edges[: k + 1])

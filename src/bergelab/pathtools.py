@@ -35,6 +35,7 @@ from .hypergraph import (
     covered_vertices,
     edge_components,
     incidence,
+    is_linear,
     peel,
 )
 from .oracle import cycle_of_length
@@ -104,22 +105,33 @@ def linear_xy_path(
     edge_ids: Sequence[int],
 ) -> LinearPathWitness:
     """Linear path whose first edge meets X and last meets Y, lifted from a
-    shortest shadow path (shortestness is what makes the lift linear)."""
+    shortest shadow path (shortestness is what makes the lift linear).
+
+    The view must be linear. When `is_linear(H)` holds and no id repeats,
+    it is; otherwise the view's pairs are scanned in edge order and the
+    first pair met twice raises NotLinear. The BFS reads the view's shadow
+    through `_ViewShadow`, which builds a vertex's neighbours only when the
+    search reaches it. Ids outside 0..|H|-1 raise PreconditionUnmet.
+    """
     ids = sorted(edge_ids)
     Xs, Ys = set(X), set(Y)
     if not Xs or not Ys or Xs & Ys:
         raise PreconditionUnmet("X and Y must be disjoint and nonempty")
-    view = [H.edges[i] for i in ids]
-    cov = cover_lists(view, 2)
-    for j, e in enumerate(view):
-        for p in combinations(e, 2):
-            if cov[p][0] != j:
-                raise NotLinear(f"pair {p} has co-degree above 1")
-    shadow = Graph(tuple(sorted({v for e in view for v in e})), tuple(sorted(cov)))
-    spine = shortest_path(shadow.adjacency(), Xs, Ys)
+    if ids and (ids[0] < 0 or ids[-1] >= len(H.edges)):
+        raise PreconditionUnmet(f"edge ids must lie in 0..{len(H.edges) - 1}")
+    id_set = set(ids)
+    if len(id_set) != len(ids) or not is_linear(H):
+        view = [H.edges[i] for i in ids]
+        cov = cover_lists(view, 2)
+        for j, e in enumerate(view):
+            for p in combinations(e, 2):
+                if cov[p][0] != j:
+                    raise NotLinear(f"pair {p} has co-degree above 1")
+    shadow = _ViewShadow(H, id_set)
+    spine = shortest_path(shadow, Xs, Ys)
     if spine is None:
         raise Disconnected("no shadow path between X and Y")
-    eids = [ids[cov[norm_edge(a, b)][0]] for a, b in zip(spine, spine[1:])]
+    eids = [shadow.via[a][b] for a, b in zip(spine, spine[1:])]
     # collapse accidental repeats (consecutive spine pairs inside one edge)
     dedup: list[int] = []
     for e in eids:
@@ -128,6 +140,33 @@ def linear_xy_path(
     if not check_linear_path(H, dedup):
         raise InternalProofFailure("shortest-lift", "lifted path is not linear")
     return LinearPathWitness(edges=tuple(dedup), endpoints=(spine[0], spine[-1]))
+
+
+class _ViewShadow:
+    """The shadow of a linear edge-subset view, as `shortest_path` reads an
+    adjacency: `v in shadow` when a view edge holds v, and `shadow[u]` is
+    u's sorted neighbours, built on first use. `via[u][w]` is the one view
+    edge covering the pair (u, w), for each u built so far."""
+
+    def __init__(self, H: Hypergraph, ids: set[int]) -> None:
+        self._edges = H.edges
+        self._inc = incidence(H)
+        self._ids = ids
+        self._nbrs: dict[int, list[int]] = {}
+        self.via: dict[int, dict[int, int]] = {}
+
+    def __contains__(self, v: int) -> bool:
+        return 0 <= v < len(self._inc) and not self._ids.isdisjoint(self._inc[v])
+
+    def __getitem__(self, u: int) -> list[int]:
+        nbrs = self._nbrs.get(u)
+        if nbrs is None:
+            ids, edges = self._ids, self._edges
+            via = self.via[u] = {
+                w: i for i in self._inc[u] if i in ids for w in edges[i] if w != u
+            }
+            nbrs = self._nbrs[u] = sorted(via)
+        return nbrs
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +268,8 @@ def special_linear_path(
     colors: Sequence[int],
     p: int,
     edge_ids: Sequence[int],
+    *,
+    connected: bool = False,
 ) -> LinearPathWitness:
     """Linear path of length >= p, first edge color 2, rest color 1.
 
@@ -236,6 +277,10 @@ def special_linear_path(
     color-1 subgraph, pass to its min-degree core, seed a good path via the
     shortest lift, then extend greedily at the core endpoint. Densities are
     measured over covered vertices, so edge-subset views work unchanged.
+
+    The view must be shadow-connected, which `edge_components` checks
+    unless the caller passes `connected=True` for ids it has just found as
+    one component.
     """
     ids = sorted(edge_ids)
     r = H.uniformity
@@ -249,7 +294,7 @@ def special_linear_path(
         raise PreconditionUnmet("both colors must appear")
     covered = covered_vertices(H, ids)
     n_cov = len(covered)
-    if len(edge_components(H, ids)) > 1:
+    if not connected and len(edge_components(H, ids)) > 1:
         raise PreconditionUnmet("hypergraph must be connected")
     need = Fraction(r * (r - 1) * (p - 1) + 2 * r)
     have = Fraction(r * len(ones), n_cov)

@@ -25,7 +25,10 @@ vertex stack; and `naive_steiner_triple`, `naive_permuted`,
 `naive_serialize` and `naive_bulk_edges`, the Steiner triple constructions
 (a q x q quasigroup table, each triple sorted), the relabelling through
 `from_edges`, the per-edge writer and the bulk edge check (each edge sorted
-first), as they were before instances were built and written in bulk.
+first), as they were before instances were built and written in bulk; and
+`naive_linear_xy_path`, the shortest-lift linear path with its full
+linearity scan and whole shadow graph, as it was before its BFS read a
+shadow built on demand.
 `tree_vertices` and `color_class` are the one-line views the package's
 `Skeleton` and `ColoredGraph` no longer carry.
 """
@@ -623,3 +626,36 @@ def naive_bulk_edges(n, raws):
     if any(map(eq, canon, canon[1:])):
         return None
     return canon
+
+
+def naive_linear_xy_path(H, X, Y, edge_ids):
+    """The shortest-lift linear path as it was before its BFS read a lazy
+    view shadow: every view pair scanned for linearity, then the view's
+    whole shadow `Graph` and adjacency built for the BFS."""
+    from bergelab.errors import Disconnected, InternalProofFailure, NotLinear, PreconditionUnmet
+    from bergelab.graphs import Graph, norm_edge, shortest_path
+    from bergelab.hypergraph import cover_lists
+    from bergelab.pathtools import LinearPathWitness, check_linear_path
+
+    ids = sorted(edge_ids)
+    Xs, Ys = set(X), set(Y)
+    if not Xs or not Ys or Xs & Ys:
+        raise PreconditionUnmet("X and Y must be disjoint and nonempty")
+    view = [H.edges[i] for i in ids]
+    cov = cover_lists(view, 2)
+    for j, e in enumerate(view):
+        for p in combinations(e, 2):
+            if cov[p][0] != j:
+                raise NotLinear(f"pair {p} has co-degree above 1")
+    shadow = Graph(tuple(sorted({v for e in view for v in e})), tuple(sorted(cov)))
+    spine = shortest_path(shadow.adjacency(), Xs, Ys)
+    if spine is None:
+        raise Disconnected("no shadow path between X and Y")
+    eids = [ids[cov[norm_edge(a, b)][0]] for a, b in zip(spine, spine[1:])]
+    dedup = []
+    for e in eids:
+        if not dedup or dedup[-1] != e:
+            dedup.append(e)
+    if not check_linear_path(H, dedup):
+        raise InternalProofFailure("shortest-lift", "lifted path is not linear")
+    return LinearPathWitness(edges=tuple(dedup), endpoints=(spine[0], spine[-1]))

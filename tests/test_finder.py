@@ -165,6 +165,56 @@ class TestSplitByCodegree:
     @given(
         st.integers(0, 10**6),
         st.integers(1, 3),
+        st.integers(3, 4),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_dichotomy_by_brute_force(self, seed, k, r, planted):
+        # the stated dichotomy, every co-degree counted afresh over every
+        # (r-1)-subset of the vertex set
+        rng = random.Random(seed)
+        n = rng.randrange(r + 1, 9)
+        universe = list(combinations(range(n), r))
+        rng.shuffle(universe)
+        edges = set(universe[: rng.randrange(1, len(universe) + 1)])
+        if planted:  # a complete r-graph whose co-degrees exceed k
+            edges |= set(combinations(range(min(n, r + k)), r))
+        H = Hypergraph.from_edges(n, sorted(edges), uniformity=r)
+        subsets = list(combinations(range(n), r - 1))
+
+        def codegree(s, ids):
+            return sum(1 for i in ids if set(s) <= set(H.edges[i]))
+
+        out = fd.split_by_codegree(H, k)
+        if isinstance(out, fd.DenseCore):
+            core = out.edge_ids
+            assert core and list(core) == sorted(set(core))
+            for s in subsets:
+                if any(set(s) <= set(H.edges[i]) for i in core):
+                    assert codegree(s, core) >= k + 1
+            return
+        reps = [ei for ei, _, _ in out.entries]
+        assert len(reps) * k >= len(H.edges)
+        assert reps == sorted(set(reps))
+        marks = [m for _, m, _ in out.entries]
+        assert len(set(marks)) == len(marks)
+        covers = {}
+        for s in subsets:
+            at = [j for j, ei in enumerate(reps) if set(s) <= set(H.edges[ei])]
+            if at:
+                covers[s] = at
+        assert out.covers == covers
+        for (ei, m, once), top in zip(out.entries, out.max_codegree):
+            assert len(m) == r - 1 and set(m) < set(H.edges[ei])
+            own = [codegree(s, reps) for s in subsets if set(s) < set(H.edges[ei])]
+            assert top == max(own)
+            assert once == (1 in own)
+            if once:
+                assert codegree(m, reps) == 1
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 3),
         st.integers(3, 5),
         st.sampled_from(("linear", "near-linear", "random", "planted")),
     )

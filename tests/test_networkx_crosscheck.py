@@ -1,5 +1,6 @@
 """The hand-written graph primitives against networkx on small random inputs."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from bergelab import graphs as gr
 from bergelab._spectrum import spectrum_search
 from bergelab.certify import extend
-from bergelab.errors import NotLinear
+from bergelab.errors import Disconnected, NotLinear
 from bergelab.graphs import (
     Graph,
     bipartition,
@@ -22,6 +23,7 @@ from bergelab.graphs import (
     shortest_path,
 )
 from bergelab.hypergraph import Hypergraph, edge_components, pair_covers
+from bergelab.generators import random_linear_r
 from bergelab.oracle import oracle_spectrum
 from bergelab.pathtools import linear_xy_path
 from test_graphs import at_cycle_bound
@@ -134,6 +136,33 @@ def test_linear_xy_path_names_the_first_pair_met_twice():
         linear_xy_path(H, [0], [6], range(len(H.edges)))
     with pytest.raises(NotLinear, match=r"^pair \(1, 2\) has co-degree above 1$"):
         linear_xy_path(H, [0], [6], edge_ids=[3, 2, 0])
+
+
+@given(st.integers(0, 10**6), st.sampled_from((3, 4)))
+@settings(max_examples=150, deadline=None)
+def test_linear_xy_path_is_a_shortest_lift(seed, r):
+    # consecutive pairs of a shortest shadow path lie in distinct edges, so
+    # the lift has one edge per step of the least X-Y distance
+    rng = random.Random(seed)
+    n = rng.randrange(2 * r, 30)
+    H, _ = random_linear_r(n, r, rng.randrange(1, n), seed=seed)
+    ids = [i for i in range(len(H.edges)) if rng.random() < 0.7]
+    shadow = nx.Graph()
+    for i in ids:
+        shadow.add_edges_from(combinations(H.edges[i], 2))
+    X = set(rng.sample(range(n), rng.choice((1, 1, 2))))
+    Y = set(rng.sample([v for v in range(n) if v not in X], rng.choice((1, 1, 2))))
+    starts = X & set(shadow)
+    dist = nx.multi_source_dijkstra_path_length(shadow, starts) if starts else {}
+    reach = [dist[y] for y in Y if y in dist]
+    if not reach:
+        with pytest.raises(Disconnected):
+            linear_xy_path(H, X, Y, ids)
+        return
+    w = linear_xy_path(H, X, Y, ids)
+    assert len(w.edges) == min(reach)
+    assert set(w.edges) <= set(ids)
+    assert w.endpoints[0] in X and w.endpoints[1] in Y
 
 
 @given(graphs())

@@ -10,9 +10,9 @@ from bergelab.certify import verify_path
 from bergelab.errors import Disconnected, InternalProofFailure, NotLinear, PreconditionUnmet
 from bergelab.generators import complete_bipartite_incidence, random_linear_r, steiner_triple
 from bergelab.graphs import Graph, norm_edge
-from bergelab.hypergraph import Hypergraph
+from bergelab.hypergraph import Hypergraph, covered_vertices
 
-from naive import color_class, naive_extend
+from naive import color_class, naive_extend, naive_linear_xy_path
 
 
 def colored(edges, twos):
@@ -103,6 +103,48 @@ class TestSpecialPath:
         check_special(cg, out, p)
 
 
+def outcome(f, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def xy_views(draw):
+    """(H, X, Y, ids) on a random linear 3- or 4-graph: a random id subset,
+    X and Y drawn from -2..n+1, so they may hold uncovered or out-of-range
+    vertices. Some draws add a twin edge through a pair of an edge, making
+    H non-linear, or repeat an id; a few leave X or Y empty or let them
+    meet."""
+    r = draw(st.sampled_from((3, 4)))
+    seed = draw(st.integers(0, 10**6))
+    twin = draw(st.sampled_from((False, False, True)))
+    repeat = draw(st.sampled_from((False, False, True)))
+    xy = draw(st.sampled_from(("disjoint",) * 8 + ("empty", "meet")))
+    rng = random.Random(seed)
+    n = rng.randrange(2 * r, 30)
+    H, _ = random_linear_r(n, r, rng.randrange(1, n), seed=seed)
+    if twin:  # shares the pair (a, b) with edge e
+        e = rng.choice(H.edges)
+        a, b = rng.sample(e, 2)
+        rest = rng.sample([v for v in range(n) if v not in e], r - 2)
+        H = Hypergraph.from_edges(n, H.edges + (tuple(sorted((a, b, *rest))),), r)
+    ids = [i for i in range(len(H.edges)) if rng.random() < 0.7]
+    if ids and repeat:
+        ids.append(rng.choice(ids))
+    rng.shuffle(ids)
+    vs = range(-2, n + 2)
+    X = set(rng.sample(vs, rng.choice((1, 1, 2, 3))))
+    Y = set(rng.sample([v for v in vs if v not in X], rng.choice((1, 1, 2, 3))))
+    if xy == "empty":
+        (X if rng.random() < 0.5 else Y).clear()
+    elif xy == "meet":
+        Y.add(min(X))
+    return H, X, Y, ids
+
+
 class TestLinearXYPath:
     def test_two_triples(self):
         H = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3, 4)])
@@ -124,6 +166,45 @@ class TestLinearXYPath:
         H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
         with pytest.raises(NotLinear):
             pt.linear_xy_path(H, [2], [3], range(len(H.edges)))
+
+    @given(xy_views())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_shadow(self, drawn):
+        # same witness, or the same exception type and message, as the
+        # lift over the view's whole shadow graph
+        H, X, Y, ids = drawn
+        want = outcome(naive_linear_xy_path, H, X, Y, ids)
+        assert outcome(pt.linear_xy_path, H, X, Y, ids) == want
+
+    def test_twin_outside_the_view(self):
+        # H is not linear, yet the view without edge 1 is
+        H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 1, 3), (2, 4, 5), (3, 5, 6)])
+        w = pt.linear_xy_path(H, [0], [6], [0, 2, 3])
+        assert w == naive_linear_xy_path(H, [0], [6], [0, 2, 3])
+        assert w.edges == (0, 2, 3)
+        with pytest.raises(NotLinear, match=r"^pair \(0, 1\) has co-degree above 1$"):
+            pt.linear_xy_path(H, [0], [6], [0, 1, 2, 3])
+
+    def test_repeated_id(self):
+        H = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3, 4)])
+        with pytest.raises(NotLinear, match=r"^pair \(2, 3\) has co-degree above 1$"):
+            pt.linear_xy_path(H, [0], [4], [1, 0, 1])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_ids(self, bad):
+        H = Hypergraph.from_edges(5, [(0, 1, 2), (2, 3, 4)])
+        with pytest.raises(PreconditionUnmet, match=r"^edge ids must lie in 0\.\.1$"):
+            pt.linear_xy_path(H, [0], [4], [0, 1, bad])
+
+    def test_linear_input_skips_the_pair_scan(self, monkeypatch):
+        H = steiner_triple(15)
+
+        def refuse(*args):
+            raise AssertionError("a linear H with distinct ids needs no pair scan")
+
+        monkeypatch.setattr(pt, "cover_lists", refuse)
+        w = pt.linear_xy_path(H, [0], [14], range(len(H.edges)))
+        assert w.endpoints[0] == 0 and w.endpoints[1] == 14
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
@@ -177,6 +258,34 @@ class TestSpecialLinearPath:
         colors = [2, 1, 1, 1]
         with pytest.raises(PreconditionUnmet):
             pt.special_linear_path(H, colors, 1, range(len(H.edges)))
+
+    @given(st.integers(0, 10**6), st.sampled_from(((1, 15, 4), (2, 27, 8))))
+    @settings(max_examples=60, deadline=None)
+    def test_at_the_density_bound(self, seed, case):
+        # STS(n) minus `drop` edges, one kept edge colour 2: d(H_1) is exactly
+        # r(r-1)(p-1) + 2r = 6p over all n vertices, which stay covered
+        p, n, drop = case
+        rng = random.Random(seed)
+        H = steiner_triple(n)
+        ids = sorted(rng.sample(range(len(H.edges)), len(H.edges) - drop))
+        colors = [1] * len(H.edges)
+        colors[rng.choice(ids)] = 2
+        ones = [i for i in ids if colors[i] == 1]
+        assert len(covered_vertices(H, ids)) == n and 3 * len(ones) == 6 * p * n
+        w = pt.special_linear_path(H, colors, p, ids)
+        assert w.length >= p
+        assert set(w.edges) <= set(ids)
+        assert pt.check_linear_path(H, w.edges)
+        assert colors[w.edges[0]] == 2
+        assert all(colors[i] == 1 for i in w.edges[1:])
+        a, b = w.endpoints
+        assert a in H.edges[w.edges[0]] and b in H.edges[w.edges[-1]]
+        assert pt.special_linear_path(H, colors, p, ids, connected=True) == w
+        gone = rng.choice(ones)
+        fewer = [i for i in ids if i != gone]
+        assert len(covered_vertices(H, fewer)) == n
+        with pytest.raises(PreconditionUnmet, match=f"^need d\\(H_1\\) >= {6 * p}, have "):
+            pt.special_linear_path(H, colors, p, fewer)
 
     @given(st.integers(0, 200), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """No build output or generated file is tracked in git, and no module of
-the package imports another module's private names."""
+the package imports another module's private names or reads another
+module's private attributes."""
 
 import ast
 import subprocess
@@ -43,4 +44,47 @@ def test_no_private_imports_across_modules():
             for alias in node.names:
                 if alias.name.startswith("_") and not alias.name.startswith("__"):
                     bad.append(f"{path.name}:{node.lineno} imports {alias.name}")
+    assert bad == []
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_attributes_read_across_modules():
+    # an attribute `x._name` is read only in the module that defines
+    # `_name`: as a function, class, assignment target, dataclass field or
+    # the name given to `object.__setattr__`. So no module trusts, say,
+    # `H._linear` in place of `is_linear(H)`.
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted((ROOT / "src" / "bergelab").glob("*.py"))
+    }
+    defined = {}
+    for name, tree in trees.items():
+        own = defined[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                own.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                own.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                own.add(node.args[1].value)
+    bad = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and _private(node.attr)
+                and node.attr not in defined[name]
+            ):
+                bad.append(f"{name}:{node.lineno} reads .{node.attr}")
     assert bad == []
