@@ -480,7 +480,7 @@ def split_by_codegree(H: Hypergraph, k: int) -> Union[DenseCore, MarkedSlice]:
     slice_entries: list[tuple[int, tuple[int, ...]]] = []
     while heap:
         ei, sub = heapq.heappop(heap)
-        if ei not in alive or count[sub] > k or count[sub] < 1:
+        if ei not in alive or count[sub] < 1:
             continue
         slice_entries.append((ei, sub))
         for dead in members[sub]:

@@ -131,15 +131,12 @@ def linear_xy_path(
     spine = shortest_path(shadow, Xs, Ys)
     if spine is None:
         raise Disconnected("no shadow path between X and Y")
+    # a shortest shadow path puts no two consecutive pairs in one edge (the
+    # edge would cover a shortcut), so each step lifts to its own edge
     eids = [shadow.via[a][b] for a, b in zip(spine, spine[1:])]
-    # collapse accidental repeats (consecutive spine pairs inside one edge)
-    dedup: list[int] = []
-    for e in eids:
-        if not dedup or dedup[-1] != e:
-            dedup.append(e)
-    if not check_linear_path(H, dedup):
+    if not check_linear_path(H, eids):
         raise InternalProofFailure("shortest-lift", "lifted path is not linear")
-    return LinearPathWitness(edges=tuple(dedup), endpoints=(spine[0], spine[-1]))
+    return LinearPathWitness(edges=tuple(eids), endpoints=(spine[0], spine[-1]))
 
 
 class _ViewShadow:

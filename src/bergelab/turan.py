@@ -6,6 +6,23 @@ representative whose lex-sorted edge list brings in new vertices as the
 next consecutive ids), which only skips relabelings, so the optimum is
 exact whenever the search completes within budget.
 
+For ell >= 3 a vertex-deletion bound cuts too (the averaging argument of
+Katona, Nemetz and Simonovits, 1964). Deleting a vertex v from a free
+family of V edges leaves a free family on n - 1 vertices, so
+deg(v) >= V - ex(n-1). At a node, every vertex of a family that beats
+`best` needs degree len(best) + 1 - ex(n-1), and it can reach at most its
+chosen degree plus the positions ahead that hold it; when some vertex
+falls short, the node is cut as the plain count bound cuts it. ex(n-1) is
+proved in the same call: the rows m = r .. n-1 are searched bottom-up,
+each bounded by the row below, every one under the call's budget. The
+first row that runs out ends the chain, and row n is then searched
+without the bound. The cut only drops subtrees holding no family larger
+than `best`, in an unchanged order, so the value and the extremal example
+(the first maximum found) are those of the unbounded search; `nodes`,
+`kernel_calls` and `cache_hits` count row n's own search, not the rows
+below. ell == 2 keeps its pair-packing cap, whose rows below would cost
+more than they save.
+
 Freeness checks are answered from earlier checks where they can be
 (nogood recording, Dechter 1990). The family `chosen` is a bitmask over
 universe positions, and the new edge e sits above every other chosen
@@ -49,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import add
 from typing import Optional, Sequence
 
 from ._spectrum import KernelState, spectrum_search
@@ -94,7 +112,11 @@ def _find_cycle(
 def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranRecord:
     """Maximum edge count of an n-vertex r-graph with no Berge cycle of
     length ell, plus one extremal example. `exact` is False only when the
-    node budget ran out; the best found is then a lower bound."""
+    node budget ran out; the best found is then a lower bound.
+
+    For ell >= 3 the rows m = r .. n-1 are searched first, each under
+    `budget` and bounded by the row below it; their work is not in the
+    record's counters, which are row n's own."""
     if r < 2:
         raise PreconditionUnmet(f"edge size r = {r} is below 2")
     if n < 0:
@@ -105,6 +127,19 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         raise PreconditionUnmet("forbidden length must be at least 2")
     if budget < 0:
         raise PreconditionUnmet(f"budget {budget} is negative")
+    below = None
+    if ell >= 3:
+        for m in range(r, n):
+            row = _search_row(m, r, ell, budget, below)
+            if not row.exact:
+                below = None
+                break
+            below = row.value
+    return _search_row(n, r, ell, budget, below)
+
+
+def _search_row(n: int, r: int, ell: int, budget: int, below: Optional[int]) -> TuranRecord:
+    """The branch and bound of row n; `below` is ex(n-1) when known."""
     universe = list(combinations(range(n), r))
     # Frontier table. Edge e at position p brings in its vertices >= the
     # frontier in order exactly when the frontier is at least start[p], the
@@ -119,6 +154,21 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     past = [e[-1] + 1 for e in universe]
     # for ell == 2 the edges cover disjoint pairs, so at most this many fit
     pair_cap = comb(n, 2) // comb(r, 2)
+    # Degree bound: a free family of V edges keeps V - ex(n-1) edges at each
+    # vertex, so one that beats `best` needs every degree >= need. deg[v]
+    # counts the chosen edges holding v, left[p][v] the positions >= p
+    # holding v; the C(n, r) x n table is built only when the bound can bind.
+    deg = [0] * n
+    need = 0  # never binds without ex(n-1)
+    left: list[list[int]] = []
+    if below is not None:
+        left.append([0] * n)
+        for e in reversed(universe):
+            row = list(left[-1])
+            for v in e:
+                row[v] += 1
+            left.append(row)
+        left.reverse()
     best: list[tuple[int, ...]] = []
     nodes = 0
     exhausted = False
@@ -200,10 +250,16 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
             break
         if len(chosen) > len(best):
             best = list(chosen)
+            if below is not None:
+                need = len(best) + 1 - below
         remaining = len(universe) - pos
         if ell == 2:
             remaining = min(remaining, pair_cap - len(chosen))
-        if pos < len(universe) and len(chosen) + remaining > len(best):
+        if (
+            pos < len(universe)
+            and len(chosen) + remaining > len(best)
+            and (need <= 0 or min(map(add, deg, left[pos])) >= need)
+        ):
             if frontier < start[pos]:
                 pos += 1
                 continue
@@ -219,6 +275,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
                         for p in group:
                             armed[p] += 1
                         log.append(group)
+                for v in universe[pos]:
+                    deg[v] += 1
                 stack.append((pos, frontier))
                 frontier = max(frontier, past[pos])
                 pos += 1
@@ -231,6 +289,8 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
                     armed[p] -= 1
             log.clear()
             mask ^= 1 << pos
+            for v in universe[pos]:
+                deg[v] -= 1
         else:
             break
         chosen_pos.pop()

@@ -297,15 +297,15 @@ class TestInputContract:
 # second line, and for (8, 3, 5) the whole of stdout with its extremal
 # example.
 T835 = (
-    "n,r,forbidden_length,value,exact,nodes\n8,3,5,9,1,164638\n3 8 9\n"
+    "n,r,forbidden_length,value,exact,nodes\n8,3,5,9,1,114704\n3 8 9\n"
     "0 1 2\n0 1 3\n0 1 4\n0 2 3\n0 5 6\n0 5 7\n0 6 7\n1 2 3\n5 6 7\n"
 )
 TURAN_PINS = [
-    ("6 3 3", "6,3,3,4,1,240", None),
-    ("7 3 4", "7,3,4,6,1,4057", None),
-    ("10 3 3", "10,3,3,12,1,216617", None),
-    ("8 3 5", "8,3,5,9,1,164638", T835),
-    ("9 3 4", "9,3,4,7,1,157505", None),
+    ("6 3 3", "6,3,3,4,1,159", None),
+    ("7 3 4", "7,3,4,6,1,1542", None),
+    ("10 3 3", "10,3,3,12,1,14103", None),
+    ("8 3 5", "8,3,5,9,1,114704", T835),
+    ("9 3 4", "9,3,4,7,1,75746", None),
 ]
 
 

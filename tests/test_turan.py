@@ -60,17 +60,24 @@ class TestPinnedValues:
     @pytest.mark.parametrize(
         "n,r,ell,value,nodes,extremal",
         [
-            (7, 3, 3, 6, 978, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 5, 6), (3, 5, 6), (4, 5, 6)]),
-            (7, 3, 4, 6, 4057, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6)]),
+            (7, 3, 3, 6, 377, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (2, 5, 6), (3, 5, 6), (4, 5, 6)]),
+            (7, 3, 4, 6, 1542, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 4, 5), (0, 4, 6), (0, 5, 6)]),
             (
-                8, 3, 3, 8, 4444,
+                8, 3, 3, 8, 1211,
                 [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (2, 6, 7), (3, 6, 7), (4, 6, 7), (5, 6, 7)],
             ),
-            (6, 3, 5, 6, 2222, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (1, 2, 3)]),
+            (6, 3, 5, 6, 1969, [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3), (1, 2, 3)]),
             (
-                10, 3, 3, 12, 216617,
+                10, 3, 3, 12, 14103,
                 [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 1, 7),
                  (2, 8, 9), (3, 8, 9), (4, 8, 9), (5, 8, 9), (6, 8, 9), (7, 8, 9)],
+            ),
+            (
+                # value and example taken from the search without the degree
+                # bound, which spends 844,853 nodes here
+                10, 3, 4, 10, 94148,
+                [(0, 1, 2), (0, 1, 3), (0, 4, 5), (1, 4, 5), (2, 3, 6),
+                 (2, 3, 7), (4, 8, 9), (5, 8, 9), (6, 7, 8), (6, 7, 9)],
             ),
         ],
     )
@@ -253,15 +260,17 @@ def _row(rec):
     return rec.value, rec.nodes, rec.exact, list(rec.extremal.edges)
 
 
-def _counting_kernel(monkeypatch):
+def _counting_kernel(monkeypatch, n=None):
     """Count the kernel calls turan_exhaustive makes and the kernel nodes
-    they spend; returns [calls, nodes]."""
+    they spend; returns [calls, nodes]. With n, only calls on n vertices
+    count: row n's own search, not the rows below."""
     calls = [0, 0]
 
     def counted(*args):
-        calls[0] += 1
         hits, nodes, exhausted = spectrum_search(*args)
-        calls[1] += nodes
+        if n is None or args[0] == n:
+            calls[0] += 1
+            calls[1] += nodes
         return hits, nodes, exhausted
 
     monkeypatch.setattr(turan, "spectrum_search", counted)
@@ -275,52 +284,92 @@ class TestCheckCache:
     @pytest.mark.parametrize("ell", [3, 4, 5, 6])
     @pytest.mark.parametrize("r", [2, 3])
     def test_matches_uncached_search(self, r, ell):
+        # the reference has neither the cache nor the degree bound: the
+        # bound may only cut nodes, never move the value or the example
         for n in range(r, 8):
             if (n, r, ell) == (7, 3, 6):
                 continue  # the uncached reference takes 11 s; see below
-            assert _row(turan_exhaustive(n, r, ell)) == naive_turan(n, r, ell), n
+            value, nodes, exact, extremal = _row(turan_exhaustive(n, r, ell))
+            ref_value, ref_nodes, ref_exact, ref_extremal = naive_turan(n, r, ell)
+            assert (value, exact, extremal) == (ref_value, ref_exact, ref_extremal), n
+            assert nodes <= ref_nodes, n
 
     def test_7_3_6_pinned_from_uncached_search(self):
-        # naive_turan(7, 3, 6), run once
+        # value and example from naive_turan(7, 3, 6), run once; it spends
+        # 181,265 nodes, the degree bound fewer
         extremal = [
             (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 2, 3),
             (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
         ]
-        assert _row(turan_exhaustive(7, 3, 6)) == (12, 181265, True, extremal)
+        assert _row(turan_exhaustive(7, 3, 6)) == (12, 170878, True, extremal)
+
+    # Under these budgets every row below row n finishes, so row n runs with
+    # the degree bound; under the others some row below runs out first.
+    # Nodes of rows r .. n with the bound: (8,3,3) 3, 11, 43, 159, 377, 1211;
+    # (7,3,4) 3, 8, 105, 523, 1542; (7,2,5) 3, 7, 13, 92, 300, 377.
+    BOUNDED_UNDER_BUDGET = {(8, 3, 3, 1000), (7, 3, 4, 1000), (7, 2, 5, 1000)}
 
     @pytest.mark.parametrize("budget", [10, 100, 1000])
     @pytest.mark.parametrize("n,r,ell", [(8, 3, 3), (7, 3, 4), (7, 3, 5), (7, 3, 6), (7, 2, 5)])
     def test_matches_uncached_search_under_budget(self, n, r, ell, budget):
         rec = turan_exhaustive(n, r, ell, budget=budget)
-        assert not rec.exact
-        assert _row(rec) == naive_turan(n, r, ell, budget=budget)
+        ref = naive_turan(n, r, ell, budget=budget)
+        if (n, r, ell, budget) not in self.BOUNDED_UNDER_BUDGET:
+            # a row below ran out, so row n is the search without the bound
+            assert _row(rec) == ref
+            return
+        # the bounded search visits a subsequence of the reference's nodes
+        # in the same order, so it gets at least as far
+        assert not ref[2] and rec.value >= ref[0]
+        if rec.exact:
+            full = naive_turan(n, r, ell)
+            assert (rec.value, list(rec.extremal.edges)) == (full[0], full[3])
+        else:
+            assert rec.nodes == budget + 1
+
+    @pytest.mark.parametrize("n,r,ell,row_below_nodes", [(7, 3, 4, 523), (7, 2, 4, 354)])
+    def test_row_below_out_of_budget_drops_the_bound(self, n, r, ell, row_below_nodes):
+        # row n - 1 takes row_below_nodes with the bound. One node fewer and
+        # it runs out, so row n is the search without the bound under the
+        # same budget. With enough for it, row n is bounded and gets further:
+        # (7,3,4) reaches its 6 edges by node 493 with the bound, 577
+        # without; (7,2,4) finishes in 280 nodes with the bound, 2,482 without.
+        short = row_below_nodes - 1
+        rec = turan_exhaustive(n, r, ell, budget=short)
+        assert _row(rec) == naive_turan(n, r, ell, budget=short)
+        rec = turan_exhaustive(n, r, ell, budget=row_below_nodes)
+        ref = naive_turan(n, r, ell, budget=row_below_nodes)
+        full = naive_turan(n, r, ell)
+        assert (rec.value, rec.exact) > (ref[0], ref[2])
+        assert (rec.value, list(rec.extremal.edges)) == (full[0], full[3])
 
     def test_kernel_calls_bounded_and_reported(self, monkeypatch):
         # the uncached search makes 3,608 kernel calls here
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_kernel(monkeypatch, 8)
         rec = turan_exhaustive(8, 3, 3)
         assert rec.kernel_calls == calls[0] <= 1000
         assert rec.cache_hits > 0
 
     def test_9_3_3_kernel_calls(self, monkeypatch):
-        # the uncached search makes 22,076 kernel calls here
-        calls = _counting_kernel(monkeypatch)
+        # the uncached search makes 22,076 kernel calls here, the cache
+        # without the degree bound 2,868
+        calls = _counting_kernel(monkeypatch, 9)
         rec = turan_exhaustive(9, 3, 3)
-        assert (rec.value, rec.nodes) == (10, 25959)
-        assert rec.kernel_calls == calls[0] < 4000
+        assert (rec.value, rec.nodes) == (10, 3788)
+        assert rec.kernel_calls == calls[0] < 600
 
-    @pytest.mark.parametrize("n,r,ell,kernel_nodes", [(9, 3, 3, 23160), (8, 3, 4, 47835)])
+    @pytest.mark.parametrize("n,r,ell,kernel_nodes", [(9, 3, 3, 3826), (8, 3, 4, 47835)])
     def test_kernel_nodes_pinned(self, monkeypatch, n, r, ell, kernel_nodes):
         # the kernel's own nodes, summed over the search's calls: its live
         # state and the matcher's direct pushes must not move them
-        calls = _counting_kernel(monkeypatch)
+        calls = _counting_kernel(monkeypatch, n)
         rec = turan_exhaustive(n, r, ell)
         assert rec.kernel_calls == calls[0]
         assert calls[1] == kernel_nodes
 
     @pytest.mark.parametrize(
         "n,r,ell,counters",
-        [(9, 3, 3, (2868, 19208)), (8, 3, 4, (4490, 18872)), (7, 3, 5, (5377, 12224))],
+        [(9, 3, 3, (586, 2631)), (8, 3, 4, (4490, 18872)), (7, 3, 5, (2747, 8100))],
     )
     def test_cache_counters_pinned(self, n, r, ell, counters):
         # the filed lists keep every mask they are given; a mask a later one
@@ -330,10 +379,10 @@ class TestCheckCache:
 
     @pytest.mark.parametrize(
         "n,r,ell,row",
-        [(8, 3, 5, (9, 164638, True, 24604, 123929)), (9, 3, 4, (7, 157505, True, 15218, 125879))],
+        [(8, 3, 5, (9, 114704, True, 15525, 88735)), (9, 3, 4, (7, 75746, True, 8647, 59422))],
     )
     def test_deep_rows_pinned(self, n, r, ell, row):
-        # over 120,000 freeness checks each, nearly all decided by the
+        # over 68,000 freeness checks each, nearly all decided by the
         # watched cycle nogoods and the free masks
         rec = turan_exhaustive(n, r, ell)
         assert (rec.value, rec.nodes, rec.exact, rec.kernel_calls, rec.cache_hits) == row
