@@ -236,15 +236,15 @@ def cycles_or_level_bound(
     ids = [*within, *up]
     li = len(sk.levels[i])
     li1 = len(sk.levels[i + 1]) if i + 1 <= sk.height else 0
-    bound = Fraction(7 * k, 2) * li + li + (Fraction(5 * k, 2) + 2) * li1
-    level_of = sk.level_of
+    # (7k/2 + 1) li + (5k/2 + 2) li1, over one denominator
+    bound = Fraction(7 * k * li + 2 * li + (5 * k + 4) * li1, 2)
+    level_of, up_ids = sk.level_of, set(up)
     for comp_ids in edge_components(H, ids):
-        run = _bc_component_routes(H, sk, i, k, comp_ids, set(up), level_of)
+        run = _bc_component_routes(H, sk, i, k, comp_ids, up_ids, level_of)
         if run is not None:
             validate_run(H, run)
             return run
-    cert = LevelEdgeBound(level=i, counted=len(ids), bound=bound)
-    return cert
+    return LevelEdgeBound(level=i, counted=len(ids), bound=bound)
 
 
 def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
@@ -284,10 +284,8 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
             run = _bc_pair_route(H, sk, i, k, cls, own, anchor, color_of, level_of)
             if run is not None:
                 return run
-    if n3:
-        cov3 = covered_vertices(H, n3)
-        if Fraction(3 * len(n3), len(cov3)) > Fraction(3 * k, 2):
-            return _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of)
+    if n3 and 2 * len(n3) > k * len(covered_vertices(H, n3)):  # d(n3) > 3k/2
+        return _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of)
     return None
 
 
@@ -425,14 +423,16 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
 
 
 def _levels_once(H, sk, k) -> Optional[ConsecutiveRun]:
-    down = classify_levels(H, sk).down
+    classes = classify_levels(H, sk)
     for i in range(1, sk.height + 1):
-        if len(down[i]) >= (k + 2) * len(sk.levels[i]):
+        if len(classes.down[i]) >= (k + 2) * len(sk.levels[i]):
             return cycles_from_down_edges(H, sk, i, k)
+    # a level with no within or up edge has no component and certifies at 0
     for i in range(1, sk.height + 1):
-        res = cycles_or_level_bound(H, sk, i, k)
-        if isinstance(res, ConsecutiveRun):
-            return res
+        if classes.within[i] or classes.up[i]:
+            res = cycles_or_level_bound(H, sk, i, k)
+            if isinstance(res, ConsecutiveRun):
+                return res
     return None
 
 

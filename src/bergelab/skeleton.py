@@ -150,10 +150,10 @@ def build_skeleton(
         root=root,
         parent=parent,
         edge_for=edge_for,
-        levels=tuple(tuple(sorted(lv)) for lv in levels),
+        levels=tuple(map(tuple, map(sorted, levels))),
         level_of=level,
         classes=LevelEdgeClasses(
-            *(tuple(tuple(sorted(ids)) for ids in lists) + ((),) for lists in (down, within, up))
+            *(tuple(map(tuple, map(sorted, lists))) + ((),) for lists in (down, within, up))
         ),
         read=read,
     )

@@ -5,7 +5,9 @@ are enumerated by raw permutation, assignments by exhaustive recursion.
 The exceptions are `naive_sweep`, the skeleton sweep as a from-scratch
 loop: it looks for each root, the smallest vertex with an alive edge, and
 for the tree's incident edges by scanning every alive edge, and reuses the
-package's per-skeleton steps; and
+package's skeleton build; and `naive_levels_once`, its per-skeleton step,
+the sweep's level loop as it was before levels with empty within and up
+classes skipped the level dichotomy, calling the package's routes; and
 `naive_turan`, the exact Turán search as it was before freeness answers
 were filed: it calls the package's kernel for every check; and
 `naive_split_by_codegree`, the co-degree split with its initial entries
@@ -127,7 +129,7 @@ def naive_sweep(H, k):
     while alive:
         root = min(v for ei in alive for v in H.edges[ei])
         sk = fd.build_skeleton(H, root, active_edges=alive)
-        run = fd._levels_once(H, sk, k)
+        run = naive_levels_once(H, sk, k)
         if run is not None:
             return run
         vt = tree_vertices(sk)
@@ -137,6 +139,26 @@ def naive_sweep(H, k):
         alive -= incident
     if guaranteed:
         raise InternalProofFailure("sweep exhaustion", "naive")
+    return None
+
+
+def naive_levels_once(H, sk, k):
+    """`finder._levels_once` running the level dichotomy at every level."""
+    from bergelab.finder import (
+        ConsecutiveRun,
+        classify_levels,
+        cycles_from_down_edges,
+        cycles_or_level_bound,
+    )
+
+    down = classify_levels(H, sk).down
+    for i in range(1, sk.height + 1):
+        if len(down[i]) >= (k + 2) * len(sk.levels[i]):
+            return cycles_from_down_edges(H, sk, i, k)
+    for i in range(1, sk.height + 1):
+        res = cycles_or_level_bound(H, sk, i, k)
+        if isinstance(res, ConsecutiveRun):
+            return res
     return None
 
 

@@ -412,6 +412,37 @@ def test_pinned(pin_document, tmp_path, capsys, doc, argv, lines):
     assert got == "".join(line + "\n" for line in lines).encode()
 
 
+def _loose_cycles_doc(lengths):
+    """Disjoint loose cycles of the given lengths, as an `.hg` document."""
+    edges, base = [], 0
+    for L in lengths:
+        edges += [sorted((base + 2 * i, base + 2 * i + 1, base + (2 * i + 2) % (2 * L)))
+                  for i in range(L)]
+        base += 2 * L
+    return f"3 {base} {len(edges)}\n" + "".join("%d %d %d\n" % tuple(e) for e in sorted(edges))
+
+
+# `find --mode linear3 --k 2` on documents where the sweep visits every
+# root and finds no run: (name, document, exact stderr); exit 0 and the
+# bare CSV header on stdout.
+NO_RUN_PINS = [
+    ("loose-path-1500",
+     "3 3001 1500\n" + "".join(f"{2 * i} {2 * i + 1} {2 * i + 2}\n" for i in range(1500)),
+     b"status: no run found (mode linear3, d = 4500/3001)\n"),
+    ("loose-cycles-3-5-7-9-11x4", _loose_cycles_doc((3, 5, 7, 9, 11) * 4),
+     b"status: no run found (mode linear3, d = 3/2)\n"),
+]
+
+
+@pytest.mark.parametrize("doc,stderr", [r[1:] for r in NO_RUN_PINS], ids=[r[0] for r in NO_RUN_PINS])
+def test_no_run_pinned(tmp_path, capsys, doc, stderr):
+    path = tmp_path / "doc.hg"
+    path.write_text(doc)
+    capsys.readouterr()
+    code, out, err = run_cli(["find", "--mode", "linear3", "--k", "2", "--input", str(path)], capsys)
+    assert (code, out.encode(), err.encode()) == (0, b"length,shortest_bound\n", stderr)
+
+
 # One document per parse error, with the message it must report.
 BAD_INPUTS = {
     "MalformedLine": ("garbage line\n", "header must be 'r n m'"),

@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -10,7 +12,7 @@ from bergelab import finder as fd
 from bergelab import hypergraph as hg
 from bergelab.certify import verify_cycle
 from bergelab.cli import main as cli_main
-from bergelab.errors import NotLinear, PreconditionUnmet
+from bergelab.errors import InternalProofFailure, NotLinear, PreconditionUnmet
 from bergelab.generators import (
     complete_r,
     permuted,
@@ -26,7 +28,7 @@ from bergelab.hypergraph import (
     serialize,
 )
 from bergelab.oracle import oracle_spectrum
-from bergelab.skeleton import build_skeleton, classify_levels
+from bergelab.skeleton import LevelEdgeClasses, Skeleton, build_skeleton, classify_levels
 
 from naive import naive_derandomized_good_set, naive_split_by_codegree, naive_sweep
 
@@ -576,6 +578,35 @@ class TestLevelDichotomy:
                 assert out.counted <= out.bound
 
 
+def _bound_only_skeleton(li, li1):
+    """A skeleton with |L_1| = li, |L_2| = li1 (none when 0) and no edge in
+    any level class, so the dichotomy at level 1 only states its bound."""
+    levels = [(0,), tuple(range(1, li + 1))]
+    if li1:
+        levels.append(tuple(range(li + 1, li + li1 + 1)))
+    empty = ((),) * (len(levels) + 1)
+    return Skeleton(
+        root=0, parent={0: -1}, edge_for={}, levels=tuple(levels), level_of={},
+        classes=LevelEdgeClasses(empty, empty, empty), read=set(),
+    )
+
+
+class TestLevelEdgeBound:
+    def test_bound_matches_three_term_form(self):
+        H = steiner_triple(7)
+        for li in range(1, 41):
+            for li1 in range(41):
+                sk = _bound_only_skeleton(li, li1)
+                for k in range(1, 7):
+                    out = fd.cycles_or_level_bound(H, sk, 1, k)
+                    old = Fraction(7 * k, 2) * li + li + (Fraction(5 * k, 2) + 2) * li1
+                    assert (out.counted, out.bound) == (0, old)
+                    top = math.floor(old)
+                    fd.LevelEdgeBound(level=1, counted=top, bound=out.bound)  # accepted
+                    with pytest.raises(InternalProofFailure, match="level bound"):
+                        fd.LevelEdgeBound(level=1, counted=top + 1, bound=out.bound)
+
+
 class TestSkeletonSweep:
     def test_sts127_guaranteed(self):
         H = steiner_triple(127)
@@ -684,6 +715,46 @@ class TestSweepIdentity:
         got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 1)
         assert got == _sweep_trace(monkeypatch, naive_sweep, H, 1)
         assert isinstance(got[1], fd.ConsecutiveRun)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(H, k): a loose path, a loose-cycle union, a sparse random linear
+    3-graph or one beside a planted STS(7) or STS(9) block, relabelled. In
+    the last two, skeletons after the first reach levels with within or up
+    edges, and some of those levels give the run."""
+    kind = draw(st.sampled_from(("path", "cycles", "random", "planted")))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if kind == "path":
+        parts = [_loose_path(rng.randint(1, 200))]
+    elif kind == "cycles":
+        parts = [_loose_cycle(rng.randint(3, 30)) for _ in range(rng.randint(1, 6))]
+    else:
+        n = rng.randint(6, 60 if kind == "random" else 40)
+        parts = [random_linear_r(n, 3, rng.randint(1, 2 * n), seed)[0]]
+        if kind == "planted":
+            parts.append(steiner_triple(rng.choice((7, 9))))
+    return _union(parts, seed), draw(st.sampled_from((1, 2)))
+
+
+def _outcome(sweep, H, k):
+    try:
+        return sweep(H, k)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestSweepDifferential:
+    """Skipping the dichotomy on levels with empty within and up classes
+    changes nothing: the sweep gives the run, the None or the error that
+    the loop running it at every level gives."""
+
+    @given(sweep_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_every_level_loop(self, drawn):
+        H, k = drawn
+        assert _outcome(fd.skeleton_sweep, H, k) == _outcome(naive_sweep, H, k)
 
 
 class TestSweepGuarantee:

@@ -182,6 +182,29 @@ class TestBlocks:
             assert real(G) == naive_blocks(G)
 
 
+def _pocket_first(draw, n, pocket, count):
+    """`count` pairs on 0..n-1: a random clique pocket on `pocket` vertices
+    is filled first, then random pairs, under a relabelling."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    inside = list(combinations(range(pocket), 2))
+    outside = [p for p in combinations(range(n), 2) if p[1] >= pocket]
+    rng.shuffle(inside)
+    rng.shuffle(outside)
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    return [(relabel[a], relabel[b]) for a, b in (inside + outside)[:count]]
+
+
+@st.composite
+def at_path_bound(draw):
+    """(n, m, edges) with exactly floor(mn/2) + 1 edges, the fewest
+    `long_path_from_density` accepts, pocket first. n starts at m+2, the
+    least with room for that many edges."""
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(m + 2, m + 14))
+    return n, m, _pocket_first(draw, n, draw(st.integers(0, n)), m * n // 2 + 1)
+
+
 class TestLongPath:
     def test_k4(self):
         path = gr.long_path_from_density(complete_graph(4), 2)
@@ -224,6 +247,24 @@ class TestLongPath:
         check_path(G, path)
         assert len(path) - 1 >= 3
 
+    @given(at_path_bound())
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_at_bound(self, drawn):
+        n, m, edges = drawn
+        G = gr.Graph.build(range(n), edges)
+        assert G.e == m * n // 2 + 1
+        path = gr.long_path_from_density(G, m)
+        check_path(G, path)
+        assert len(path) - 1 >= m + 1
+
+    @given(at_path_bound())
+    @settings(max_examples=100, deadline=None)
+    def test_one_edge_below_bound(self, drawn):
+        # floor(mn/2) edges: its own density check refuses, before any helper runs
+        n, m, edges = drawn
+        with pytest.raises(PreconditionUnmet, match=r"need e > m\*n/2"):
+            gr.long_path_from_density(gr.Graph.build(range(n), edges[:-1]), m)
+
     @given(st.integers(5, 11), st.integers(0, 10**6), st.integers(1, 5))
     @settings(max_examples=120, deadline=None)
     def test_bound_random(self, n, seed, m):
@@ -244,15 +285,7 @@ def at_cycle_bound(draw, ms=(2, 12), ns=None, small_pocket=False):
     m = draw(st.integers(*ms))
     n = draw(st.integers(*ns) if ns else st.integers(m + 1, m + 12))
     pocket = draw(st.integers(0, min(n, m + 3) if small_pocket else n))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    inside = list(combinations(range(pocket), 2))
-    outside = [p for p in combinations(range(n), 2) if p[1] >= pocket]
-    rng.shuffle(inside)
-    rng.shuffle(outside)
-    relabel = list(range(n))
-    rng.shuffle(relabel)
-    edges = [(relabel[a], relabel[b]) for a, b in (inside + outside)[: m * (n - 1) // 2 + 1]]
-    return gr.Graph.build(range(n), edges), m
+    return gr.Graph.build(range(n), _pocket_first(draw, n, pocket, m * (n - 1) // 2 + 1)), m
 
 
 @st.composite
