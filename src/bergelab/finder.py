@@ -390,7 +390,14 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     fewer than 7(k+1)|T| incident edges, and deleting them all leaves the
     trees vertex-disjoint, so a sweep with no run has m < 7(k+1)n. Alive
     degrees only fall and a root ends with none, so one pass over the
-    vertices deletes every edge."""
+    vertices deletes every edge.
+
+    A tree whose build read only its own |T| - 1 tree edges filed no edge
+    in any class, so every level certifies at count 0 (no down class
+    reaches (k+2)|L_i|, no level has a within or up edge), and |T| - 1
+    edges are below the count 7(k+1)|T|. Neither the level checks nor the
+    counting check run for it: on sparse inputs such a skeleton costs its
+    BFS alone."""
     if H.uniformity != 3:
         raise PreconditionUnmet("sweep needs a 3-graph")
     if not is_linear(H):
@@ -404,16 +411,17 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         if alive.isdisjoint(inc[root]):
             continue
         sk = build_skeleton(H, root, active_edges=alive)
-        run = _levels_once(H, sk, k)
-        if run is not None:
-            return run
         nt = len(sk.parent)
-        if len(sk.read) >= 7 * (k + 1) * nt:
-            raise InternalProofFailure(
-                "sweep counting",
-                f"{len(sk.read)} incident edges on a {nt}-vertex tree "
-                f"despite certified levels",
-            )
+        if len(sk.read) >= nt:  # the build filed an edge; a tree alone certifies at 0
+            run = _levels_once(H, sk, k)
+            if run is not None:
+                return run
+            if len(sk.read) >= 7 * (k + 1) * nt:
+                raise InternalProofFailure(
+                    "sweep counting",
+                    f"{len(sk.read)} incident edges on a {nt}-vertex tree "
+                    f"despite certified levels",
+                )
         alive -= sk.read
     if guaranteed:
         raise InternalProofFailure(

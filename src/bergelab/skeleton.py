@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import ClassificationFailure, PreconditionUnmet, WNotInTree
@@ -86,6 +87,10 @@ def build_skeleton(
     (l, l) file it under within_l, (l, l + 1) under up_l and (l + 1, l + 1)
     under down_{l+1}; any other pair raises ClassificationFailure. The
     skeleton keeps the level map, the classes and the read set it built.
+    When every edge read is a tree edge (|read| = |T| - 1), the classes
+    are one shared all-empty value per height instead of three sorted and
+    padded lists: on a sparse sweep nearly every skeleton is such a tree,
+    and the sort was most of its build's fixed cost.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("skeletons are built on 3-graphs")
@@ -146,17 +151,28 @@ def build_skeleton(
     levels: list[list[int]] = [[] for _ in down]
     for v, l in level.items():
         levels[l].append(v)
+    if len(read) == len(parent) - 1:  # every edge read is a tree edge: no class holds one
+        classes = _empty_classes(len(down) + 1)
+    else:
+        classes = LevelEdgeClasses(
+            *(tuple(map(tuple, map(sorted, lists))) + ((),) for lists in (down, within, up))
+        )
     return Skeleton(
         root=root,
         parent=parent,
         edge_for=edge_for,
         levels=tuple(map(tuple, map(sorted, levels))),
         level_of=level,
-        classes=LevelEdgeClasses(
-            *(tuple(map(tuple, map(sorted, lists))) + ((),) for lists in (down, within, up))
-        ),
+        classes=classes,
         read=read,
     )
+
+
+@lru_cache(maxsize=64)
+def _empty_classes(padded: int) -> LevelEdgeClasses:
+    """Classes of `padded` empty levels, shared: they are immutable and hold no input."""
+    empty = ((),) * padded
+    return LevelEdgeClasses(empty, empty, empty)
 
 
 def classify_levels(H: Hypergraph, sk: Skeleton) -> LevelEdgeClasses:

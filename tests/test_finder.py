@@ -798,7 +798,7 @@ class TestSweepWorkBound:
     def test_natural_loose_path(self, monkeypatch):
         m = 3000
         H = _loose_path(m)
-        handed = {"edge_components": 0, "covered_vertices": 0, "skeletons": 0}
+        handed = {"edge_components": 0, "covered_vertices": 0, "skeletons": 0, "level_checks": 0}
 
         def counting(name, fn):
             def wrapper(H_, ids, *rest):
@@ -808,19 +808,64 @@ class TestSweepWorkBound:
 
             return wrapper
 
-        build = fd.build_skeleton
+        build, levels_once = fd.build_skeleton, fd._levels_once
 
         def build_counted(*args, **kwargs):
             handed["skeletons"] += 1
             return build(*args, **kwargs)
 
+        def levels_counted(*args):
+            handed["level_checks"] += 1
+            return levels_once(*args)
+
         monkeypatch.setattr(fd, "edge_components", counting("edge_components", fd.edge_components))
         monkeypatch.setattr(fd, "covered_vertices", counting("covered_vertices", fd.covered_vertices))
         monkeypatch.setattr(fd, "build_skeleton", build_counted)
+        monkeypatch.setattr(fd, "_levels_once", levels_counted)
         assert fd.skeleton_sweep(H, 2) is None
         # one skeleton per edge: each tree is {2i, 2i+1} and removes edge i
         assert handed["skeletons"] == m
         assert handed["edge_components"] + handed["covered_vertices"] <= 4 * m
+        # each of those trees reads only its tree edge, so no level is checked
+        assert handed["level_checks"] == 0
+
+    def test_level_checks_only_on_filing_trees(self, monkeypatch):
+        # A loose cycle's trees never file an edge (each edge has a vertex of
+        # degree 1, reached through that edge alone); the random linear part
+        # beside them gives trees that do. The level checks run on exactly
+        # the trees whose build read more than its |T| - 1 tree edges.
+        built, checked = [], []
+        build, levels_once = fd.build_skeleton, fd._levels_once
+
+        def recording(H_, root, active_edges=None):
+            sk = build(H_, root, active_edges)
+            built.append(sk)
+            return sk
+
+        def levels_recording(H_, sk, k_):
+            checked.append(sk)
+            return levels_once(H_, sk, k_)
+
+        seen = {"tree_only": 0, "filing": 0}
+        for seed in range(20):
+            rng = random.Random(seed)
+            parts = [_loose_cycle(rng.randint(3, 40)) for _ in range(rng.randint(1, 6))]
+            n = rng.randint(8, 30)
+            parts.append(random_linear_r(n, 3, rng.randint(n // 2, n), seed)[0])
+            H = _union(parts, seed)
+            for k in (1, 2):
+                built.clear()
+                checked.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(fd, "build_skeleton", recording)
+                    mp.setattr(fd, "_levels_once", levels_recording)
+                    out = fd.skeleton_sweep(H, k)
+                assert out == naive_sweep(H, k)
+                filing = [sk for sk in built if len(sk.read) >= len(sk.parent)]
+                assert list(map(id, checked)) == list(map(id, filing))
+                seen["filing"] += len(filing)
+                seen["tree_only"] += len(built) - len(filing)
+        assert seen["filing"] > 0 and seen["tree_only"] > 0
 
 
 class TestFindLinearR:

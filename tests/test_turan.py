@@ -79,6 +79,11 @@ class TestPinnedValues:
                 [(0, 1, 2), (0, 1, 3), (0, 4, 5), (1, 4, 5), (2, 3, 6),
                  (2, 3, 7), (4, 8, 9), (5, 8, 9), (6, 7, 8), (6, 7, 9)],
             ),
+            (
+                9, 3, 5, 10, 735305,
+                [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 2, 3),
+                 (0, 6, 7), (0, 6, 8), (0, 7, 8), (1, 2, 3), (6, 7, 8)],
+            ),
         ],
     )
     def test_pinned_rows(self, n, r, ell, value, nodes, extremal):
