@@ -696,6 +696,9 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
     G1 = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
     bip = _greedy_bipartite_subgraph(G1)
     k_even = (k + 1) // 2
+    # Not dead code. The gate 3|good|/n >= 42k, the 4/27 good set and the
+    # greedy half give bip only average degree >= 56k/27, about 2.07k, while
+    # the lemma needs 6*ceil(k/2) >= 3k: nothing above proves its precondition.
     try:
         even_run = consecutive_even_cycles(bip, k_even)
     except PreconditionUnmet:

@@ -53,22 +53,3 @@ def oracle_spectrum(H: Hypergraph, max_len: int, budget: int = 10**7) -> CycleSp
         nodes=nodes,
     )
 
-
-def cycle_of_length(H: Hypergraph, length: int, budget: int = 10**7):
-    """One verified Berge cycle of exactly the given length, or None.
-
-    Returns (witness_or_None, budget_exhausted).
-    """
-    if length < 3:
-        raise PreconditionUnmet("spine cycles have length at least 3")
-    if budget < 0:
-        raise PreconditionUnmet(f"budget {budget} is negative")
-    hits, _nodes, exhausted = spectrum_search(H.n, H.edges, length, length, budget)
-    if not hits:
-        return None, exhausted
-    L, spine, assign = hits[0]
-    w = BergeCycleWitness(spine=spine, edges=assign)
-    res = verify_cycle(H, w)
-    if not res:
-        raise InternalProofFailure("oracle witness", res.reason or "")
-    return w, exhausted

@@ -38,7 +38,6 @@ from .hypergraph import (
     is_linear,
     peel,
 )
-from .oracle import cycle_of_length
 from .skeleton import frame_from_parent, path_to_root
 
 
@@ -461,8 +460,9 @@ def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
 
     Per level of the tree, components of the cross-level edges are tried
     against three routes: a monochromatic-heavy special path, or a long
-    path inside either bichromatic class. Outputs are verified; if no route
-    fires, a direct verified search completes the run.
+    path inside either bichromatic class. The first run that verifies is
+    returned; if no route gives one, the construction has a gap and
+    InternalProofFailure is raised.
     """
     if k < 1:
         raise PreconditionUnmet("k must be at least 1")
@@ -479,27 +479,22 @@ def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
     parent, level, _ = bfs_tree(comp, root)
     h = max(level.values())
 
-    for i in range(h):
-        cross = [
-            e
-            for e in comp.edges
-            if {level[e[0]], level[e[1]]} == {i, i + 1}
-        ]
-        if not cross:
+    # comp is connected and bipartite, so every edge joins levels i and i + 1
+    cross: list[list[tuple[int, int]]] = [[] for _ in range(h)]
+    for a, b in comp.edges:
+        cross[min(level[a], level[b])].append((a, b))
+    for i, edges in enumerate(cross):
+        if not edges:
             continue
-        level_graph = Graph.build({v for e in cross for v in e}, cross)
+        level_graph = Graph.build({v for e in edges for v in e}, edges)
         for F in connected_components(level_graph):
             if F.e < k:
                 continue
             run = _routes_for_component(comp, parent, level, F, i, k)
             if run is not None and _valid_even_run(comp, run, k, 2 * h):
                 return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
-
-    run = _even_run_by_search(comp, k, h)
-    if run is not None and _valid_even_run(comp, run, k, 2 * h):
-        return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
     raise InternalProofFailure(
-        "even cycle run", f"no verified run with shortest <= {2 * h}"
+        "even cycle run", f"no route gave a verified run with shortest <= {2 * h}"
     )
 
 
@@ -565,23 +560,3 @@ def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
                 return run
     return None
 
-
-def _even_run_by_search(comp: Graph, k: int, h: int):
-    H2 = Hypergraph.from_edges(max(comp.vertices) + 1, comp.edges)
-    found: dict[int, tuple[int, ...]] = {}
-    for a in range(4, 2 * h + 1, 2):
-        ok = True
-        for L in range(a, a + 2 * k, 2):
-            if L in found:
-                continue
-            if L > len(comp.vertices):
-                ok = False
-                break
-            w, _ = cycle_of_length(H2, L)
-            if w is None:
-                ok = False
-                break
-            found[L] = w.spine
-        if ok:
-            return [found[L] for L in range(a, a + 2 * k, 2)]
-    return None

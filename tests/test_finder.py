@@ -642,6 +642,24 @@ def _loose_cycle(L):
     )
 
 
+def _chorded_cycle(L):
+    """A loose cycle of length L >= 4 plus the L chords (2i, 2i+3, 2i+5) mod 2L,
+    which keep it linear and give every vertex degree 3. A tree T then reads
+    at least |T| edges (each of its vertices brings 3, an edge holds at most
+    3), one more than its tree edges: the first tree in the cycle files one."""
+    n = 2 * L
+    chords = [(2 * i, (2 * i + 3) % n, (2 * i + 5) % n) for i in range(L)]
+    return Hypergraph.from_edges(n, list(_loose_cycle(L).edges) + chords, uniformity=3)
+
+
+def _chorded_parts(rng, top):
+    """One chorded cycle and up to five more cycles, each chorded or not."""
+    return [_chorded_cycle(rng.randint(4, top))] + [
+        _chorded_cycle(rng.randint(4, top)) if rng.random() < 0.5 else _loose_cycle(rng.randint(3, top))
+        for _ in range(rng.randint(0, 5))
+    ]
+
+
 def _loose_path(m):
     return Hypergraph.from_edges(
         2 * m + 1, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(m)], uniformity=3
@@ -709,6 +727,26 @@ class TestSweepIdentity:
             got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
             assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_chorded_cycle_unions(self, monkeypatch, seed):
+        # plain loose cycles file no edge; a chorded one does, so here the
+        # level checks run, and both sweeps still agree
+        H = _union(_chorded_parts(random.Random(seed), 40), seed)
+        checked = []
+        levels_once = fd._levels_once
+
+        def levels_recording(H_, sk, k_):
+            checked.append(sk)
+            return levels_once(H_, sk, k_)
+
+        for k in (1, 2):
+            checked.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(fd, "_levels_once", levels_recording)
+                got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
+            assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
+            assert checked and all(len(sk.read) >= len(sk.parent) for sk in checked)
+
     def test_run_found_after_sparse_components(self, monkeypatch):
         # only the STS(13) part yields a run; both sweeps reach it by the same roots
         H = _union([_loose_path(30), steiner_triple(13), _loose_cycle(9)], 5)
@@ -719,17 +757,21 @@ class TestSweepIdentity:
 
 @st.composite
 def sweep_inputs(draw):
-    """(H, k): a loose path, a loose-cycle union, a sparse random linear
-    3-graph or one beside a planted STS(7) or STS(9) block, relabelled. In
-    the last two, skeletons after the first reach levels with within or up
-    edges, and some of those levels give the run."""
-    kind = draw(st.sampled_from(("path", "cycles", "random", "planted")))
+    """(H, k): a loose path, a loose-cycle union, a union of loose cycles at
+    least one of them chorded, a sparse random linear 3-graph or one beside
+    a planted STS(7) or STS(9) block, relabelled. From the chorded kind on,
+    some skeleton files an edge; in the last two, skeletons after the first
+    reach levels with within or up edges, and some of those levels give the
+    run."""
+    kind = draw(st.sampled_from(("path", "cycles", "chorded", "random", "planted")))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
     if kind == "path":
         parts = [_loose_path(rng.randint(1, 200))]
     elif kind == "cycles":
         parts = [_loose_cycle(rng.randint(3, 30)) for _ in range(rng.randint(1, 6))]
+    elif kind == "chorded":
+        parts = _chorded_parts(rng, 30)
     else:
         n = rng.randint(6, 60 if kind == "random" else 40)
         parts = [random_linear_r(n, 3, rng.randint(1, 2 * n), seed)[0]]

@@ -8,7 +8,7 @@ from bergelab.certify import verify_cycle
 from bergelab.errors import PreconditionUnmet
 from bergelab.generators import complete_bipartite_incidence
 from bergelab.hypergraph import Hypergraph
-from bergelab.oracle import cycle_of_length, oracle_spectrum
+from bergelab.oracle import oracle_spectrum
 
 from naive import naive_spectrum
 
@@ -153,19 +153,3 @@ class TestBipartiteCut:
         for w in spec.witnesses:
             assert verify_cycle(H, w)
 
-
-class TestCycleOfLength:
-    def test_present(self):
-        w, exhausted = cycle_of_length(complete3(5), 4)
-        assert w is not None and w.length == 4 and not exhausted
-
-    def test_absent(self):
-        # three edges cannot make a 4-cycle; naive search agrees
-        H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3), (1, 2, 3)])
-        assert 4 not in naive_spectrum(4, H.edges, 4)
-        w, _ = cycle_of_length(H, 4)
-        assert w is None
-
-    def test_negative_budget(self):
-        with pytest.raises(PreconditionUnmet):
-            cycle_of_length(complete3(5), 4, budget=-1)

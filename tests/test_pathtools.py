@@ -360,6 +360,48 @@ class TestTripartiteLadder:
             assert naive_extend(H.edges, pairs) is not None
 
 
+@st.composite
+def bipartite_at_bound(draw):
+    """(G, k) with k in 1..4 and exactly 2e = 6kn, relabelled at random:
+    a balanced or an unbalanced random bipartite graph, or a complete
+    K_s,s pocket a little above the bound whose pendant periphery pulls
+    the average back down to 6k."""
+    k = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(("balanced", "unbalanced", "pocket")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if shape == "balanced":
+        a = b = rng.randint(6 * k, 6 * k + 6)
+    elif shape == "unbalanced":
+        # (a - 3k)(b - 3k) >= 9k^2 is ab >= 3k(a + b): room for 3kn edges
+        t = rng.randint(1, 3 * k)
+        a, b = 3 * k + t, 3 * k + -(-9 * k * k // t) + rng.randint(0, 3)
+    if shape != "pocket":
+        n = a + b
+        pairs = [(i, a + j) for i in range(a) for j in range(b)]
+        edges = rng.sample(pairs, 3 * k * n)
+    else:
+        d = rng.randint(1, 4)
+        s = 6 * k + d
+        # after K_s,s and one edge per pendant vertex, 3kn leaves p(3k - 1) - sd >= 0
+        # edges, which join the periphery to the pocket or to itself
+        p = -(-s * d // (3 * k - 1)) + rng.randint(0, 5)
+        n = 2 * s + p
+        side = [rng.random() < 0.5 for _ in range(p)]  # True: on the pocket's first side
+        edges = [(i, s + j) for i in range(s) for j in range(s)]
+        for x, first in enumerate(side):
+            v = 2 * s + x
+            edges.append((v, s + rng.randrange(s)) if first else (rng.randrange(s), v))
+        A = list(range(s)) + [2 * s + x for x in range(p) if side[x]]
+        B = list(range(s, 2 * s)) + [2 * s + x for x in range(p) if not side[x]]
+        spare = sorted({(u, v) for u in A for v in B if u >= 2 * s or v >= 2 * s} - set(edges))
+        edges += rng.sample(spare, 3 * k * n - len(edges))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    G = Graph.build(range(n), [(perm[u], perm[v]) for u, v in edges])
+    assert 2 * G.e == 6 * k * G.n
+    return G, k
+
+
 class TestConsecutiveEvenCycles:
     def test_k2_complete_bipartite(self):
         H = complete_bipartite_incidence(12, 12)
@@ -419,8 +461,8 @@ class TestConsecutiveEvenCycles:
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
     def test_sparse_near_threshold(self, seed):
-        # density barely above 6k: whichever of the routes or the verified
-        # search completes the run, the contract must hold
+        # density barely above 6k: whichever route completes the run, the
+        # contract must hold
         rng = random.Random(seed)
         k = rng.choice((1, 2))
         a = rng.randrange(6 * k + 1, 6 * k + 8)
@@ -436,10 +478,26 @@ class TestConsecutiveEvenCycles:
         assert len(lens) == k and lens[0] <= run.shortest_bound
         assert all(b - x == 2 for x, b in zip(lens, lens[1:]))
 
+    @given(bipartite_at_bound())
+    @settings(max_examples=200, deadline=None)
+    def test_at_the_bound(self, drawn):
+        # exactly at average degree 6k a route must give the run: there is
+        # no search behind them, so a gap raises InternalProofFailure here
+        G, k = drawn
+        run = pt.consecutive_even_cycles(G, k)
+        assert run.k == k and len(run.cycles) == k
+        adj = G.adjacency()
+        for cyc in run.cycles:
+            assert len(set(cyc)) == len(cyc) >= 4 and len(cyc) % 2 == 0
+            assert all(cyc[(j + 1) % len(cyc)] in adj[cyc[j]] for j in range(len(cyc)))
+        lens = sorted(run.lengths())
+        assert all(b - a == 2 for a, b in zip(lens, lens[1:]))
+        assert lens[0] <= run.shortest_bound
+
     @pytest.mark.parametrize("route, p", [("special_path", 0.7), ("long_path_from_density", 0.9)])
     def test_route_proof_failure_propagates(self, monkeypatch, route, p):
         # at each density the random(0) subgraph of K_16,16 reaches the
-        # patched route; its InternalProofFailure must not fall to the search
+        # patched route; its InternalProofFailure must propagate
         rng = random.Random(0)
         edges = [(i, 16 + j) for i in range(16) for j in range(16) if rng.random() < p]
         G = Graph.build(range(32), edges)
@@ -451,16 +509,3 @@ class TestConsecutiveEvenCycles:
         with pytest.raises(InternalProofFailure, match="planted"):
             pt.consecutive_even_cycles(G, 1)
 
-    def test_fallback_search_direct(self):
-        # the verified fallback must find {4, 6} inside K_6,6 on its own
-        H = complete_bipartite_incidence(6, 6)
-        G = Graph.build(range(12), H.edges)
-        run = pt._even_run_by_search(G, 2, h=3)
-        assert run is not None
-        adj = G.adjacency()
-        lens = sorted(len(c) for c in run)
-        assert lens == [4, 6]
-        for cyc in run:
-            assert len(set(cyc)) == len(cyc)
-            for j in range(len(cyc)):
-                assert cyc[(j + 1) % len(cyc)] in adj[cyc[j]]

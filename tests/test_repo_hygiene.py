@@ -88,3 +88,35 @@ def test_no_private_attributes_read_across_modules():
             ):
                 bad.append(f"{name}:{node.lineno} reads .{node.attr}")
     assert bad == []
+
+
+# the one exhaustive search is reached only through these modules, so no
+# constructive route can fall back to it unseen
+IMPORTERS = {
+    "_spectrum": {"oracle", "turan", "graphs"},
+    "oracle": {"cli", "__init__"},
+}
+
+
+def test_exhaustive_search_importers():
+    bad = []
+    for path in sorted((ROOT / "src" / "bergelab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                if node.level:
+                    names = [node.module] if node.module else [a.name for a in node.names]
+                elif (node.module or "").startswith("bergelab."):
+                    names = [node.module[len("bergelab."):]]
+                elif node.module == "bergelab":
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+            elif isinstance(node, ast.Import):
+                names = [a.name[len("bergelab."):] for a in node.names if a.name.startswith("bergelab.")]
+            else:
+                continue
+            for name in names:
+                allowed = IMPORTERS.get(name.split(".")[0])
+                if allowed is not None and path.stem not in allowed:
+                    bad.append(f"{path.name}:{node.lineno} imports {name}")
+    assert bad == []
