@@ -14,14 +14,15 @@ deg(v) >= V - ex(n-1). At a node, every vertex of a family that beats
 chosen degree plus the positions ahead that hold it; when some vertex
 falls short, the node is cut as the plain count bound cuts it. ex(n-1) is
 proved in the same call: the rows m = r .. n-1 are searched bottom-up,
-each bounded by the row below, every one under the call's budget. The
-first row that runs out ends the chain, and row n is then searched
-without the bound. The cut only drops subtrees holding no family larger
-than `best`, in an unchanged order, so the value and the extremal example
-(the first maximum found) are those of the unbounded search; `nodes`,
-`kernel_calls` and `cache_hits` count row n's own search, not the rows
-below. ell == 2 keeps its pair-packing cap, whose rows below would cost
-more than they save.
+each bounded by the row below. All rows share the call's budget, so row n
+gets what the rows below leave, and `nodes`, `kernel_calls` and
+`cache_hits` sum over every row. A row that runs out ends the call with
+the largest family any row found, which is free on n vertices too, as a
+lower bound. The cut only drops subtrees holding no family larger than
+`best`, in an unchanged order, so the value and the extremal example (the
+first maximum found) are those of the unbounded search, and each row
+spends the nodes it would spend alone. ell == 2 keeps its pair-packing
+cap, whose rows below would cost more than they save.
 
 Freeness checks are answered from earlier checks where they can be
 (nogood recording, Dechter 1990). The family `chosen` is a bitmask over
@@ -31,7 +32,12 @@ make a filed answer reusable:
 
 - a Berge cycle persists in every superset, so when the check of e finds
   a cycle, the mask c of its other edges is a nogood of p, and a later
-  check of p whose family contains c is "not free";
+  check of p whose family contains c is "not free". The witness puts e on
+  one spine pair (a, b), and any edge holding a and b closes the same
+  cycle with c unless c holds it. So c is filed as a nogood of every
+  position p' > q whose edge holds a and b, where q is c's largest
+  position: p itself and the later positions the search may yet reach
+  with c in `chosen`;
 - Berge-ell-freeness is closed under subsets, so when the check passes,
   the family's mask is filed under p, and a later check of p whose family
   lies inside a filed mask is "free".
@@ -39,10 +45,11 @@ make a filed answer reusable:
 Nogoods are watched, as literals are in SAT solvers (Moskewicz et al.,
 "Chaff", DAC 2001). Positions enter `chosen` in increasing order, so c
 lies in `chosen` exactly while its largest position q does and q's entry
-found the rest of c there. A nogood is filed under q, grouped by mask;
-when q enters, one mask test per group arms the group's positions p
-(`armed[p] += 1`), and when q leaves they are disarmed. A nogood filed
-during a check is armed at once. The check at p is then `armed[p] > 0`.
+found the rest of c there. A nogood is filed under q, grouped by mask,
+and a group holds each position once; when q enters, one mask test per
+group arms the group's positions p (`armed[p] += 1`), and when q leaves
+they are disarmed. A nogood filed during a check is armed at once for
+every position it is filed for. The check at p is then `armed[p] > 0`.
 Free masks are indexed by position instead: the masks filed under p are
 numbered, and `free[p][i]` is the bitset of those holding position i, so
 the masks holding the whole family are the AND of its positions' bitsets,
@@ -63,7 +70,8 @@ pops, and its one `Matcher` is reused, empty, from call to call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from operator import add
@@ -83,8 +91,9 @@ class TuranRecord:
     value: int
     extremal: Hypergraph
     exact: bool
+    # the counters sum over every row the call searched
     nodes: int
-    kernel_calls: int  # spectrum_search calls, the final extremal check included
+    kernel_calls: int  # spectrum_search calls, each row's final extremal check included
     cache_hits: int  # freeness checks answered from an earlier check
 
 
@@ -114,9 +123,11 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
     length ell, plus one extremal example. `exact` is False only when the
     node budget ran out; the best found is then a lower bound.
 
-    For ell >= 3 the rows m = r .. n-1 are searched first, each under
-    `budget` and bounded by the row below it; their work is not in the
-    record's counters, which are row n's own."""
+    For ell >= 3 the rows m = r .. n-1 are searched first, each bounded by
+    the row below it. All rows share `budget`, so the call spends at most
+    budget + 1 nodes, and the record's counters sum over every row. When a
+    row runs out, the record holds the largest family any row found, which
+    is free on n vertices too."""
     if r < 2:
         raise PreconditionUnmet(f"edge size r = {r} is below 2")
     if n < 0:
@@ -127,15 +138,27 @@ def turan_exhaustive(n: int, r: int, ell: int, budget: int = 10**8) -> TuranReco
         raise PreconditionUnmet("forbidden length must be at least 2")
     if budget < 0:
         raise PreconditionUnmet(f"budget {budget} is negative")
-    below = None
-    if ell >= 3:
-        for m in range(r, n):
-            row = _search_row(m, r, ell, budget, below)
-            if not row.exact:
-                below = None
-                break
-            below = row.value
-    return _search_row(n, r, ell, budget, below)
+    below = best = None
+    nodes = kernel_calls = cache_hits = 0
+    for m in (*range(r, n), n) if ell >= 3 else (n,):
+        row = _search_row(m, r, ell, budget - nodes, below)
+        nodes += row.nodes
+        kernel_calls += row.kernel_calls
+        cache_hits += row.cache_hits
+        if best is None or row.value >= best.value:
+            best = row
+        if not row.exact:
+            break
+        below = row.value
+    return replace(
+        row,
+        n=n,
+        value=best.value,
+        extremal=Hypergraph.from_edges(n, best.extremal.edges, uniformity=r),
+        nodes=nodes,
+        kernel_calls=kernel_calls,
+        cache_hits=cache_hits,
+    )
 
 
 def _search_row(n: int, r: int, ell: int, budget: int, below: Optional[int]) -> TuranRecord:
@@ -184,6 +207,11 @@ def _search_row(n: int, r: int, ell: int, budget: int, below: Optional[int]) -> 
     armed_at: list[list[list[int]]] = [[] for _ in universe]
     free: list[dict[int, int]] = [{} for _ in universe]
     nfree = [0] * len(universe)
+    # the positions whose edge holds the pair (a, b), a < b, in order
+    pair_at: dict[tuple[int, int], list[int]] = {}
+    for p, e in enumerate(universe):
+        for pair in combinations(e, 2):
+            pair_at.setdefault(pair, []).append(p)
     kernel_calls = cache_hits = 0
     live = KernelState(n)  # follows `chosen` from one kernel call to the next
 
@@ -225,16 +253,23 @@ def _search_row(n: int, r: int, ell: int, budget: int, below: Optional[int]) -> 
                 "turan freeness check",
                 f"kernel witness {spine} / {assign} is not a Berge {ell}-cycle",
             )
-        # the other edges lie in `chosen`, so the nogood is armed at once
-        # and disarmed when its watch q leaves
+        # c, the other edges, closes the same cycle with any edge on the
+        # new edge's spine pair (a, b) that c does not hold: every position
+        # past q holding a and b. c lies in `chosen`, so the nogood is armed
+        # at once for each of them and disarmed when its watch q leaves.
+        i = assign.index(len(chosen) - 1)
+        a, b = sorted((spine[i], spine[(i + 1) % ell]))
         c = sum(1 << chosen_pos[ei] for ei in assign if chosen_pos[ei] != p)
         q = c.bit_length() - 1
         group = watch[q].get(c)
         if group is None:
             watch[q][c] = group = []
             armed_at[q].append(group)
-        group.append(p)  # a known group was armed when q entered
-        armed[p] += 1
+        holders = pair_at[a, b]
+        for p2 in holders[bisect_right(holders, q):]:
+            if p2 not in group:  # a known group was armed when q entered
+                group.append(p2)
+                armed[p2] += 1
         return False
 
     # Depth-first search as a loop, keep before skip: each node either keeps

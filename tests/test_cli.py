@@ -271,8 +271,12 @@ CONTRACT = [
     ),
     (["turan", "--n", "5", "--r", "3", "--ell", "9"], 0, "10"),  # C(5, 3): no 9-cycle fits
     (["turan", "--n", "4", "--r", "7", "--ell", "3"], 0, "0"),  # no 7-set in 4 vertices
-    # 1,035 positions, deeper than Python's recursion limit: runs out of budget
-    (["turan", "--n", "46", "--r", "2", "--ell", "3", "--budget", "100000"], 3, "88"),
+    # rows 2 .. 12 finish and row 13 runs out of the call's budget; 36 is the
+    # largest family a row found
+    (["turan", "--n", "46", "--r", "2", "--ell", "3", "--budget", "100000"], 3, "36"),
+    # 1,035 positions, all kept on the first descent: deeper than Python's
+    # recursion limit
+    (["turan", "--n", "46", "--r", "2", "--ell", "2"], 0, "1035"),
 ]
 
 
@@ -297,15 +301,15 @@ class TestInputContract:
 # second line, and for (8, 3, 5) the whole of stdout with its extremal
 # example.
 T835 = (
-    "n,r,forbidden_length,value,exact,nodes\n8,3,5,9,1,114704\n3 8 9\n"
+    "n,r,forbidden_length,value,exact,nodes\n8,3,5,9,1,129028\n3 8 9\n"
     "0 1 2\n0 1 3\n0 1 4\n0 2 3\n0 5 6\n0 5 7\n0 6 7\n1 2 3\n5 6 7\n"
 )
 TURAN_PINS = [
-    ("6 3 3", "6,3,3,4,1,159", None),
-    ("7 3 4", "7,3,4,6,1,1542", None),
-    ("10 3 3", "10,3,3,12,1,14103", None),
-    ("8 3 5", "8,3,5,9,1,114704", T835),
-    ("9 3 4", "9,3,4,7,1,75746", None),
+    ("6 3 3", "6,3,3,4,1,216", None),
+    ("7 3 4", "7,3,4,6,1,2181", None),
+    ("10 3 3", "10,3,3,12,1,19695", None),
+    ("8 3 5", "8,3,5,9,1,129028", T835),
+    ("9 3 4", "9,3,4,7,1,104465", None),
 ]
 
 

@@ -154,6 +154,25 @@ class TestCliFuzz:
         assert code in EXIT_CODES, (argv, code, err)
         assert "Traceback" not in err
 
+    @given(
+        n=st.integers(-2, 8) | st.just(11),
+        r=st.integers(-1, 4),
+        ell=st.integers(-1, 7),
+        budget=st.integers(-2, 300),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_turan_option_ranges(self, n, r, ell, budget):
+        # out of range: a negative --n or --budget, --r or --ell below 2, and
+        # n past the r = 3 ceiling of 10; anything else is searched, and
+        # the small budget bounds the search
+        argv = ["turan", "--n", str(n), "--r", str(r), "--ell", str(ell), "--budget", str(budget)]
+        code, err = _run(argv)
+        if n < 0 or budget < 0 or r < 2 or ell < 2 or (r == 3 and n > 10):
+            assert code == 2, (argv, code, err)
+            assert err.startswith("precondition unmet: ") and err.count("\n") == 1, (argv, err)
+        else:
+            assert code in {0, 3} and err == "", (argv, code, err)
+
     @given(jsonl=jsonl_bytes)
     @settings(max_examples=150, deadline=None)
     def test_any_witness_file_against_a_valid_instance(self, jsonl):

@@ -41,7 +41,7 @@ def test_turan_kernel_leaves_no_cyclic_garbage():
     with collector_off():
         rec = turan_exhaustive(7, 3, 4)
         assert gc.collect() == 0
-    assert (rec.value, rec.nodes) == (6, 1542)
+    assert (rec.value, rec.nodes) == (6, 2181)
 
 
 @pytest.mark.parametrize(

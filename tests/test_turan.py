@@ -1,7 +1,9 @@
+from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bergelab import turan
@@ -88,11 +90,23 @@ class TestPinnedValues:
     )
     def test_pinned_rows(self, n, r, ell, value, nodes, extremal):
         # value, search nodes and extremal example are the whole `turan`
-        # output, so these rows hold it byte for byte
+        # output, so these rows hold it byte for byte. `nodes` is row n's
+        # own search; the printed count adds the rows below it.
         rec = turan_exhaustive(n, r, ell)
         assert rec.exact
-        assert (rec.value, rec.nodes) == (value, nodes)
+        assert (rec.value, rec.nodes) == (value, self.ROWS_BELOW[n, r, ell] + nodes)
         assert list(rec.extremal.edges) == extremal
+
+    # nodes of the rows r .. n-1, searched before row n in the same call
+    ROWS_BELOW = {
+        (7, 3, 3): 216,
+        (7, 3, 4): 639,
+        (8, 3, 3): 593,
+        (6, 3, 5): 157,
+        (10, 3, 3): 5592,
+        (10, 3, 4): 104465,
+        (9, 3, 5): 129028,
+    }
 
 
 _KERNEL_BUDGET = 10**6
@@ -222,6 +236,48 @@ class TestKernelState:
             assert _matcher_empty(live)
 
 
+@lru_cache(maxsize=None)
+def _uncached_turan(n, r, ell):
+    return naive_turan(n, r, ell)
+
+
+@st.composite
+def _small_row(draw):
+    """(n, r, ell, budget): a row on at most 7 vertices, whose uncached
+    search takes under half a second; budget None is the default."""
+    r = draw(st.sampled_from([2, 3]))
+    ell = draw(st.integers(3, 6))
+    n = draw(st.integers(r, 6 if (r, ell) == (3, 6) else 7))
+    return n, r, ell, draw(st.one_of(st.none(), st.integers(0, 3000)))
+
+
+class TestSharedNogoods:
+    """A cycle found for a new edge is filed for every later position whose
+    edge holds the new edge's spine pair. Every check must still answer as
+    the kernel would, so the search finds what the uncached search, one
+    kernel call per check, finds."""
+
+    # the two deepest rows the strategy draws, where most nogoods are shared
+    @example((7, 3, 5, None))
+    @example((7, 2, 6, None))
+    @given(_small_row())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_uncached_search(self, row):
+        n, r, ell, budget = row
+        if budget is None:
+            rec = turan_exhaustive(n, r, ell)
+        else:
+            rec = turan_exhaustive(n, r, ell, budget=budget)
+        value, _, exact, extremal = _uncached_turan(n, r, ell)
+        if budget is None or rec.exact:
+            assert (rec.value, rec.exact, list(rec.extremal.edges)) == (value, exact, extremal)
+        else:
+            # out of budget: a free family no larger than the maximum
+            assert rec.nodes == budget + 1
+            assert rec.value == len(rec.extremal.edges) <= value
+            assert ell not in naive_spectrum(n, rec.extremal.edges, ell)
+
+
 class TestExactness:
     @pytest.mark.parametrize("n,r,ell", [(4, 3, 3), (5, 3, 2)])
     def test_matches_ruleless_bruteforce(self, n, r, ell):
@@ -265,21 +321,24 @@ def _row(rec):
     return rec.value, rec.nodes, rec.exact, list(rec.extremal.edges)
 
 
-def _counting_kernel(monkeypatch, n=None):
+def _counting_kernel(monkeypatch):
     """Count the kernel calls turan_exhaustive makes and the kernel nodes
-    they spend; returns [calls, nodes]. With n, only calls on n vertices
-    count: row n's own search, not the rows below."""
-    calls = [0, 0]
+    they spend, per row: returns {m: [calls, nodes]}, row m being the
+    calls on m vertices."""
+    calls = defaultdict(lambda: [0, 0])
 
     def counted(*args):
         hits, nodes, exhausted = spectrum_search(*args)
-        if n is None or args[0] == n:
-            calls[0] += 1
-            calls[1] += nodes
+        calls[args[0]][0] += 1
+        calls[args[0]][1] += nodes
         return hits, nodes, exhausted
 
     monkeypatch.setattr(turan, "spectrum_search", counted)
     return calls
+
+
+def _total(calls):
+    return [sum(c[i] for c in calls.values()) for i in (0, 1)]
 
 
 class TestCheckCache:
@@ -291,90 +350,108 @@ class TestCheckCache:
     def test_matches_uncached_search(self, r, ell):
         # the reference has neither the cache nor the degree bound: the
         # bound may only cut nodes, never move the value or the example
+        below = 0  # nodes of the rows below row n: the call for n - 1
         for n in range(r, 8):
             if (n, r, ell) == (7, 3, 6):
                 continue  # the uncached reference takes 11 s; see below
             value, nodes, exact, extremal = _row(turan_exhaustive(n, r, ell))
             ref_value, ref_nodes, ref_exact, ref_extremal = naive_turan(n, r, ell)
             assert (value, exact, extremal) == (ref_value, ref_exact, ref_extremal), n
-            assert nodes <= ref_nodes, n
+            assert nodes - below <= ref_nodes, n
+            below = nodes
 
     def test_7_3_6_pinned_from_uncached_search(self):
         # value and example from naive_turan(7, 3, 6), run once; it spends
-        # 181,265 nodes, the degree bound fewer
+        # 181,265 nodes, row 7 with the degree bound 170,878 of these 175,590
         extremal = [
             (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6), (0, 2, 3),
             (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
         ]
-        assert _row(turan_exhaustive(7, 3, 6)) == (12, 170878, True, extremal)
+        assert _row(turan_exhaustive(7, 3, 6)) == (12, 175590, True, extremal)
 
-    # Under these budgets every row below row n finishes, so row n runs with
-    # the degree bound; under the others some row below runs out first.
-    # Nodes of rows r .. n with the bound: (8,3,3) 3, 11, 43, 159, 377, 1211;
-    # (7,3,4) 3, 8, 105, 523, 1542; (7,2,5) 3, 7, 13, 92, 300, 377.
-    BOUNDED_UNDER_BUDGET = {(8, 3, 3, 1000), (7, 3, 4, 1000), (7, 2, 5, 1000)}
-
+    # Nodes of rows r .. n with the bound: (8,3,3) 3, 11, 43, 159, 377,
+    # 1211; (7,3,4) 3, 8, 105, 523, 1542; (7,3,5) 3, 9, 145, 1969, 12198;
+    # (7,3,6) 3, 9, 21, 4679, 170878; (7,2,5) 3, 7, 13, 92, 300, 377. A
+    # budget of 1000 lets every row below row n finish for (8,3,3) and
+    # (7,3,4), and the whole of (7,2,5); the others run out in a row below.
     @pytest.mark.parametrize("budget", [10, 100, 1000])
     @pytest.mark.parametrize("n,r,ell", [(8, 3, 3), (7, 3, 4), (7, 3, 5), (7, 3, 6), (7, 2, 5)])
     def test_matches_uncached_search_under_budget(self, n, r, ell, budget):
         rec = turan_exhaustive(n, r, ell, budget=budget)
-        ref = naive_turan(n, r, ell, budget=budget)
-        if (n, r, ell, budget) not in self.BOUNDED_UNDER_BUDGET:
-            # a row below ran out, so row n is the search without the bound
-            assert _row(rec) == ref
-            return
-        # the bounded search visits a subsequence of the reference's nodes
-        # in the same order, so it gets at least as far
-        assert not ref[2] and rec.value >= ref[0]
         if rec.exact:
             full = naive_turan(n, r, ell)
             assert (rec.value, list(rec.extremal.edges)) == (full[0], full[3])
-        else:
-            assert rec.nodes == budget + 1
+            assert rec.nodes <= budget
+            return
+        assert rec.nodes == budget + 1
+        # the best found is a free family of `value` edges on n vertices
+        assert (rec.extremal.n, len(rec.extremal.edges)) == (n, rec.value)
+        assert ell not in naive_spectrum(n, rec.extremal.edges, ell)
+        # row n gets what the rows below leave; where that is anything,
+        # its bounded search visits a subsequence of the reference's nodes
+        # in the same order under that budget, so it gets at least as far
+        below = turan_exhaustive(n - 1, r, ell).nodes
+        if below <= budget:
+            assert rec.value >= naive_turan(n, r, ell, budget=budget - below)[0]
 
-    @pytest.mark.parametrize("n,r,ell,row_below_nodes", [(7, 3, 4, 523), (7, 2, 4, 354)])
-    def test_row_below_out_of_budget_drops_the_bound(self, n, r, ell, row_below_nodes):
-        # row n - 1 takes row_below_nodes with the bound. One node fewer and
-        # it runs out, so row n is the search without the bound under the
-        # same budget. With enough for it, row n is bounded and gets further:
-        # (7,3,4) reaches its 6 edges by node 493 with the bound, 577
-        # without; (7,2,4) finishes in 280 nodes with the bound, 2,482 without.
-        short = row_below_nodes - 1
-        rec = turan_exhaustive(n, r, ell, budget=short)
-        assert _row(rec) == naive_turan(n, r, ell, budget=short)
-        rec = turan_exhaustive(n, r, ell, budget=row_below_nodes)
-        ref = naive_turan(n, r, ell, budget=row_below_nodes)
-        full = naive_turan(n, r, ell)
-        assert (rec.value, rec.exact) > (ref[0], ref[2])
-        assert (rec.value, list(rec.extremal.edges)) == (full[0], full[3])
+    @pytest.mark.parametrize("n,r,ell,below", [(7, 3, 4, 639), (7, 2, 4, 419)])
+    def test_row_below_out_of_budget_ends_the_call(self, n, r, ell, below):
+        # the rows below row n take `below` nodes. One node fewer and row
+        # n - 1 runs out: row n is not searched, and the call returns the
+        # largest family a row found, on n vertices. With just enough, row
+        # n gets one node and runs out at once, so the call returns row
+        # n - 1's maximum. With row n's own count on top, it finishes.
+        short = turan_exhaustive(n, r, ell, budget=below - 1)
+        row_below = naive_turan(n - 1, r, ell)
+        assert (short.exact, short.nodes) == (False, below)
+        assert (short.extremal.n, short.value) == (n, len(short.extremal.edges))
+        assert naive_turan(n - 2, r, ell)[0] <= short.value <= row_below[0]
+        rec = turan_exhaustive(n, r, ell, budget=below)
+        assert (rec.exact, rec.nodes, rec.extremal.n) == (False, below + 1, n)
+        assert (rec.value, list(rec.extremal.edges)) == (row_below[0], row_below[3])
+        full = turan_exhaustive(n, r, ell)
+        ref = naive_turan(n, r, ell)
+        assert _row(turan_exhaustive(n, r, ell, budget=full.nodes)) == _row(full)
+        assert (full.value, full.exact, list(full.extremal.edges)) == (ref[0], True, ref[3])
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5, 30, 215, 216, 217, 1000])
+    @pytest.mark.parametrize("n,r,ell", [(6, 3, 3), (7, 2, 4), (6, 3, 2)])
+    def test_one_budget_per_call(self, n, r, ell, budget):
+        # all rows share the budget: a call spends at most budget + 1
+        # nodes, and is exact when it needs no more than the budget
+        full = turan_exhaustive(n, r, ell)
+        rec = turan_exhaustive(n, r, ell, budget=budget)
+        assert rec.nodes == min(budget + 1, full.nodes) <= budget + 1
+        assert rec.exact == (full.nodes <= budget)
 
     def test_kernel_calls_bounded_and_reported(self, monkeypatch):
-        # the uncached search makes 3,608 kernel calls here
-        calls = _counting_kernel(monkeypatch, 8)
+        # the uncached search makes 3,608 kernel calls in row 8 alone
+        calls = _counting_kernel(monkeypatch)
         rec = turan_exhaustive(8, 3, 3)
-        assert rec.kernel_calls == calls[0] <= 1000
+        assert rec.kernel_calls == _total(calls)[0] <= 1000
         assert rec.cache_hits > 0
 
     def test_9_3_3_kernel_calls(self, monkeypatch):
-        # the uncached search makes 22,076 kernel calls here, the cache
-        # without the degree bound 2,868
-        calls = _counting_kernel(monkeypatch, 9)
+        # in row 9 the uncached search makes 22,076 kernel calls, the cache
+        # without the degree bound 2,868, with it 586, and with each cycle
+        # filed for its spine pair 359
+        calls = _counting_kernel(monkeypatch)
         rec = turan_exhaustive(9, 3, 3)
-        assert (rec.value, rec.nodes) == (10, 3788)
-        assert rec.kernel_calls == calls[0] < 600
+        assert (rec.value, rec.nodes) == (10, 5592)
+        assert rec.kernel_calls == _total(calls)[0] < 700
+        assert calls[9][0] < 400
 
-    @pytest.mark.parametrize("n,r,ell,kernel_nodes", [(9, 3, 3, 3826), (8, 3, 4, 47835)])
+    @pytest.mark.parametrize("n,r,ell,kernel_nodes", [(9, 3, 3, 4582), (8, 3, 4, 39657)])
     def test_kernel_nodes_pinned(self, monkeypatch, n, r, ell, kernel_nodes):
-        # the kernel's own nodes, summed over the search's calls: its live
-        # state and the matcher's direct pushes must not move them
-        calls = _counting_kernel(monkeypatch, n)
+        # the kernel's own nodes, summed over the calls of every row: its
+        # live state and the matcher's direct pushes must not move them
+        calls = _counting_kernel(monkeypatch)
         rec = turan_exhaustive(n, r, ell)
-        assert rec.kernel_calls == calls[0]
-        assert calls[1] == kernel_nodes
+        assert [rec.kernel_calls, kernel_nodes] == _total(calls)
 
     @pytest.mark.parametrize(
         "n,r,ell,counters",
-        [(9, 3, 3, (586, 2631)), (8, 3, 4, (4490, 18872)), (7, 3, 5, (2747, 8100))],
+        [(9, 3, 3, (638, 4032)), (8, 3, 4, (3628, 21574)), (7, 3, 5, (2171, 10397))],
     )
     def test_cache_counters_pinned(self, n, r, ell, counters):
         # the filed lists keep every mask they are given; a mask a later one
@@ -384,7 +461,7 @@ class TestCheckCache:
 
     @pytest.mark.parametrize(
         "n,r,ell,row",
-        [(8, 3, 5, (9, 114704, True, 15525, 88735)), (9, 3, 4, (7, 75746, True, 8647, 59422))],
+        [(8, 3, 5, (9, 129028, True, 10865, 105963)), (9, 3, 4, (7, 104465, True, 9473, 83798))],
     )
     def test_deep_rows_pinned(self, n, r, ell, row):
         # over 68,000 freeness checks each, nearly all decided by the
@@ -395,7 +472,7 @@ class TestCheckCache:
     def test_ell_2_calls_no_kernel(self, monkeypatch):
         calls = _counting_kernel(monkeypatch)
         rec = turan_exhaustive(7, 3, 2)
-        assert rec.kernel_calls == calls[0] == rec.cache_hits == 0
+        assert rec.kernel_calls == _total(calls)[0] == rec.cache_hits == 0
 
     def test_bad_witness_is_not_filed(self, monkeypatch):
         # a witness that uses one edge for every spine pair must stop the
