@@ -279,11 +279,9 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
             n2.append(ei)
         elif a == 1 and b == 1 and ei in up_ids:
             n3.append(ei)
-    for cls, own, other in ((n1, 1, 2), (n2, 2, 1)):
+    for cls, own in ((n1, 1), (n2, 2)):
         if 2 * len(cls) > (k - 1) * n_i:
-            run = _bc_pair_route(H, sk, i, k, cls, own, anchor, color_of, level_of)
-            if run is not None:
-                return run
+            return _bc_pair_route(H, sk, i, k, cls, own, anchor, color_of, level_of)
     if n3 and 2 * len(n3) > k * len(covered_vertices(H, n3)):  # d(n3) > 3k/2
         return _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of)
     return None
@@ -343,9 +341,8 @@ def _bc_pair_route(H, sk, i, k, cls, own_color, anchor, color_of, level_of):
             raise InternalProofFailure("linearity", f"pair {pair} repeats")
         pair_to_edge[pair] = ei
     proj = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
+    # proj's vertices lie on level i: by the caller's gate d(comp) >= 2|cls|/n_i > k - 1
     comp = densest_component(proj)
-    if 2 * comp.e <= (k - 1) * comp.n:
-        return None
     path = long_path_from_density(comp, k - 1)[: k + 1]
     first = pair_to_edge[norm_edge(path[0], path[1])]
     x = next(v for v in H.edges[first] if color_of.get(v) != own_color)
@@ -679,9 +676,7 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
         for (ei, mark, c1), top in zip(sl.entries, sl.max_codegree)
         if c1 and top >= 3
     ]
-    if not good_entries:
-        return None
-    if Fraction(3 * len(good_entries), H.n) < 42 * k:
+    if Fraction(3 * len(good_entries), H.n) < 42 * k:  # H is not linear, so n > 0
         return None
     chosen = _derandomized_good_set(H, good_entries)
     if 27 * len(chosen) < 4 * len(good_entries):

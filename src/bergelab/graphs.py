@@ -355,11 +355,12 @@ def _any_cycle(G: Graph) -> Optional[list[int]]:
                 pv = parent[pv]
                 au.append(pu)
                 av.append(pv)
-            # au ends at the meet; drop it from one side
-            cyc = au + av[::-1][1:] if au[-1] == av[-1] else None
-            if cyc and len(cyc) >= 3 and len(set(cyc)) == len(cyc):
-                if _cycle_is_valid(adj, cyc):
-                    return cyc
+            # the climbs meet only at the common ancestor, which lies above both ends of
+            # a BFS edge off the tree: the cycle is simple and has at least 3 vertices
+            cyc = au + av[::-1][1:]
+            if not _cycle_is_valid(adj, cyc):
+                raise InternalProofFailure("fundamental cycle", f"{cyc} is not a cycle")
+            return cyc
     return None
 
 

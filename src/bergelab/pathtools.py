@@ -435,15 +435,15 @@ def tripartite_ladder(
 # consecutive even cycles in bipartite graphs
 
 
-def _ladder_cycles(parent, level, anchor, walk, positions):
-    """Close tree paths through sub-walks at the given end positions."""
+def _ladder_cycles(parent, anchor, walk, positions):
+    """Close tree paths through sub-walks at the given end positions, or
+    None when a closed walk repeats a vertex or is odd or short."""
     out = []
     for l in positions:
         w0, wl = walk[0], walk[l]
         X = path_to_root(parent, w0)  # w0 .. root
         Y = path_to_root(parent, wl)
-        if anchor not in X or anchor not in Y:
-            return None
+        # the walk lies in F, and the anchor is an ancestor of all of F
         X = X[: X.index(anchor) + 1]  # w0 .. anchor
         Y = Y[: Y.index(anchor) + 1]
         cyc = X[::-1] + list(walk[1 : l + 1]) + Y[1:-1]
@@ -479,18 +479,17 @@ def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
     parent, level, _ = bfs_tree(comp, root)
     h = max(level.values())
 
-    # comp is connected and bipartite, so every edge joins levels i and i + 1
+    # comp is connected and bipartite, so every edge joins levels i and i + 1,
+    # and each level i < h holds the tree edge into every vertex of level i + 1
     cross: list[list[tuple[int, int]]] = [[] for _ in range(h)]
     for a, b in comp.edges:
         cross[min(level[a], level[b])].append((a, b))
     for i, edges in enumerate(cross):
-        if not edges:
-            continue
         level_graph = Graph.build({v for e in edges for v in e}, edges)
         for F in connected_components(level_graph):
             if F.e < k:
                 continue
-            run = _routes_for_component(comp, parent, level, F, i, k)
+            run = _routes_for_component(parent, level, F, i, k)
             if run is not None and _valid_even_run(comp, run, k, 2 * h):
                 return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
     raise InternalProofFailure(
@@ -516,7 +515,7 @@ def _valid_even_run(G: Graph, run, k: int, bound: int) -> bool:
     )
 
 
-def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
+def _routes_for_component(parent, level, F: Graph, i: int, k: int):
     frame = frame_from_parent(parent, F.vertices)
     if frame is None:
         return None
@@ -530,14 +529,14 @@ def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
         ec = {}
         for e in F.edges:
             ec[e] = 1 if color[e[0]] == color[e[1]] else 2
+        # gate: d(G_1) >= p + 1 at odd p = 2k - 1; both colours appear; F is connected
         try:
-            sp = special_path(ColoredGraph(F, ec), 2 * k - 1)
-            walk = list(sp.vertices)
-            run = _ladder_cycles(parent, level, anchor, walk, range(1, 2 * k, 2))
-            if run is not None:
-                return run
-        except PreconditionUnmet:
-            pass
+            sp = special_path(ColoredGraph(F, ec), 2 * k - 1, connected=True)
+        except PreconditionUnmet as exc:
+            raise InternalProofFailure("even mono route", str(exc)) from exc
+        run = _ladder_cycles(parent, anchor, list(sp.vertices), range(1, 2 * k, 2))
+        if run is not None:  # wl's parent may lie on the walk
+            return run
     # bichromatic classes, split by which side of the level pair is color 1
     for want in (1, 2):
         cls = [
@@ -551,12 +550,12 @@ def _routes_for_component(comp, parent, level, F: Graph, i: int, k: int):
         for piece in connected_components(sub):
             if 2 * piece.e <= (2 * k - 2) * piece.n:
                 continue
-            try:
-                path = long_path_from_density(piece, 2 * k - 2)
-            except PreconditionUnmet:
-                continue
-            run = _ladder_cycles(parent, level, anchor, path, range(1, 2 * k, 2))
-            if run is not None:
-                return run
+            path = long_path_from_density(piece, 2 * k - 2)  # the gate above is its own
+            # level-i walk vertices have colour `want`, level-(i+1) ones the other, and w0
+            # and wl lie on different levels: the tree paths miss the walk and each other
+            run = _ladder_cycles(parent, anchor, path, range(1, 2 * k, 2))
+            if run is None:
+                raise InternalProofFailure("even ladder", "a bichromatic closure repeats")
+            return run
     return None
 

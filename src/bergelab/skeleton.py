@@ -37,7 +37,7 @@ class LevelEdgeClasses:
     up: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass  # not frozen: that costs an object.__setattr__ per field on every build
 class Skeleton:
     root: int
     parent: dict[int, int]            # vertex -> parent (root -> -1)

@@ -629,6 +629,18 @@ class TestPeel:
         threshold = Fraction(len(ids), len(covered))
         assert hg.peel(H, ids) == naive_peel({i: H.edges[i] for i in ids}, threshold)
 
+    def test_cascade(self):
+        # K_5^(3) plus the chain {0,5,6}, {5,6,7} has |E|/|V| = 12/8; deleting 7
+        # (degree 1) leaves 5 and 6 at degree 1, which the peel must delete in
+        # turn. The edge {2,6,7} lies outside the view.
+        core = list(combinations(range(5), 3))
+        H = hg.Hypergraph.from_edges(8, core + [(0, 5, 6), (5, 6, 7), (2, 6, 7)])
+        ids = [i for i, e in enumerate(H.edges) if e != (2, 6, 7)]
+        deg, alive = hg.peel(H, ids)
+        assert deg == {v: 6 for v in range(5)}
+        assert [H.edges[i] for i in alive] == core
+        assert (deg, alive) == naive_peel({i: H.edges[i] for i in ids}, Fraction(12, 8))
+
 
 class TestDerivedIndex:
     def test_built_once_per_instance(self):

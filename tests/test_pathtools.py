@@ -402,6 +402,13 @@ def bipartite_at_bound(draw):
     return G, k
 
 
+def random_bipartite(a, p, seed):
+    """The random(seed) subgraph of K_a,a keeping each edge with probability p."""
+    rng = random.Random(seed)
+    edges = [(i, a + j) for i in range(a) for j in range(a) if rng.random() < p]
+    return Graph.build(range(2 * a), edges)
+
+
 class TestConsecutiveEvenCycles:
     def test_k2_complete_bipartite(self):
         H = complete_bipartite_incidence(12, 12)
@@ -498,14 +505,42 @@ class TestConsecutiveEvenCycles:
     def test_route_proof_failure_propagates(self, monkeypatch, route, p):
         # at each density the random(0) subgraph of K_16,16 reaches the
         # patched route; its InternalProofFailure must propagate
-        rng = random.Random(0)
-        edges = [(i, 16 + j) for i in range(16) for j in range(16) if rng.random() < p]
-        G = Graph.build(range(32), edges)
+        G = random_bipartite(16, p, 0)
 
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise InternalProofFailure(route, "planted")
 
         monkeypatch.setattr(pt, route, fail)
         with pytest.raises(InternalProofFailure, match="planted"):
             pt.consecutive_even_cycles(G, 1)
+
+    def test_mono_route_precondition_failure_is_a_proof_failure(self, monkeypatch):
+        # the monochromatic gate proves special_path's preconditions, so a
+        # PreconditionUnmet from it is a gap in the proof, not a route to skip
+        def fail(*args, **kwargs):
+            raise PreconditionUnmet("planted")
+
+        monkeypatch.setattr(pt, "special_path", fail)
+        with pytest.raises(InternalProofFailure, match="planted"):
+            pt.consecutive_even_cycles(random_bipartite(16, 0.7, 0), 1)
+
+    def test_mono_route_gives_the_run(self, monkeypatch):
+        # on this k = 2 draw the monochromatic route's run is the one returned:
+        # its j-th cycle runs along the special path's first 2j + 2 vertices
+        walks = []
+        real = pt.special_path
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            walks.append(out.vertices)
+            return out
+
+        monkeypatch.setattr(pt, "special_path", spy)
+        run = pt.consecutive_even_cycles(random_bipartite(16, 0.75, 2), 2)
+        assert run.lengths() == (4, 6)
+        assert len(walks) == 1
+        for j, cyc in enumerate(run.cycles):
+            seg = walks[0][: 2 * j + 2]
+            at = cyc.index(seg[0])
+            assert (cyc + cyc)[at : at + len(seg)] == seg
 
