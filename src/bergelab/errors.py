@@ -43,10 +43,6 @@ class EdgeNotInShadow(PreconditionUnmet):
     pass
 
 
-class WNotInTree(PreconditionUnmet):
-    pass
-
-
 class InvalidParameters(PreconditionUnmet):
     pass
 

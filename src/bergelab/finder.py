@@ -45,6 +45,7 @@ from .pathtools import (
     tripartite_ladder,
 )
 from .skeleton import (
+    Frame,
     Skeleton,
     build_skeleton,
     classify_levels,
@@ -140,14 +141,14 @@ class MarkedSlice:
 def _close_through_tree(
     H: Hypergraph,
     sk: Skeleton,
-    anchor: int,
+    frame: Frame,
     path_vertices: Sequence[int],
     path_edges: Sequence[int],
 ) -> BergeCycleWitness:
-    """Close an extendable path between two tree vertices through the tree."""
-    x, y = path_vertices[0], path_vertices[-1]
-    X = sk.tree_path(anchor, x)
-    Y = sk.tree_path(anchor, y)
+    """Close an extendable path between two members of the frame's W through
+    the tree paths from the anchor down to them."""
+    X = frame.paths[path_vertices[0]][frame.top :]  # anchor .. x
+    Y = frame.paths[path_vertices[-1]][frame.top :]  # anchor .. y
     spine = X + list(path_vertices[1:]) + Y[::-1][1:-1]
     edges = sk.spine_edges(X) + list(path_edges) + sk.spine_edges(Y)[::-1]
     w = BergeCycleWitness(tuple(spine), tuple(edges))
@@ -196,10 +197,10 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
     per_conbr = Counter(map(third.__getitem__, comp.edges))
     if len(per_conbr) < 2:
         raise InternalProofFailure("co-neighbors", "a single link must be a matching")
-    frame = frame_from_parent(sk.parent, sorted(per_conbr))
+    frame = frame_from_parent(sk.parent, per_conbr)
     if frame is None:
         raise InternalProofFailure("ancestor frame", "co-neighbors on a single branch")
-    anchor, color_of, _kids = frame
+    color_of = frame.color
     # an edge takes its co-neighbour's colour; colour 1 names the larger class
     twos = sum(cnt for t, cnt in per_conbr.items() if color_of[t] == 2)
     if 2 * twos > comp.e:
@@ -218,7 +219,7 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
         pathe = [pair_to_edge[norm_edge(walk[0], walk[1])]] + [
             pair_to_edge[norm_edge(walk[j], walk[j + 1])] for j in range(1, l + 1)
         ]
-        cycles.append(_close_through_tree(H, sk, anchor, pathv, pathe))
+        cycles.append(_close_through_tree(H, sk, frame, pathv, pathe))
     run = ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i)
     validate_run(H, run)
     return run
@@ -251,12 +252,10 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
     verts = covered_vertices(H, ids)
     n_i = sum(1 for v in verts if level_of.get(v) == i)
     n_i1 = len(verts) - n_i
-    frame = frame_from_parent(sk.parent, sorted(verts))
+    frame = frame_from_parent(sk.parent, verts)
     if frame is None:
-        raise InternalProofFailure("bc frame", "component on a single branch")
-    anchor, color_of, _ = frame
-    if anchor in verts:
-        raise InternalProofFailure("bc frame", "anchor inside the component")
+        raise InternalProofFailure("bc frame", "the component holds its anchor")
+    color_of = frame.color
     mono, poly = [], []
     for ei in ids:
         cs = {color_of[v] for v in H.edges[ei]}
@@ -265,7 +264,7 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
         raise InternalProofFailure("bc coloring", "component has no two-colored edge")
 
     if len(mono) > (2 * k + 2) * (n_i + n_i1):
-        return _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of)
+        return _bc_mono_route(H, sk, i, k, ids, mono, frame, level_of)
 
     s1 = {v for v in verts if level_of.get(v) == i and color_of[v] == 1}
     s2 = {v for v in verts if level_of.get(v) == i and color_of[v] == 2}
@@ -281,13 +280,13 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
             n3.append(ei)
     for cls, own in ((n1, 1), (n2, 2)):
         if 2 * len(cls) > (k - 1) * n_i:
-            return _bc_pair_route(H, sk, i, k, cls, own, anchor, color_of, level_of)
+            return _bc_pair_route(H, sk, i, k, cls, own, frame, level_of)
     if n3 and 2 * len(n3) > k * len(covered_vertices(H, n3)):  # d(n3) > 3k/2
-        return _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of)
+        return _bc_ladder_route(H, sk, i, k, n3, s1, s2, frame, level_of)
     return None
 
 
-def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
+def _bc_mono_route(H, sk, i, k, ids, mono, frame, level_of):
     colors = [0] * len(H.edges)
     for ei in ids:
         colors[ei] = 2
@@ -298,13 +297,13 @@ def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
     except PreconditionUnmet as exc:
         raise InternalProofFailure("bc mono route", str(exc)) from exc
     P = list(w.edges[: k + 1])
-    rest_colors = {color_of[v] for ei in P[1:] for v in H.edges[ei]}
+    rest_colors = {frame.color[v] for ei in P[1:] for v in H.edges[ei]}
     if len(rest_colors) != 1:
         raise InternalProofFailure("bc mono route", "tail is not single-colored")
     cc = rest_colors.pop()
     e1, e2 = set(H.edges[P[0]]), set(H.edges[P[1]])
     endpoints = sorted(e1 - e2)
-    off = [v for v in endpoints if color_of[v] != cc]
+    off = [v for v in endpoints if frame.color[v] != cc]
     if not off:
         raise InternalProofFailure("bc mono route", "first edge is single-colored")
     x = min(off)
@@ -317,23 +316,23 @@ def _bc_mono_route(H, sk, i, k, ids, mono, anchor, color_of, level_of):
     first = 1 if level_of[x] == i + 1 else 2
     for l in range(first, first + k):
         if l == 1:
-            pool = [v for v in e1 if level_of.get(v) == i and color_of[v] == cc]
+            pool = [v for v in e1 if level_of.get(v) == i and frame.color[v] == cc]
         else:
             ends = set(H.edges[P[l - 1]]) - set(H.edges[P[l - 2]])
             pool = [v for v in ends if level_of.get(v) == i]
         if not pool:
             raise InternalProofFailure("bc mono route", f"no level-i endpoint at {l}")
         pv, pe = spine_to(l, min(pool))
-        cycles.append(_close_through_tree(H, sk, anchor, pv, pe))
+        cycles.append(_close_through_tree(H, sk, frame, pv, pe))
     return ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i + 2)
 
 
-def _bc_pair_route(H, sk, i, k, cls, own_color, anchor, color_of, level_of):
+def _bc_pair_route(H, sk, i, k, cls, own_color, frame, level_of):
     pair_to_edge: dict[tuple[int, int], int] = {}
     for ei in cls:
         e = H.edges[ei]
         pair = tuple(
-            sorted(v for v in e if level_of.get(v) == i and color_of[v] == own_color)
+            sorted(v for v in e if level_of.get(v) == i and frame.color[v] == own_color)
         )
         if len(pair) != 2:
             raise InternalProofFailure("bc pairs", "class edge lost its pair")
@@ -345,18 +344,18 @@ def _bc_pair_route(H, sk, i, k, cls, own_color, anchor, color_of, level_of):
     comp = densest_component(proj)
     path = long_path_from_density(comp, k - 1)[: k + 1]
     first = pair_to_edge[norm_edge(path[0], path[1])]
-    x = next(v for v in H.edges[first] if color_of.get(v) != own_color)
+    x = next(v for v in H.edges[first] if frame.color.get(v) != own_color)
     cycles = []
     for l in range(1, k + 1):
         pathv = [x] + list(path[1 : l + 1])
         pathe = [first] + [
             pair_to_edge[norm_edge(path[j], path[j + 1])] for j in range(1, l)
         ]
-        cycles.append(_close_through_tree(H, sk, anchor, pathv, pathe))
+        cycles.append(_close_through_tree(H, sk, frame, pathv, pathe))
     return ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i + 2)
 
 
-def _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of):
+def _bc_ladder_route(H, sk, i, k, n3, s1, s2, frame, level_of):
     cov = covered_vertices(H, n3)
     parts = (
         sorted(cov & s1),
@@ -369,7 +368,7 @@ def _bc_ladder_route(H, sk, i, k, n3, s1, s2, anchor, level_of):
         raise InternalProofFailure("bc ladder route", str(exc)) from exc
     cycles = []
     for w in wits:
-        cycles.append(_close_through_tree(H, sk, anchor, list(w.spine), list(w.edges)))
+        cycles.append(_close_through_tree(H, sk, frame, w.spine, w.edges))
     return ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i + 2)
 
 
@@ -722,22 +721,23 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
 
 def _augment_through_high_pair(H, sl, pair_to_edge, third, cyc):
     """Insert the third vertex of the first cycle edge's hyperedge, rerouting
-    through a high pair; lengthens the Berge cycle by exactly one."""
-    L = len(cyc)
+    through a high pair; lengthens the Berge cycle by exactly one. The high
+    pair beside b is the high pair beside a on the cycle read backwards from
+    b, so one spine serves both."""
     a, b = cyc[0], cyc[1]
     key = norm_edge(a, b)
     base = pair_to_edge[key]
     w = third[key]
-    if len(sl.covers.get(norm_edge(a, w), ())) >= 3:
-        hi, banned = a, {b, cyc[-1]}
-        rest = list(cyc[1:])  # b, u2, .., u_{L-1}
-    elif len(sl.covers.get(norm_edge(b, w), ())) >= 3:
-        hi, banned = b, {a, cyc[2 % L]}
-        rest = [a] + list(reversed(cyc[2:]))  # a, u_{L-1}, .., u_2
+    # rest runs round the cycle from the mark's other vertex to hi's other neighbour
+    for hi, rest in ((a, cyc[1:]), (b, [a, *reversed(cyc[2:])])):
+        covers = sl.covers.get(norm_edge(hi, w), ())
+        if len(covers) >= 3:
+            break
     else:
         raise InternalProofFailure("augmentation", "no high pair beside the mark")
+    banned = {rest[0], rest[-1]}
     cand = None
-    for j in sl.covers.get(norm_edge(hi, w), ()):
+    for j in covers:
         ei = sl.entries[j][0]
         z = next(v for v in H.edges[ei] if v not in (hi, w))
         if z not in banned and ei != base:
@@ -745,7 +745,7 @@ def _augment_through_high_pair(H, sl, pair_to_edge, third, cyc):
             break
     if cand is None:
         raise InternalProofFailure("augmentation", "high pair lost its edges")
-    spine = [hi, w] + rest
+    spine = [hi, w, *rest]
     edges = [cand, base]
     for j in range(len(rest) - 1):
         edges.append(pair_to_edge[norm_edge(rest[j], rest[j + 1])])

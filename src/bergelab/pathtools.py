@@ -38,7 +38,7 @@ from .hypergraph import (
     is_linear,
     peel,
 )
-from .skeleton import frame_from_parent, path_to_root
+from .skeleton import frame_from_parent
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,9 @@ def special_path(cg: ColoredGraph, p: int, *, connected: bool = False) -> GraphP
         # a forest: d(G_1) >= 3 asks G_1 - x for no cycle. It has at most
         # n - 2 edges then, so x has color-1 degree at least 3n/2 - (n - 2)
         # > 0, and the greedy path through the color-2 edge (x, y) and x
-        # has length >= 2
-        out = special_path(cg, 1)
+        # has length >= 2. Connectivity is already checked or vouched for,
+        # and the p <= 1 branch does not use it
+        out = special_path(cg, 1, connected=True)
         if out.length < 2:
             raise InternalProofFailure("special path", "postcondition violated")
         return out
@@ -435,18 +436,16 @@ def tripartite_ladder(
 # consecutive even cycles in bipartite graphs
 
 
-def _ladder_cycles(parent, anchor, walk, positions):
-    """Close tree paths through sub-walks at the given end positions, or
-    None when a closed walk repeats a vertex or is odd or short."""
+def _ladder_cycles(frame, walk, positions):
+    """Close sub-walks at the given end positions through the frame's tree
+    paths, or None when a closed walk repeats a vertex or is odd or short."""
+    paths, top = frame.paths, frame.top
     out = []
     for l in positions:
-        w0, wl = walk[0], walk[l]
-        X = path_to_root(parent, w0)  # w0 .. root
-        Y = path_to_root(parent, wl)
-        # the walk lies in F, and the anchor is an ancestor of all of F
-        X = X[: X.index(anchor) + 1]  # w0 .. anchor
-        Y = Y[: Y.index(anchor) + 1]
-        cyc = X[::-1] + list(walk[1 : l + 1]) + Y[1:-1]
+        # the walk lies in F, the frame's W: anchor .. w0, the walk to wl, then
+        # wl's parent up to the anchor's child
+        up = paths[walk[l]][top + 1 : -1]
+        cyc = paths[walk[0]][top:] + list(walk[1 : l + 1]) + up[::-1]
         if len(set(cyc)) != len(cyc) or len(cyc) < 3 or len(cyc) % 2 == 1:
             return None
         out.append(tuple(cyc))
@@ -460,8 +459,9 @@ def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
 
     Per level of the tree, components of the cross-level edges are tried
     against three routes: a monochromatic-heavy special path, or a long
-    path inside either bichromatic class. The first run that verifies is
-    returned; if no route gives one, the construction has a gap and
+    path inside either bichromatic class. The first run a route gives is
+    verified and returned. A run that fails verification, or no run from
+    any component, means the construction has a gap, and
     InternalProofFailure is raised.
     """
     if k < 1:
@@ -490,8 +490,11 @@ def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
             if F.e < k:
                 continue
             run = _routes_for_component(parent, level, F, i, k)
-            if run is not None and _valid_even_run(comp, run, k, 2 * h):
-                return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
+            if run is None:
+                continue
+            if not _valid_even_run(comp, run, k, 2 * h):
+                raise InternalProofFailure("even cycle run", "a route's run failed verification")
+            return EvenCycleRun(k=k, cycles=tuple(run), shortest_bound=2 * h)
     raise InternalProofFailure(
         "even cycle run", f"no route gave a verified run with shortest <= {2 * h}"
     )
@@ -519,9 +522,7 @@ def _routes_for_component(parent, level, F: Graph, i: int, k: int):
     frame = frame_from_parent(parent, F.vertices)
     if frame is None:
         return None
-    anchor, color, _kids = frame
-    if anchor in set(F.vertices):
-        return None
+    color = frame.color
     mono = [e for e in F.edges if color[e[0]] == color[e[1]]]
     poly = [e for e in F.edges if color[e[0]] != color[e[1]]]
     # monochromatic-heavy: special path, first edge bichromatic
@@ -534,7 +535,7 @@ def _routes_for_component(parent, level, F: Graph, i: int, k: int):
             sp = special_path(ColoredGraph(F, ec), 2 * k - 1, connected=True)
         except PreconditionUnmet as exc:
             raise InternalProofFailure("even mono route", str(exc)) from exc
-        run = _ladder_cycles(parent, anchor, list(sp.vertices), range(1, 2 * k, 2))
+        run = _ladder_cycles(frame, sp.vertices, range(1, 2 * k, 2))
         if run is not None:  # wl's parent may lie on the walk
             return run
     # bichromatic classes, split by which side of the level pair is color 1
@@ -553,7 +554,7 @@ def _routes_for_component(parent, level, F: Graph, i: int, k: int):
             path = long_path_from_density(piece, 2 * k - 2)  # the gate above is its own
             # level-i walk vertices have colour `want`, level-(i+1) ones the other, and w0
             # and wl lie on different levels: the tree paths miss the walk and each other
-            run = _ladder_cycles(parent, anchor, path, range(1, 2 * k, 2))
+            run = _ladder_cycles(frame, path, range(1, 2 * k, 2))
             if run is None:
                 raise InternalProofFailure("even ladder", "a bichromatic closure repeats")
             return run

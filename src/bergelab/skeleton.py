@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import ClassificationFailure, PreconditionUnmet, WNotInTree
+from .errors import ClassificationFailure, PreconditionUnmet
 from .graphs import Pair, norm_edge
 from .hypergraph import Hypergraph, incidence
 
@@ -55,24 +55,9 @@ class Skeleton:
     def height(self) -> int:
         return len(self.levels) - 1
 
-    def tree_path(self, anc: int, v: int) -> list[int]:
-        """Vertices from anc down to v along the tree; anc must be an ancestor."""
-        up = path_to_root(self.parent, v)
-        if anc not in up:
-            raise WNotInTree(f"{anc} is not an ancestor of {v}")
-        return list(reversed(up[: up.index(anc) + 1]))
-
     def spine_edges(self, vertex_path: Sequence[int]) -> list[int]:
         """Hyperedge images of consecutive tree edges along a vertex path."""
         return [self.edge_for[norm_edge(a, b)] for a, b in zip(vertex_path, vertex_path[1:])]
-
-
-def path_to_root(parent: dict[int, int], v: int) -> list[int]:
-    """Vertices from v up to the root of a parent map (the root maps to -1)."""
-    path = [v]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    return path
 
 
 def build_skeleton(
@@ -182,33 +167,43 @@ def classify_levels(H: Hypergraph, sk: Skeleton) -> LevelEdgeClasses:
     return sk.classes
 
 
-def frame_from_parent(
-    parent: dict[int, int], W: Sequence[int]
-) -> Optional[tuple[int, dict[int, int], tuple[int, ...]]]:
-    """Generic common-ancestor frame over a parent map (root maps to -1).
+class Frame(NamedTuple):
+    """W's common-ancestor frame. `paths[w]` runs from the root down to w,
+    and `paths[w][top]` is the anchor, W's deepest common ancestor, for
+    every w in W. `color` covers every vertex below the anchor on those
+    paths: 1 on the branch through the anchor's smallest child, 2 on the
+    others."""
 
-    Returns (anchor, color_of, branch_children) or None when W sits on a
-    single branch below its deepest common ancestor. color_of covers every
-    vertex on an anchor-to-W path except the anchor, split 1 vs 2 by
-    whether it descends through the smallest child.
-    """
-    paths = {w: path_to_root(parent, w)[::-1] for w in sorted(set(W))}  # root .. w
+    color: dict[int, int]
+    paths: dict[int, list[int]]
+    top: int
+
+
+def frame_from_parent(parent: dict[int, int], W: Iterable[int]) -> Optional[Frame]:
+    """The common-ancestor frame of W over a parent map (the root maps to -1),
+    or None when W is empty or its anchor lies in W: W is one vertex, lies
+    on a single branch, or hangs below one of its own members. Otherwise
+    every w in W lies strictly below the anchor, and `paths[w][top:]` runs
+    from the anchor down to w."""
+    paths: dict[int, list[int]] = {}
+    for w in sorted(set(W)):
+        up = [w]
+        while parent[up[-1]] != -1:
+            up.append(parent[up[-1]])
+        paths[w] = up[::-1]  # root .. w
     depth = 0
     while True:
         tokens = {p[depth] if depth < len(p) else None for p in paths.values()}
         if len(tokens) != 1 or None in tokens:
             break
         depth += 1
-    children = {p[depth] for p in paths.values() if len(p) > depth}
-    if len(children) < 2:
+    # tokens: the anchor's children on the paths, and None if a path ends at the anchor
+    if len(tokens) < 2 or None in tokens:
         return None
-    anchor = next(iter(paths.values()))[depth - 1]
-    first = min(children)
+    first = min(tokens)
     color: dict[int, int] = {}
     for p in paths.values():
-        if len(p) <= depth:
-            continue  # this W-member is the anchor itself; it gets no color
         branch_color = 1 if p[depth] == first else 2
         for v in p[depth:]:
             color[v] = branch_color
-    return anchor, color, tuple(sorted(children))
+    return Frame(color, paths, depth - 1)

@@ -30,7 +30,9 @@ vertex stack; and `naive_steiner_triple`, `naive_permuted`,
 first), as they were before instances were built and written in bulk; and
 `naive_linear_xy_path`, the shortest-lift linear path with its full
 linearity scan and whole shadow graph, as it was before its BFS read a
-shadow built on demand.
+shadow built on demand; and `naive_frame`, the common-ancestor frame with
+its anchor found by intersecting ancestor sets instead of walking the
+root-to-w paths in step.
 `tree_vertices` and `color_class` are the one-line views the package's
 `Skeleton` and `ColoredGraph` no longer carry.
 """
@@ -556,6 +558,33 @@ def naive_blocks(G):
                             break
                     out.append(tuple(sorted(blk)))
     return out
+
+
+def naive_frame(parent, W):
+    """`skeleton.frame_from_parent` by ancestor sets: the anchor is the
+    deepest vertex that is an ancestor of every member of W, or a member
+    itself. None when W is empty or the anchor is in W; otherwise (colour,
+    anchor .. w path for each w), where each path below the anchor takes
+    colour 1 if it passes through the smallest anchor child any path uses,
+    and 2 otherwise."""
+
+    def up(v):  # v .. root
+        out = [v]
+        while parent[out[-1]] != -1:
+            out.append(parent[out[-1]])
+        return out
+
+    W = set(W)
+    if not W:
+        return None
+    common = set.intersection(*(set(up(w)) for w in W))
+    anchor = max(common, key=lambda v: len(up(v)))
+    if anchor in W:
+        return None
+    below = {w: up(w)[: up(w).index(anchor)] for w in W}  # w .. the anchor's child
+    first = min(p[-1] for p in below.values())
+    color = {v: 1 if p[-1] == first else 2 for p in below.values() for v in p}
+    return color, {w: [anchor] + p[::-1] for w, p in below.items()}
 
 
 def tree_vertices(sk):

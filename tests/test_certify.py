@@ -54,6 +54,11 @@ class TestVerifyCycle:
         res = verify_cycle(H3(), BergeCycleWitness((0, 1, 2), (9, 1, 0)))
         assert not res and res.reason == "EdgeIndexOutOfRange"
 
+    def test_length_mismatch(self):
+        res = verify_cycle(H3(), BergeCycleWitness((0, 1, 2), (1, 2)))
+        assert not res and res.reason == "LengthMismatch"
+        assert res.detail == "3 spine vs 2 edges"
+
 
 class TestVerifyPath:
     def test_valid(self):

@@ -123,6 +123,23 @@ class TestFindVerify:
         assert "line 1: malformed witness (cannot convert float infinity" in err
         assert "line 2: malformed witness (maximum recursion depth" in err
 
+    def test_verify_skips_blank_lines(self, capsys, tmp_path):
+        # K_5^(3) edges 1, 6 and 3 are {0,1,3}, {1,2,3} and {0,2,3}: a Berge
+        # triangle on 0, 1, 2. Blank lines are skipped but keep their numbers
+        hg = tmp_path / "k5.hg"
+        code, out, _ = run_cli(["gen", "--family", "completeR", "--n", "5", "--r", "3"], capsys)
+        hg.write_text(out)
+        doc = json.dumps(
+            {"type": "berge-cycle", "length": 3, "spine": [0, 1, 2], "edges": [1, 6, 3]}
+        )
+        wpath = tmp_path / "gaps.jsonl"
+        wpath.write_text(f"\n{doc}\n   \n{doc}\n\n")
+        code, out, err = run_cli(
+            ["verify", "--input", str(hg), "--witnesses", str(wpath)], capsys
+        )
+        assert code == 0 and err == ""
+        assert out == "line 2: ok (length 3)\nline 4: ok (length 3)\n"
+
     def test_absent_run_exits_zero(self, capsys, tmp_path):
         hg = tmp_path / "fano.hg"
         code, out, _ = run_cli(["gen", "--family", "steinerTriple", "--n", "7"], capsys)

@@ -1083,6 +1083,26 @@ class TestDerandomizedGoodSet:
         assert 27 * len(chosen) >= 4 * len(entries)
 
 
+class TestAugmentThroughHighPair:
+    def test_high_pair_beside_b(self):
+        # the 4-cycle 0-1-2-3 with mark edge {0, 1, 4}: the pair {0, 4} lies in
+        # one slice edge and {1, 4} in three, so the spine starts at b = 1 and
+        # reads the cycle backwards. Edge 2 = {1, 2, 4} would close at 2, the
+        # last vertex of that reading, so edge 4 = {1, 4, 8} is taken instead.
+        edges = [(0, 1, 4), (0, 3, 7), (1, 2, 4), (1, 2, 5), (1, 4, 8), (2, 3, 6)]
+        H = Hypergraph.from_edges(9, edges)
+        assert list(H.edges) == edges
+        entries = tuple((ei, e[1:], True) for ei, e in enumerate(edges))
+        sl = fd.MarkedSlice(entries, cover_lists(edges, 2), (1,) * len(edges))
+        assert sl.covers[(0, 4)] == [0] and sl.covers[(1, 4)] == [0, 2, 4]
+        pair_to_edge = {(0, 1): 0, (1, 2): 3, (2, 3): 5, (0, 3): 1}
+        third = {(0, 1): 4, (1, 2): 5, (2, 3): 6, (0, 3): 7}
+        w = fd._augment_through_high_pair(H, sl, pair_to_edge, third, (0, 1, 2, 3))
+        assert w.spine == (1, 4, 0, 3, 2)
+        assert w.edges == (4, 0, 1, 5, 3)
+        assert verify_cycle(H, w)
+
+
 class TestFindGeneralR:
     def test_dense_core_r4(self):
         H = complete_r(23, 4)

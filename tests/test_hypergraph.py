@@ -82,6 +82,10 @@ class TestParse:
         assert H.uniformity is None
         assert H.edges == ((0, 1), (0, 1, 2, 3))
 
+    def test_non_uniform_one_vertex_edge(self):
+        with pytest.raises(EdgeSizeMismatch, match="fewer than 2 vertices"):
+            hg.parse("0 5 2\n0 1\n3\n")
+
     def test_header_zero_derives_uniformity(self):
         text = "0 7 7\n" + "".join(f"{a} {b} {c}\n" for a, b, c in FANO)
         H = hg.parse(text)

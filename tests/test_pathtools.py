@@ -524,6 +524,22 @@ class TestConsecutiveEvenCycles:
         with pytest.raises(InternalProofFailure, match="planted"):
             pt.consecutive_even_cycles(random_bipartite(16, 0.7, 0), 1)
 
+    def test_invalid_route_run_is_a_proof_failure(self, monkeypatch):
+        # the first component's routes hand back a run that is not a cycle run.
+        # A later component of this draw gives a valid run, but a route whose
+        # run fails verification is a gap in the proof, not a component to skip
+        real = pt._routes_for_component
+        calls = []
+
+        def once(*args):
+            calls.append(args)
+            return [(0, 1)] if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(pt, "_routes_for_component", once)
+        with pytest.raises(InternalProofFailure, match="failed verification"):
+            pt.consecutive_even_cycles(random_bipartite(16, 0.7, 0), 1)
+        assert len(calls) == 1
+
     def test_mono_route_gives_the_run(self, monkeypatch):
         # on this k = 2 draw the monochromatic route's run is the one returned:
         # its j-th cycle runs along the special path's first 2j + 2 vertices

@@ -10,7 +10,7 @@ from bergelab.errors import PreconditionUnmet
 from bergelab.generators import random_linear_r
 from bergelab.hypergraph import Hypergraph
 
-from naive import naive_build_skeleton, tree_vertices
+from naive import naive_build_skeleton, naive_frame, tree_vertices
 
 FANO = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)]
 
@@ -200,19 +200,65 @@ class TestFrameFromParent:
     def test_two_branches(self):
         H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (1, 5, 6)])
         S = sk.build_skeleton(H, 0)
-        anchor, color_of, kids = sk.frame_from_parent(S.parent, [1, 3])
-        assert anchor == 0 and kids == (1, 3)
+        color_of, paths, top = sk.frame_from_parent(S.parent, [1, 3])
+        assert paths == {1: [0, 1], 3: [0, 3]} and top == 0
         assert color_of == {1: 1, 3: 2}
 
     def test_pushed_down(self):
         # all of W under one child of the root: the anchor moves down
         H = Hypergraph.from_edges(8, [(0, 1, 2), (1, 3, 4), (1, 5, 6)])
         S = sk.build_skeleton(H, 0)
-        anchor, color_of, kids = sk.frame_from_parent(S.parent, [3, 5])
-        assert anchor == 1 and kids == (3, 5)
-        assert color_of[3] != color_of[5]
+        color_of, paths, top = sk.frame_from_parent(S.parent, [3, 5])
+        assert paths == {3: [0, 1, 3], 5: [0, 1, 5]} and top == 1
+        assert color_of == {3: 1, 5: 2}
 
     def test_degenerate_one_branch(self):
         H = Hypergraph.from_edges(6, [(0, 1, 2), (1, 3, 4)])
         S = sk.build_skeleton(H, 0)
         assert sk.frame_from_parent(S.parent, [1, 3]) is None
+
+    def test_w_holds_its_anchor(self):
+        # W spans two branches below 1, but 1 itself is in W: no frame
+        H = Hypergraph.from_edges(8, [(0, 1, 2), (1, 3, 4), (1, 5, 6)])
+        S = sk.build_skeleton(H, 0)
+        assert sk.frame_from_parent(S.parent, [1, 3, 5]) is None
+        assert sk.frame_from_parent(S.parent, [0, 3, 5]) is None
+        assert sk.frame_from_parent(S.parent, [3]) is None
+
+    def test_empty_w(self):
+        S = sk.build_skeleton(Hypergraph.from_edges(3, [(0, 1, 2)]), 0)
+        assert sk.frame_from_parent(S.parent, []) is None
+
+
+def random_parent(rng):
+    """A random rooted tree on shuffled labels; a chain-heavy one half the time."""
+    n = rng.randrange(1, 30)
+    label = rng.sample(range(n), n)
+    chainy = rng.random() < 0.5
+    parent = {label[0]: -1}
+    for v in range(1, n):
+        lo = v - 1 if chainy and rng.random() < 0.7 else 0
+        parent[label[v]] = label[rng.randrange(lo, v)]
+    return parent
+
+
+class TestFrameDifferential:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_ancestor_sets(self, seed):
+        rng = random.Random(seed)
+        parent = random_parent(rng)
+        W = rng.sample(sorted(parent), rng.randint(0, min(len(parent), 6)))
+        want = naive_frame(parent, W)
+        got = sk.frame_from_parent(parent, W)
+        if want is None:
+            assert got is None
+            return
+        color_of, anchor_to = want
+        assert got is not None
+        assert got.color == color_of
+        assert set(got.paths) == set(W)
+        root = next(v for v, p in parent.items() if p == -1)
+        for w in W:
+            assert got.paths[w][0] == root
+            assert got.paths[w][got.top :] == anchor_to[w]
