@@ -40,6 +40,8 @@ from .hypergraph import (
 from .pathtools import (
     ColoredGraph,
     consecutive_even_cycles,
+    edges_along,
+    pair_projection,
     special_linear_path,
     special_path,
     tripartite_ladder,
@@ -149,9 +151,9 @@ def _close_through_tree(
     the tree paths from the anchor down to them."""
     X = frame.paths[path_vertices[0]][frame.top :]  # anchor .. x
     Y = frame.paths[path_vertices[-1]][frame.top :]  # anchor .. y
-    spine = X + list(path_vertices[1:]) + Y[::-1][1:-1]
-    edges = sk.spine_edges(X) + list(path_edges) + sk.spine_edges(Y)[::-1]
-    w = BergeCycleWitness(tuple(spine), tuple(edges))
+    tree = sk.edge_for
+    edges = edges_along(tree, X) + list(path_edges) + edges_along(tree, Y[::-1])
+    w = BergeCycleWitness(tuple(frame.close(path_vertices)), tuple(edges))
     res = verify_cycle(H, w)
     if not res:
         raise InternalProofFailure("tree closure", f"{res.reason}: {res.detail}")
@@ -171,26 +173,8 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
     li = len(sk.levels[i])
     if len(down) < (k + 2) * li:
         raise PreconditionUnmet(f"need |down_{i}| >= {(k + 2) * li}, have {len(down)}")
-    level_of = sk.level_of
-    pair_to_edge: dict[tuple[int, int], int] = {}
-    third: dict[tuple[int, int], int] = {}
-    for ei in down:
-        # one vertex of a down edge lies in L_{i-1}, the sorted other two in L_i
-        a, b, c = H.edges[ei]
-        if level_of[a] != i:
-            below, key = a, (b, c)
-        elif level_of[b] != i:
-            below, key = b, (a, c)
-        else:
-            below, key = c, (a, b)
-        if key in pair_to_edge:
-            raise InternalProofFailure("linearity", f"pair {key} repeats in the down class")
-        pair_to_edge[key] = ei
-        third[key] = below
-    # the keys are unique pairs (b, c) with b < c, so no re-validation
-    proj = Graph(
-        tuple(sorted({v for p in pair_to_edge for v in p})), tuple(sorted(pair_to_edge))
-    )
+    # a down edge has two vertices in L_i and its third in L_{i-1}
+    proj, edge_of, third = pair_projection(H, down, set(sk.levels[i]))
     comp = densest_component(proj)
     if comp.average_degree() < 2 * k + 4:
         raise InternalProofFailure("component density", f"d = {comp.average_degree()}")
@@ -211,15 +195,13 @@ def cycles_from_down_edges(H: Hypergraph, sk: Skeleton, i: int, k: int) -> Conse
     except PreconditionUnmet as exc:
         raise InternalProofFailure("special path", str(exc)) from exc
     walk = sp.vertices
+    along = edges_along(edge_of, walk[: k + 2])
     x = third[norm_edge(walk[0], walk[1])]
     cycles = []
     for l in range(1, k + 1):
         y = third[norm_edge(walk[l], walk[l + 1])]
-        pathv = [x] + list(walk[1 : l + 1]) + [y]
-        pathe = [pair_to_edge[norm_edge(walk[0], walk[1])]] + [
-            pair_to_edge[norm_edge(walk[j], walk[j + 1])] for j in range(1, l + 1)
-        ]
-        cycles.append(_close_through_tree(H, sk, frame, pathv, pathe))
+        pathv = [x, *walk[1 : l + 1], y]
+        cycles.append(_close_through_tree(H, sk, frame, pathv, along[: l + 1]))
     run = ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i)
     validate_run(H, run)
     return run
@@ -278,9 +260,9 @@ def _bc_component_routes(H, sk, i, k, ids, up_ids, level_of):
             n2.append(ei)
         elif a == 1 and b == 1 and ei in up_ids:
             n3.append(ei)
-    for cls, own in ((n1, 1), (n2, 2)):
+    for cls, own in ((n1, s1), (n2, s2)):
         if 2 * len(cls) > (k - 1) * n_i:
-            return _bc_pair_route(H, sk, i, k, cls, own, frame, level_of)
+            return _bc_pair_route(H, sk, i, k, cls, own, frame)
     if n3 and 2 * len(n3) > k * len(covered_vertices(H, n3)):  # d(n3) > 3k/2
         return _bc_ladder_route(H, sk, i, k, n3, s1, s2, frame, level_of)
     return None
@@ -327,31 +309,18 @@ def _bc_mono_route(H, sk, i, k, ids, mono, frame, level_of):
     return ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i + 2)
 
 
-def _bc_pair_route(H, sk, i, k, cls, own_color, frame, level_of):
-    pair_to_edge: dict[tuple[int, int], int] = {}
-    for ei in cls:
-        e = H.edges[ei]
-        pair = tuple(
-            sorted(v for v in e if level_of.get(v) == i and frame.color[v] == own_color)
-        )
-        if len(pair) != 2:
-            raise InternalProofFailure("bc pairs", "class edge lost its pair")
-        if pair in pair_to_edge:
-            raise InternalProofFailure("linearity", f"pair {pair} repeats")
-        pair_to_edge[pair] = ei
-    proj = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
+def _bc_pair_route(H, sk, i, k, cls, own, frame):
+    # each class edge has two vertices in `own`, the level-i vertices of one
+    # colour, and its third, of the other colour, elsewhere
+    proj, edge_of, third = pair_projection(H, cls, own)
     # proj's vertices lie on level i: by the caller's gate d(comp) >= 2|cls|/n_i > k - 1
     comp = densest_component(proj)
     path = long_path_from_density(comp, k - 1)[: k + 1]
-    first = pair_to_edge[norm_edge(path[0], path[1])]
-    x = next(v for v in H.edges[first] if frame.color.get(v) != own_color)
+    along = edges_along(edge_of, path)
+    x = third[norm_edge(path[0], path[1])]
     cycles = []
     for l in range(1, k + 1):
-        pathv = [x] + list(path[1 : l + 1])
-        pathe = [first] + [
-            pair_to_edge[norm_edge(path[j], path[j + 1])] for j in range(1, l)
-        ]
-        cycles.append(_close_through_tree(H, sk, frame, pathv, pathe))
+        cycles.append(_close_through_tree(H, sk, frame, [x, *path[1 : l + 1]], along[:l]))
     return ConsecutiveRun(k=k, cycles=tuple(cycles), shortest_bound=2 * i + 2)
 
 
@@ -680,14 +649,10 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
     chosen = _derandomized_good_set(H, good_entries)
     if 27 * len(chosen) < 4 * len(good_entries):
         raise InternalProofFailure("good set", "conditional expectation under 4/27")
-    pair_to_edge: dict[tuple[int, int], int] = {}
-    third: dict[tuple[int, int], int] = {}
-    for ei, mark in chosen:
-        if mark in pair_to_edge:
-            raise InternalProofFailure("marked pairs", "collision among marks")
-        pair_to_edge[mark] = ei
-        third[mark] = next(v for v in H.edges[ei] if v not in mark)
-    G1 = Graph.build({v for p in pair_to_edge for v in p}, pair_to_edge)
+    # a chosen edge's mark lies in S and its third vertex outside, so each
+    # edge's two vertices in the marks' union are its mark
+    keep = {v for _, mark in chosen for v in mark}
+    G1, edge_of, third = pair_projection(H, [ei for ei, _ in chosen], keep)
     bip = _greedy_bipartite_subgraph(G1)
     k_even = (k + 1) // 2
     # Not dead code. The gate 3|good|/n >= 42k, the 4/27 good set and the
@@ -699,12 +664,9 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
         return None
     by_len: dict[int, BergeCycleWitness] = {}
     for cyc in even_run.cycles:
-        L = len(cyc)
-        pairs = [norm_edge(cyc[j], cyc[(j + 1) % L]) for j in range(L)]
-        eids = [pair_to_edge[p] for p in pairs]
-        by_len[L] = BergeCycleWitness(tuple(cyc), tuple(eids))
-        aug = _augment_through_high_pair(H, sl, pair_to_edge, third, cyc)
-        by_len[L + 1] = aug
+        eids = edges_along(edge_of, (*cyc, cyc[0]))
+        by_len[len(cyc)] = BergeCycleWitness(tuple(cyc), tuple(eids))
+        by_len[len(cyc) + 1] = _augment_through_high_pair(H, sl, edge_of, third, cyc)
     lens = sorted(by_len)
     lo = lens[0]
     want = list(range(lo, lo + k))
@@ -719,14 +681,14 @@ def _case_high_pairs(H: Hypergraph, sl: MarkedSlice, k: int) -> Optional[Consecu
     return run
 
 
-def _augment_through_high_pair(H, sl, pair_to_edge, third, cyc):
+def _augment_through_high_pair(H, sl, edge_of, third, cyc):
     """Insert the third vertex of the first cycle edge's hyperedge, rerouting
     through a high pair; lengthens the Berge cycle by exactly one. The high
     pair beside b is the high pair beside a on the cycle read backwards from
     b, so one spine serves both."""
     a, b = cyc[0], cyc[1]
     key = norm_edge(a, b)
-    base = pair_to_edge[key]
+    base = edge_of[key]
     w = third[key]
     # rest runs round the cycle from the mark's other vertex to hi's other neighbour
     for hi, rest in ((a, cyc[1:]), (b, [a, *reversed(cyc[2:])])):
@@ -746,10 +708,7 @@ def _augment_through_high_pair(H, sl, pair_to_edge, third, cyc):
     if cand is None:
         raise InternalProofFailure("augmentation", "high pair lost its edges")
     spine = [hi, w, *rest]
-    edges = [cand, base]
-    for j in range(len(rest) - 1):
-        edges.append(pair_to_edge[norm_edge(rest[j], rest[j + 1])])
-    edges.append(pair_to_edge[norm_edge(rest[-1], hi)])
+    edges = [cand, base, *edges_along(edge_of, [*rest, hi])]
     return BergeCycleWitness(tuple(spine), tuple(edges))
 
 

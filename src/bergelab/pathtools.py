@@ -1,6 +1,6 @@
-"""Path machinery: two-colored special paths in graphs and linear hypergraphs,
-shortest-lift linear paths, the tripartite ladder, and consecutive even
-cycles in bipartite graphs.
+"""Path machinery: pair projections of 3-edges, two-colored special paths
+in graphs and linear hypergraphs, shortest-lift linear paths, the
+tripartite ladder, and consecutive even cycles in bipartite graphs.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .certify import BergePathWitness, verify_path
 from .errors import (
@@ -19,6 +19,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    Pair,
     bfs_tree,
     bipartition,
     connected_components,
@@ -79,6 +80,50 @@ class EvenCycleRun:
 
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cycles)
+
+
+# ---------------------------------------------------------------------------
+# pair projections
+
+
+def pair_projection(
+    H: Hypergraph, ids: Iterable[int], keep: set[int]
+) -> tuple[Graph, dict[Pair, int], dict[Pair, int]]:
+    """Project each 3-edge in `ids` onto the pair of its vertices in `keep`.
+
+    Every edge must have exactly two vertices in `keep`; one with three, or
+    with fewer than two, raises PreconditionUnmet. Returns the graph of the
+    pairs, `edge_of[pair]` (the edge projected onto it) and `third[pair]`
+    (that edge's vertex outside `keep`). A pair met twice raises NotLinear.
+    """
+    edges = H.edges
+    edge_of: dict[Pair, int] = {}
+    third: dict[Pair, int] = {}
+    for ei in ids:
+        a, b, c = edges[ei]  # sorted, so each pair below is increasing
+        if a not in keep:
+            t, key = a, (b, c)
+        elif b not in keep:
+            t, key = b, (a, c)
+        elif c not in keep:
+            t, key = c, (a, b)
+        else:
+            raise PreconditionUnmet(f"edge {edges[ei]} has three vertices in keep")
+        if key in edge_of:
+            raise NotLinear(f"projection pair {key} repeats")
+        edge_of[key] = ei
+        third[key] = t
+    vs = {v for key in edge_of for v in key}
+    if not vs <= keep:  # an edge with fewer than two vertices in keep
+        ei = next(ei for key, ei in edge_of.items() if not keep.issuperset(key))
+        raise PreconditionUnmet(f"edge {edges[ei]} has fewer than two vertices in keep")
+    # the pairs are increasing and distinct, so no re-validation
+    return Graph(tuple(sorted(vs)), tuple(sorted(edge_of))), edge_of, third
+
+
+def edges_along(edge_of: Mapping[Pair, int], walk: Sequence[int]) -> list[int]:
+    """The edge `edge_of` assigns to each consecutive pair of a walk."""
+    return [edge_of[norm_edge(a, b)] for a, b in zip(walk, walk[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -388,46 +433,23 @@ def tripartite_ladder(
         raise PreconditionUnmet(
             f"need d >= {Fraction(3 * p, 2)}, have {Fraction(3 * len(ids), len(covered))}"
         )
-    pair_to_edge: dict[tuple[int, int], int] = {}
-    for i in ids:
-        e = H.edges[i]
-        a = next(v for v in e if v in V1)
-        b = next(v for v in e if v in V3)
-        key = norm_edge(a, b)
-        if key in pair_to_edge:
-            raise NotLinear(f"projection pair {key} repeats")
-        pair_to_edge[key] = i
-    proj = Graph.build({v for k in pair_to_edge for v in k}, pair_to_edge.keys())
-    path = long_path_from_density(proj, p)
+    proj, edge_of, third = pair_projection(H, ids, V1 | V3)
+    path = long_path_from_density(proj, p)  # at least p + 1 edges
+    # proj joins V1 to V3 only, so a path that starts in V3 starts in V1 one
+    # step on and still has p edges
     if path[0] in V3:
         path = path[1:]
-    if path[0] not in V1:
-        raise InternalProofFailure("ladder", "projection path failed to start in part 1")
-
-    def edge_of(a: int, b: int) -> int:
-        return pair_to_edge[norm_edge(a, b)]
-
-    def v2_vertex(ei: int) -> int:
-        return next(v for v in H.edges[ei] if v in V2)
+    along = edges_along(edge_of, path[: p + 1])
 
     wits: list[BergePathWitness] = []
     for l in range(1, p + 1):
-        if l % 2 == 1:
-            s = (l + 1) // 2
-            hop = edge_of(path[2 * s - 2], path[2 * s - 1])
-            spine = list(path[: 2 * s - 1]) + [v2_vertex(hop)]
-            assigned = [edge_of(path[j], path[j + 1]) for j in range(2 * s - 2)] + [hop]
-        else:
-            s = l // 2
-            hop = edge_of(path[2 * s - 1], path[2 * s])
-            spine = list(path[: 2 * s]) + [v2_vertex(hop)]
-            assigned = [edge_of(path[j], path[j + 1]) for j in range(2 * s - 1)] + [hop]
-        w = BergePathWitness(tuple(spine), tuple(assigned))
+        # path[:l], then the vertex in V2 of the edge on the walk's l-th step
+        walk = path[: l + 1]
+        spine = (*walk[:-1], third[norm_edge(walk[-2], walk[-1])])
+        w = BergePathWitness(spine, tuple(along[:l]))
         res = verify_path(H, w)
         if not res:
             raise InternalProofFailure("ladder witness", res.reason or "")
-        if spine[-1] not in V2:
-            raise InternalProofFailure("ladder witness", "endpoint outside part 2")
         wits.append(w)
     return path[0], wits
 
@@ -439,13 +461,9 @@ def tripartite_ladder(
 def _ladder_cycles(frame, walk, positions):
     """Close sub-walks at the given end positions through the frame's tree
     paths, or None when a closed walk repeats a vertex or is odd or short."""
-    paths, top = frame.paths, frame.top
     out = []
     for l in positions:
-        # the walk lies in F, the frame's W: anchor .. w0, the walk to wl, then
-        # wl's parent up to the anchor's child
-        up = paths[walk[l]][top + 1 : -1]
-        cyc = paths[walk[0]][top:] + list(walk[1 : l + 1]) + up[::-1]
+        cyc = frame.close(walk[: l + 1])  # the walk lies in F, the frame's W
         if len(set(cyc)) != len(cyc) or len(cyc) < 3 or len(cyc) % 2 == 1:
             return None
         out.append(tuple(cyc))

@@ -10,8 +10,8 @@ level l or l + 1, and the edge goes to the one class the pair of levels
 names: within_l, up_l or down_{l+1}. The build stores what it saw, once:
 the level map, the three classes (each level sorted) and the set of edges
 it read, so no later step scans the tree's incidence lists or rebuilds
-these. The common-ancestor frame used by the cycle builders also lives
-here.
+these. The common-ancestor frame used by the cycle builders, and its
+closure of a walk into a cycle through the tree, also live here.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ClassificationFailure, PreconditionUnmet
-from .graphs import Pair, norm_edge
+from .graphs import Pair
 from .hypergraph import Hypergraph, incidence
 
 
@@ -54,10 +54,6 @@ class Skeleton:
     @property
     def height(self) -> int:
         return len(self.levels) - 1
-
-    def spine_edges(self, vertex_path: Sequence[int]) -> list[int]:
-        """Hyperedge images of consecutive tree edges along a vertex path."""
-        return [self.edge_for[norm_edge(a, b)] for a, b in zip(vertex_path, vertex_path[1:])]
 
 
 def build_skeleton(
@@ -177,6 +173,13 @@ class Frame(NamedTuple):
     color: dict[int, int]
     paths: dict[int, list[int]]
     top: int
+
+    def close(self, walk: Sequence[int]) -> list[int]:
+        """The cycle that runs from the anchor down to walk[0], along the walk
+        to walk[-1], then up from walk[-1]'s parent to the anchor's child;
+        both ends of the walk lie in W."""
+        paths, top = self.paths, self.top
+        return paths[walk[0]][top:] + list(walk[1:]) + paths[walk[-1]][top + 1 : -1][::-1]
 
 
 def frame_from_parent(parent: dict[int, int], W: Iterable[int]) -> Optional[Frame]:

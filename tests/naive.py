@@ -32,7 +32,9 @@ first), as they were before instances were built and written in bulk; and
 linearity scan and whole shadow graph, as it was before its BFS read a
 shadow built on demand; and `naive_frame`, the common-ancestor frame with
 its anchor found by intersecting ancestor sets instead of walking the
-root-to-w paths in step.
+root-to-w paths in step; and `naive_pair_projection`, the pair projection
+of 3-edges with each edge's kept vertices found by sorting, as each route
+wrote it before they shared one routine.
 `tree_vertices` and `color_class` are the one-line views the package's
 `Skeleton` and `ColoredGraph` no longer carry.
 """
@@ -710,3 +712,27 @@ def naive_linear_xy_path(H, X, Y, edge_ids):
     if not check_linear_path(H, dedup):
         raise InternalProofFailure("shortest-lift", "lifted path is not linear")
     return LinearPathWitness(edges=tuple(dedup), endpoints=(spine[0], spine[-1]))
+
+
+def naive_pair_projection(H, ids, keep):
+    """`pathtools.pair_projection` by sorting each edge's vertices in `keep`:
+    the pair graph, built by `Graph.build`, `edge_of` and `third`. An edge
+    with three or with fewer than two kept vertices raises PreconditionUnmet
+    and a pair met twice NotLinear, each at the first edge in `ids` order
+    that shows it."""
+    from bergelab.errors import NotLinear, PreconditionUnmet
+    from bergelab.graphs import Graph
+
+    edge_of, third = {}, {}
+    for ei in ids:
+        e = H.edges[ei]
+        pair = tuple(sorted(v for v in e if v in keep))
+        if len(pair) == 3:
+            raise PreconditionUnmet(f"edge {e} has three vertices in keep")
+        if len(pair) < 2:
+            raise PreconditionUnmet(f"edge {e} has fewer than two vertices in keep")
+        if pair in edge_of:
+            raise NotLinear(f"projection pair {pair} repeats")
+        edge_of[pair] = ei
+        (third[pair],) = (v for v in e if v not in keep)
+    return Graph.build({v for p in edge_of for v in p}, edge_of), edge_of, third

@@ -328,6 +328,19 @@ class TestDownEdges:
         with pytest.raises(PreconditionUnmet):
             fd.cycles_from_down_edges(H, sk, 1, 5)
 
+    def test_repeated_down_pair_is_not_linear(self):
+        # 1..6 hang off the root, and 1 attaches 13 and 14 through edges whose
+        # other vertex is already on level 1; then each of 1..6 reads (j, 13, 14):
+        # six down edges at level 2, (k + 2)|L_2| for k = 1, all on one pair
+        edges = [(0, j, 6 + j) for j in range(1, 7)] + [(1, 2, 13), (1, 3, 14)]
+        edges += [(j, 13, 14) for j in range(1, 7)]
+        H = Hypergraph.from_edges(15, edges, uniformity=3)
+        sk = build_skeleton(H, 0)
+        assert sk.levels[2] == (13, 14)
+        assert len(classify_levels(H, sk).down[2]) == 6
+        with pytest.raises(NotLinear, match=r"^projection pair \(13, 14\) repeats$"):
+            fd.cycles_from_down_edges(H, sk, 2, 1)
+
     @pytest.mark.parametrize("seed", range(50))
     def test_heavy_seeds(self, seed):
         H = down_heavy_fixture(seed)

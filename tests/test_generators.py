@@ -128,6 +128,11 @@ class TestOthers:
         assert H.uniformity == 2
         assert len(H.edges) == 12
 
+    @pytest.mark.parametrize("a, b", [(0, 3), (3, 0)])
+    def test_bipartite_empty_side(self, a, b):
+        with pytest.raises(InvalidParameters, match="^both sides must be nonempty$"):
+            complete_bipartite_incidence(a, b)
+
     def test_random_linear_deterministic(self):
         a, ga = random_linear_r(20, 3, 25, seed=5)
         b, gb = random_linear_r(20, 3, 25, seed=5)

@@ -315,6 +315,15 @@ class TestLongCycle:
         check_cycle(cycle_graph(5), cyc)
         assert len(cyc) == 5
 
+    def test_m1_off_tree_edge_deeper_end(self):
+        # the 4-cycle 0-1-3-2: BFS from 0 puts 1 and 2 on depth 1 and 3 below
+        # 1, so the off-tree edge (2, 3) has its deeper end second and the
+        # fundamental cycle climbs from 3 first
+        G = gr.Graph.build(range(4), [(0, 1), (1, 3), (2, 3), (0, 2)])
+        cyc = gr.long_cycle_from_density(G, 1)
+        check_cycle(G, cyc)
+        assert cyc == [2, 0, 1, 3]
+
     def test_petersen_m2(self, monkeypatch):
         # girth 5 (independently verified): the rotation stalls below it and
         # the kernel, searching lengths 3 and 4 in vain, returns a 5-cycle

@@ -9,10 +9,10 @@ from bergelab import pathtools as pt
 from bergelab.certify import verify_path
 from bergelab.errors import Disconnected, InternalProofFailure, NotLinear, PreconditionUnmet
 from bergelab.generators import complete_bipartite_incidence, random_linear_r, steiner_triple
-from bergelab.graphs import Graph, norm_edge
+from bergelab.graphs import Graph, long_path_from_density, norm_edge
 from bergelab.hypergraph import Hypergraph, covered_vertices
 
-from naive import color_class, naive_extend, naive_linear_xy_path
+from naive import color_class, naive_extend, naive_linear_xy_path, naive_pair_projection
 
 
 def colored(edges, twos):
@@ -40,6 +40,17 @@ class TestSpecialPath:
         out = pt.special_path(cg, 1)
         assert out.vertices == (0, 1, 2)
         assert out.edge_colors == (2, 1)
+
+    def test_connector_holds_a_colour_2_edge(self):
+        # G_1 - x is the 6-clique on 2..7 plus the path 1-8, and the colour-2
+        # edge (8, 9) lies on the shortest connector 1-8-9-2 from the colour-2
+        # edge (0, 1) to the cycle 3-2-4: the path starts at the connector's
+        # last colour-2 edge
+        clique = list(combinations(range(2, 8), 2))
+        cg = colored(clique + [(0, 1), (1, 8), (8, 9), (2, 9)], twos=[(0, 1), (8, 9)])
+        out = pt.special_path(cg, 2)
+        check_special(cg, out, 2)
+        assert out.vertices == (8, 9, 2, 4, 3)
 
     def test_k5_with_pendant(self):
         edges = list(combinations(range(5), 2)) + [(0, 5)]
@@ -109,6 +120,78 @@ def outcome(f, *args):
         return f(*args)
     except Exception as exc:
         return type(exc), str(exc)
+
+
+@st.composite
+def projection_views(draw):
+    """(H, ids, keep) on a random linear 3-graph: keep is a random vertex
+    set and ids, shuffled, the edges with exactly two vertices in it. Some
+    draws add one defect: a twin edge through the kept pair of a view edge,
+    making H non-linear, or one edge with three or with fewer than two
+    vertices in keep."""
+    seed = draw(st.integers(0, 10**6))
+    defect = draw(st.sampled_from((None, None, "twin", "three", "fewer")))
+    rng = random.Random(seed)
+    n = rng.randrange(4, 30)
+    H, _ = random_linear_r(n, 3, rng.randrange(1, 2 * n), seed=seed)
+    keep = {v for v in range(n) if rng.random() < 0.7}
+
+    def kept(e):
+        return len(keep.intersection(e))
+
+    ids = [i for i, e in enumerate(H.edges) if kept(e) == 2]
+    if defect == "twin" and ids:  # shares the pair (a, b) with a view edge
+        e = H.edges[rng.choice(ids)]
+        a, b = (v for v in e if v in keep)
+        outside = [v for v in range(n) if v not in keep and v not in e]
+        if outside:
+            twin = tuple(sorted((a, b, rng.choice(outside))))
+            H = Hypergraph.from_edges(n, H.edges + (twin,), 3)
+            ids = [i for i, e in enumerate(H.edges) if kept(e) == 2]
+    elif defect in ("three", "fewer"):
+        bad = [
+            i
+            for i, e in enumerate(H.edges)
+            if (kept(e) == 3 if defect == "three" else kept(e) < 2)
+        ]
+        if bad:
+            ids.append(rng.choice(bad))
+    rng.shuffle(ids)
+    return H, ids, keep
+
+
+class TestPairProjection:
+    @given(projection_views())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorting_reference(self, drawn):
+        # the same graph and maps, or the same exception type and message
+        H, ids, keep = drawn
+        want = outcome(naive_pair_projection, H, ids, keep)
+        assert outcome(pt.pair_projection, H, ids, keep) == want
+
+    def test_example(self):
+        H = Hypergraph.from_edges(6, [(0, 1, 4), (1, 2, 5), (0, 3, 5)])
+        G, edge_of, third = pt.pair_projection(H, [2, 0, 1], {0, 1, 2, 3})
+        assert G == Graph((0, 1, 2, 3), ((0, 1), (0, 3), (1, 2)))
+        assert edge_of == {(0, 1): 0, (0, 3): 1, (1, 2): 2}
+        assert third == {(0, 1): 4, (0, 3): 5, (1, 2): 5}
+        assert pt.edges_along(edge_of, [3, 0, 1, 2]) == [1, 0, 2]
+
+    def test_repeated_pair(self):
+        H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
+        with pytest.raises(NotLinear, match=r"^projection pair \(0, 1\) repeats$"):
+            pt.pair_projection(H, [0, 1], {0, 1})
+
+    @pytest.mark.parametrize(
+        "keep, count",
+        [({0, 1, 2}, "three"), ({2}, "fewer than two"), (set(), "fewer than two")],
+    )
+    def test_other_than_two_kept(self, keep, count):
+        H = Hypergraph.from_edges(3, [(0, 1, 2)])
+        with pytest.raises(
+            PreconditionUnmet, match=rf"^edge \(0, 1, 2\) has {count} vertices in keep$"
+        ):
+            pt.pair_projection(H, [0], keep)
 
 
 @st.composite
@@ -336,6 +419,34 @@ class TestTripartiteLadder:
         assert u in set(parts[0])
         assert len(wits) == 1
         assert verify_path(H, wits[0])
+
+    def test_not_linear(self):
+        # transversal, but (0, 1, 3) and (0, 2, 3) project onto one pair
+        H = Hypergraph.from_edges(4, [(0, 1, 3), (0, 2, 3)])
+        with pytest.raises(NotLinear, match=r"^projection pair \(0, 3\) repeats$"):
+            pt.tripartite_ladder(H, ([0], [1, 2], [3]), 1, range(len(H.edges)))
+
+    def test_projection_path_from_part_3(self, monkeypatch):
+        # the fixture with its labels reversed gives part 3 the smallest ids,
+        # and the projection's long path 0-6-1-7-2-8 starts there: the ladder
+        # starts one step on, at 6
+        H0, parts0 = tripartite_fixture(3)
+        H = Hypergraph.from_edges(9, [tuple(8 - v for v in e) for e in H0.edges], 3)
+        parts = tuple([8 - v for v in part] for part in parts0)
+        paths = []
+
+        def spy(G, m):
+            paths.append(long_path_from_density(G, m))
+            return paths[-1]
+
+        monkeypatch.setattr(pt, "long_path_from_density", spy)
+        u, wits = pt.tripartite_ladder(H, parts, 2, range(len(H.edges)))
+        assert paths == [[0, 6, 1, 7, 2, 8]] and paths[0][0] in parts[2]
+        assert u == 6
+        assert [w.spine for w in wits] == [(6, 5), (6, 1, 3)]
+        for l, w in enumerate(wits, start=1):
+            assert w.length == l and w.spine[-1] in parts[1]
+            assert verify_path(H, w)
 
     def test_not_tripartite(self):
         H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
