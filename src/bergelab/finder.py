@@ -326,11 +326,7 @@ def _bc_pair_route(H, sk, i, k, cls, own, frame):
 
 def _bc_ladder_route(H, sk, i, k, n3, s1, s2, frame, level_of):
     cov = covered_vertices(H, n3)
-    parts = (
-        sorted(cov & s1),
-        sorted(cov & s2),
-        sorted(v for v in cov if level_of.get(v) == i + 1),
-    )
+    parts = (cov & s1, cov & s2, {v for v in cov if level_of.get(v) == i + 1})
     try:
         _, wits = tripartite_ladder(H, parts, k, edge_ids=n3)
     except PreconditionUnmet as exc:

@@ -320,11 +320,11 @@ def cover_lists(
 
 
 def pair_covers(H: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Map each vertex pair inside some edge to its covering edge indices,
-    sorted by pair; built once per instance."""
+    """Map each vertex pair inside some edge to its covering edge indices;
+    built once per instance."""
     if H._pair_covers is None:
         cov = cover_lists(H.edges, 2)
-        object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in sorted(cov.items())})
+        object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in cov.items()})
     return H._pair_covers
 
 

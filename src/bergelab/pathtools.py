@@ -505,8 +505,10 @@ def consecutive_even_cycles(G: Graph, k: int) -> EvenCycleRun:
     for i, edges in enumerate(cross):
         level_graph = Graph.build({v for e in edges for v in e}, edges)
         for F in connected_components(level_graph):
-            if F.e < k:
-                continue
+            # no size check: at k = 1 every component has an edge, and at k >= 2
+            # one with F.e < k passes no route's gate, as the monochromatic gate
+            # needs |mono| >= k|F| >= 2k > F.e and a bichromatic piece has
+            # 2e <= 2k - 2 <= (2k - 2)n, so the routes return None for it
             run = _routes_for_component(parent, level, F, i, k)
             if run is None:
                 continue

@@ -7,18 +7,18 @@ edge's image) or is classified on the spot. When the head u, on level l,
 reads an edge whose other two vertices are already in the tree, neither of
 them has been dequeued (it would have read the edge first), so both sit on
 level l or l + 1, and the edge goes to the one class the pair of levels
-names: within_l, up_l or down_{l+1}. The build stores what it saw, once:
-the level map, the three classes (each level sorted) and the set of edges
-it read, so no later step scans the tree's incidence lists or rebuilds
-these. The common-ancestor frame used by the cycle builders, and its
-closure of a walk into a cycle through the tree, also live here.
+names: within_l, up_l or down_{l+1}. The build stores what it saw, once
+and in the order it saw it: the levels in attach order, the level map, the
+three classes in read order and the set of edges it read, so no later step
+scans the tree's incidence lists or rebuilds these. The common-ancestor
+frame used by the cycle builders, and its closure of a walk into a cycle
+through the tree, also live here.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ClassificationFailure, PreconditionUnmet
@@ -32,9 +32,9 @@ class LevelEdgeClasses:
     up (2 here + 1 above); every non-tree edge the build read sits in exactly one.
     """
 
-    down: tuple[tuple[int, ...], ...]
-    within: tuple[tuple[int, ...], ...]
-    up: tuple[tuple[int, ...], ...]
+    down: list[list[int]]
+    within: list[list[int]]
+    up: list[list[int]]
 
 
 @dataclass  # not frozen: that costs an object.__setattr__ per field on every build
@@ -42,11 +42,11 @@ class Skeleton:
     root: int
     parent: dict[int, int]            # vertex -> parent (root -> -1)
     edge_for: dict[Pair, int]         # tree edge -> consumed hyperedge index
-    levels: tuple[tuple[int, ...], ...]
+    levels: list[list[int]]           # per level, its vertices in attach order
     # What the build saw, set once, left out of == and repr and not to be
-    # mutated: vertex -> level; the classes, each level sorted and padded to
-    # height + 2 levels; every edge read (the tree images and the classified
-    # edges, that is every active edge meeting the tree).
+    # mutated: vertex -> level; the classes, one list per level in read
+    # order; every edge read (the tree images and the classified edges, that
+    # is every active edge meeting the tree).
     level_of: dict[int, int] = field(repr=False, compare=False)
     classes: LevelEdgeClasses = field(repr=False, compare=False)
     read: set[int] = field(repr=False, compare=False)
@@ -67,11 +67,8 @@ def build_skeleton(
     tree has them on levels l or l + 1, as neither is dequeued yet: levels
     (l, l) file it under within_l, (l, l + 1) under up_l and (l + 1, l + 1)
     under down_{l+1}; any other pair raises ClassificationFailure. The
-    skeleton keeps the level map, the classes and the read set it built.
-    When every edge read is a tree edge (|read| = |T| - 1), the classes
-    are one shared all-empty value per height instead of three sorted and
-    padded lists: on a sparse sweep nearly every skeleton is such a tree,
-    and the sort was most of its build's fixed cost.
+    skeleton keeps the levels and the classes in the order the build met
+    their members, with the level map and the read set it built.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("skeletons are built on 3-graphs")
@@ -89,6 +86,7 @@ def build_skeleton(
     level: dict[int, int] = {root: 0}
     edge_for: dict[Pair, int] = {}
     read: set[int] = set()
+    levels: list[list[int]] = [[root]]
     down: list[list[int]] = [[]]
     within: list[list[int]] = [[]]
     up: list[list[int]] = [[]]
@@ -124,36 +122,22 @@ def build_skeleton(
             level[v] = l + 1
             edge_for[(u, v) if u < v else (v, u)] = ei
             q.append(v)
-            if len(down) == l + 1:  # v opens a level
+            if len(levels) == l + 1:  # v opens a level
+                levels.append([])
                 down.append([])
                 within.append([])
                 up.append([])
+            levels[l + 1].append(v)
         q.popleft()
-    levels: list[list[int]] = [[] for _ in down]
-    for v, l in level.items():
-        levels[l].append(v)
-    if len(read) == len(parent) - 1:  # every edge read is a tree edge: no class holds one
-        classes = _empty_classes(len(down) + 1)
-    else:
-        classes = LevelEdgeClasses(
-            *(tuple(map(tuple, map(sorted, lists))) + ((),) for lists in (down, within, up))
-        )
     return Skeleton(
         root=root,
         parent=parent,
         edge_for=edge_for,
-        levels=tuple(map(tuple, map(sorted, levels))),
+        levels=levels,
         level_of=level,
-        classes=classes,
+        classes=LevelEdgeClasses(down, within, up),
         read=read,
     )
-
-
-@lru_cache(maxsize=64)
-def _empty_classes(padded: int) -> LevelEdgeClasses:
-    """Classes of `padded` empty levels, shared: they are immutable and hold no input."""
-    empty = ((),) * padded
-    return LevelEdgeClasses(empty, empty, empty)
 
 
 def classify_levels(H: Hypergraph, sk: Skeleton) -> LevelEdgeClasses:
@@ -189,7 +173,7 @@ def frame_from_parent(parent: dict[int, int], W: Iterable[int]) -> Optional[Fram
     every w in W lies strictly below the anchor, and `paths[w][top:]` runs
     from the anchor down to w."""
     paths: dict[int, list[int]] = {}
-    for w in sorted(set(W)):
+    for w in W:
         up = [w]
         while parent[up[-1]] != -1:
             up.append(parent[up[-1]])

@@ -13,12 +13,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bergelab.cli import main
+from bergelab.hypergraph import parse
+
+from naive import naive_build_skeleton
 
 EXIT_CODES = {0, 1, 2, 3}
 FAMILIES = ["completeR", "steinerTriple", "randomLinearR", "tightPath", "bipartiteIncidence"]
 MODES = ["linear3", "linearR", "general3", "generalR", "auto"]
 
 small = st.integers(-2, 9)
+
+# the Fano plane STS(7) with two isolated vertices, and a 4-uniform input
+SKELETON_INPUTS = {
+    "sts7": "3 9 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n",
+    "4-uniform": "4 6 2\n0 1 2 3\n0 1 4 5\n",
+}
 
 
 def _option(name, values):
@@ -128,14 +137,14 @@ def _argv(draw, hg_path, jsonl_path, out_path):
 
 
 def _run(argv):
-    """Run the CLI in process; returns (exit code, stderr)."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """Run the CLI in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors and --help
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestCliFuzz:
@@ -150,7 +159,7 @@ class TestCliFuzz:
             with open(jsonl_path, "wb") as fh:
                 fh.write(jsonl)
             argv = data.draw(_argv(hg_path, jsonl_path, os.path.join(tmp, "out")))
-            code, err = _run(argv)
+            code, _, err = _run(argv)
         assert code in EXIT_CODES, (argv, code, err)
         assert "Traceback" not in err
 
@@ -166,12 +175,37 @@ class TestCliFuzz:
         # n past the r = 3 ceiling of 10; anything else is searched, and
         # the small budget bounds the search
         argv = ["turan", "--n", str(n), "--r", str(r), "--ell", str(ell), "--budget", str(budget)]
-        code, err = _run(argv)
+        code, _, err = _run(argv)
         if n < 0 or budget < 0 or r < 2 or ell < 2 or (r == 3 and n > 10):
             assert code == 2, (argv, code, err)
             assert err.startswith("precondition unmet: ") and err.count("\n") == 1, (argv, err)
         else:
             assert code in {0, 3} and err == "", (argv, code, err)
+
+    @given(kind=st.sampled_from(sorted(SKELETON_INPUTS)), root=st.integers(-3, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_skeleton_option_ranges(self, kind, root):
+        # out of range: a --root outside 0..n-1 or an input that is not
+        # 3-uniform; any other root prints one CSV row per level, and the
+        # level sizes add up to the root's tree (1 on an isolated vertex)
+        text = SKELETON_INPUTS[kind]
+        with tempfile.TemporaryDirectory() as tmp:
+            hg_path = os.path.join(tmp, "in.hg")
+            with open(hg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = ["skeleton", "--input", hg_path, "--root", str(root)]
+            code, out, err = _run(argv)
+        H = parse(text)
+        if not 0 <= root < H.n or H.uniformity != 3:
+            assert code == 2, (argv, code, err)
+            assert err.startswith("precondition unmet: ") and err.count("\n") == 1, (argv, err)
+            return
+        assert code == 0 and err == "", (argv, code, err)
+        header, *rows = out.splitlines()
+        assert header == "i,L,A,B,C"
+        assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
+        tree = naive_build_skeleton(H, root).parent
+        assert sum(int(row.split(",")[1]) for row in rows) == len(tree)
 
     @given(jsonl=jsonl_bytes)
     @settings(max_examples=150, deadline=None)
@@ -183,6 +217,6 @@ class TestCliFuzz:
                          "--out", hg_path])[0] == 0
             with open(jsonl_path, "wb") as fh:
                 fh.write(jsonl)
-            code, err = _run(["verify", "--input", hg_path, "--witnesses", jsonl_path])
+            code, _, err = _run(["verify", "--input", hg_path, "--witnesses", jsonl_path])
         assert code in {1, 2} or (code == 0 and not err), (code, err)
         assert "Traceback" not in err

@@ -336,7 +336,7 @@ class TestDownEdges:
         edges += [(j, 13, 14) for j in range(1, 7)]
         H = Hypergraph.from_edges(15, edges, uniformity=3)
         sk = build_skeleton(H, 0)
-        assert sk.levels[2] == (13, 14)
+        assert sk.levels[2] == [13, 14]
         assert len(classify_levels(H, sk).down[2]) == 6
         with pytest.raises(NotLinear, match=r"^projection pair \(13, 14\) repeats$"):
             fd.cycles_from_down_edges(H, sk, 2, 1)
@@ -388,7 +388,7 @@ class TestDownEdgesForest:
         H = forest_special_path_fixture()
         sk = build_skeleton(H, 0)
         cls = classify_levels(H, sk)
-        assert sk.levels[3] == tuple(range(20, 28)) and len(cls.down[3]) == 24
+        assert sk.levels[3] == list(range(20, 28)) and len(cls.down[3]) == 24
         assert all(len(cls.down[i]) < 3 * len(sk.levels[i]) for i in (1, 2))
         run = fd.skeleton_sweep(H, 1)
         check_run(H, run, 1)

@@ -324,6 +324,15 @@ class TestLongCycle:
         check_cycle(G, cyc)
         assert cyc == [2, 0, 1, 3]
 
+    def test_m1_tree_component_first(self):
+        # the path 0-1-2 comes before the triangle 3-4-5, so the search for a
+        # fundamental cycle from root 3 skips the path's edges, which lie
+        # outside that root's component
+        G = gr.Graph.build(range(6), [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
+        cyc = gr.long_cycle_from_density(G, 1)
+        check_cycle(G, cyc)
+        assert cyc == [4, 3, 5]
+
     def test_petersen_m2(self, monkeypatch):
         # girth 5 (independently verified): the rotation stalls below it and
         # the kernel, searching lengths 3 and 4 in vain, returns a 5-cycle

@@ -26,14 +26,14 @@ class TestBuild:
     def test_single_edge_attaches_smaller(self):
         H = Hypergraph.from_edges(3, [(0, 1, 2)])
         S = sk.build_skeleton(H, 0)
-        assert S.levels == ((0,), (1,))
+        assert S.levels == [[0], [1]]
         assert S.edge_for == {(0, 1): 0}
         assert 2 not in tree_vertices(S)
 
     def test_two_edges(self):
         H = Hypergraph.from_edges(4, [(0, 1, 2), (0, 1, 3)])
         S = sk.build_skeleton(H, 0)
-        assert S.levels[1] == (1, 3)
+        assert S.levels[1] == [1, 3]
 
     def test_linear_edge_map_matches_covers(self):
         H = Hypergraph.from_edges(7, FANO)
@@ -47,6 +47,18 @@ class TestBuild:
         assert len(S.edge_for) == len(tree_vertices(S)) - 1
         # psi injective
         assert len(set(S.edge_for.values())) == len(S.edge_for)
+
+    @given(st.integers(0, 10**6), st.sampled_from(("linear", "random")))
+    @settings(max_examples=200, deadline=None)
+    def test_levels_in_attach_order(self, seed, kind):
+        # the levels list the vertices as the BFS attached them, which is the
+        # level map's insertion order, and the classes hold one list per level
+        rng = random.Random(seed)
+        H = random_input(rng, seed, kind)
+        S = sk.build_skeleton(H, rng.randrange(H.n), random_active(rng, len(H.edges)))
+        assert [v for lv in S.levels for v in lv] == list(S.level_of)
+        cl = S.classes
+        assert len(cl.down) == len(cl.within) == len(cl.up) == S.height + 1
 
     def test_attach_levels_monotone(self):
         H = random_3graph(10, 20, 11)
@@ -106,7 +118,7 @@ class TestClassify:
         again = sk.build_skeleton(H, H.edges[active[0]][0], set(active))
         assert sk.classify_levels(H, again) == cl
         classified = [e for grp in (cl.down, cl.within, cl.up) for lv in grp for e in lv]
-        assert all(list(lv) == sorted(lv) for grp in (cl.down, cl.within, cl.up) for lv in grp)
+        assert all(len(grp) == S.height + 1 for grp in (cl.down, cl.within, cl.up))
         expect = {
             ei
             for ei in active
@@ -137,7 +149,7 @@ class TestClassify:
         S = sk.build_skeleton(H, rng.randrange(H.n), random_active(rng, len(H.edges)))
         cl = sk.classify_levels(H, S)
         level_of = S.level_of
-        for l in range(S.height + 2):
+        for l in range(S.height + 1):
             for ei, shape in (
                 [(ei, (l - 1, l, l)) for ei in cl.down[l]]
                 + [(ei, (l, l, l)) for ei in cl.within[l]]
@@ -147,18 +159,20 @@ class TestClassify:
 
     def test_one_edge_in_each_class(self):
         # root 0 attaches 1, 3, 5 (level 1); head 1 attaches 4 and head 3
-        # attaches 2 (level 2). Edge 3 = (1, 3, 5) is read from 1 with both
-        # others on level 1, edge 7 = (3, 4, 5) from 3 with 5 on level 1 and
-        # 4 on level 2, edge 6 = (2, 4, 5) from 5 with both on level 2.
+        # attaches 2 (level 2), so level 2 holds 4 before 2. Edge 3 = (1, 3, 5)
+        # is read from 1 with both others on level 1, edge 7 = (3, 4, 5) from 3
+        # with 5 on level 1 and 4 on level 2, edge 6 = (2, 4, 5) from 5 with
+        # both on level 2.
         H = Hypergraph.from_edges(7, FANO + [(3, 4, 5)])
         S = sk.build_skeleton(H, 0)
-        assert S.levels == ((0,), (1, 3, 5), (2, 4))
+        assert S.levels == [[0], [1, 3, 5], [4, 2]]
+        assert list(S.level_of) == [0, 1, 3, 5, 4, 2]
         cl = sk.classify_levels(H, S)
-        assert cl.within == ((), (3,), (), ())
-        assert cl.up == ((), (7,), (), ())
-        assert cl.down == ((), (), (6,), ())
+        assert cl.within == [[], [3], []]
+        assert cl.up == [[], [7], []]
+        assert cl.down == [[], [], [6]]
         assert S.read == set(range(8))
-        assert cl is S.classes  # sorted once, by the build
+        assert cl is S.classes  # filed once, by the build
 
 
 def random_input(rng, seed, kind):
@@ -183,10 +197,14 @@ class TestMatchesGenericLoops:
         active = random_active(rng, len(H.edges))
         want = naive_build_skeleton(H, root, active)
         got = sk.build_skeleton(H, root, active)
-        assert got == want  # root, parent, edge_for, levels
+        assert got.root == want.root
         assert list(got.parent.items()) == list(want.parent.items())
         assert list(got.edge_for.items()) == list(want.edge_for.items())
-        assert got.classes == want.classes
+        # the reference sorts each level and class and pads the classes by one level
+        assert tuple(tuple(sorted(lv)) for lv in got.levels) == want.levels
+        for name in ("down", "within", "up"):
+            mine, ref = getattr(got.classes, name), getattr(want.classes, name)
+            assert tuple(tuple(sorted(lv)) for lv in mine) + ((),) == ref
         assert got.read == want.read  # the edges the generic loop read
         assert got.level_of == {v: i for i, lv in enumerate(got.levels) for v in lv}
 
