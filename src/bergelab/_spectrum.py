@@ -226,8 +226,11 @@ def spectrum_search(
                     nodes += 1
                     if nodes > budget:
                         raise _Budget
-                    if not push((a, b)):
-                        continue
+                    # the matcher is empty here (each anchor's pushes are
+                    # popped before the next), and (a, b) lies in `through`,
+                    # an edge of `edges`, so it has a covering edge and the
+                    # push takes it
+                    push((a, b))
                     path[0], path[1] = a, b
                     used[a] = used[b] = True
                     found = dfs(2)

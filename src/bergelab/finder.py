@@ -344,7 +344,10 @@ def _bc_ladder_route(H, sk, i, k, n3, s1, s2, frame, level_of):
 def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     """Take roots in increasing vertex order; at each vertex with an alive
     edge build a skeleton over the alive edges, try every level, and delete
-    every edge the build read (the tree's incident edges).
+    every edge the build read (the tree's incident edges). The alive edges
+    are one byte mask, one byte per edge, that each build consumes: it
+    clears an edge's byte as it reads the edge, so the deletion is done
+    when the build returns.
 
     Guaranteed to find a run when the average degree is at least 21(k+1),
     whatever the order of roots: a skeleton whose levels all certify has
@@ -367,11 +370,14 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
         raise PreconditionUnmet("k must be at least 1")
     guaranteed = average_degree(H) >= 21 * (k + 1)
     inc = incidence(H)
-    alive = set(range(len(H.edges)))
+    alive = bytearray(b"\x01") * len(H.edges)
     for root in range(H.n):
-        if alive.isdisjoint(inc[root]):
+        for ei in inc[root]:
+            if alive[ei]:
+                break
+        else:  # no alive edge at root
             continue
-        sk = build_skeleton(H, root, active_edges=alive)
+        sk = build_skeleton(H, root, alive)
         nt = len(sk.parent)
         if len(sk.read) >= nt:  # the build filed an edge; a tree alone certifies at 0
             run = _levels_once(H, sk, k)
@@ -383,7 +389,6 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
                     f"{len(sk.read)} incident edges on a {nt}-vertex tree "
                     f"despite certified levels",
                 )
-        alive -= sk.read
     if guaranteed:
         raise InternalProofFailure(
             "sweep exhaustion", "edges ran out above the density threshold"

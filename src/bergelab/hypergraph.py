@@ -89,9 +89,6 @@ class Hypergraph:
         if self.n < 0:
             raise VertexOutOfRange("vertex count must be nonnegative")
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
     def restrict(self, edge_ids: Sequence[int]) -> tuple["Hypergraph", tuple[int, ...]]:
         """Sub-hypergraph on the given edge indices (same vertex set).
 
@@ -222,6 +219,18 @@ def _parse_canonical(text: str) -> Optional[Hypergraph]:
         ids = json.loads("[" + body.translate(_SEPARATORS)[:-1] + "]")
     except ValueError:
         return None
+    # JSON makes a new int object per id. Mapping the ids through one
+    # list(range(n)) leaves one object per vertex, shared by every edge
+    # through it: the edges take little more than half the memory, and later
+    # dict and set probes match keys by identity. The pool is built only
+    # when n is at most the number of ids, since the header may declare a
+    # huge n for a short document; an id of n or more leaves the document
+    # to the per-line reader, which names it
+    if n <= len(ids):
+        try:
+            ids = list(map(list(range(n)).__getitem__, ids))
+        except IndexError:
+            return None
     # ids are digit runs, so none is negative; once every edge increases,
     # the last column holds each edge's largest id
     cols = [ids[j::r] for j in range(r)]
@@ -340,7 +349,8 @@ def is_linear(H: Hypergraph) -> bool:
     """True when no two edges share two vertices. Decided once per instance,
     here or by `prefix_3graph`, whose result is linear by construction. The scan
     stops at the first pair met twice and builds no pair index; a 3-graph's
-    pairs are kept as integers a*n+b."""
+    pairs are kept as integers a*n+b, marked in a byte per possible pair when
+    n*n <= 16m and held in a set otherwise."""
     if H._linear is None:
         if H.uniformity == 3:
             linear = _no_pair_twice_3(H.edges, H.n)
@@ -350,9 +360,21 @@ def is_linear(H: Hypergraph) -> bool:
     return H._linear
 
 
-def _no_pair_twice_3(edges: Iterable[tuple[int, int, int]], n: int) -> bool:
-    # pair (a, b) with a < b < n is the key a*n+b, one key per pair; an edge
-    # adds three new keys unless one of its pairs was met before
+def _no_pair_twice_3(edges: Sequence[tuple[int, int, int]], n: int) -> bool:
+    # pair (a, b) with a < b < n is the key a*n+b, one key per pair. When the
+    # n*n keys are few against the edges (a Steiner system has n*n about 6m),
+    # one byte per key marks the pairs met; otherwise (a loose path has
+    # n*n far above m) a set holds them, and an edge adds three new keys
+    # unless one of its pairs was met before
+    if n * n <= 16 * len(edges):
+        met = bytearray(n * n)
+        for a, b, c in edges:
+            an = a * n
+            ab, ac, bc = an + b, an + c, b * n + c
+            if met[ab] or met[ac] or met[bc]:
+                return False
+            met[ab] = met[ac] = met[bc] = 1
+        return True
     seen: set[int] = set()
     add = seen.add
     count = 0

@@ -71,7 +71,10 @@ def length_controlled_search(
     core_deg, core_ids = peel(H, all_ids)
     core_min = min(core_deg.values())
     root = min(core_deg)
-    sk = build_skeleton(H, root, active_edges=core_ids)
+    core = bytearray(len(H.edges))
+    for ei in core_ids:
+        core[ei] = 1
+    sk = build_skeleton(H, root, core)
     classes = classify_levels(H, sk)
 
     run: Optional[ConsecutiveRun] = None

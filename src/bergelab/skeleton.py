@@ -7,10 +7,13 @@ edge's image) or is classified on the spot. When the head u, on level l,
 reads an edge whose other two vertices are already in the tree, neither of
 them has been dequeued (it would have read the edge first), so both sit on
 level l or l + 1, and the edge goes to the one class the pair of levels
-names: within_l, up_l or down_{l+1}. The build stores what it saw, once
-and in the order it saw it: the levels in attach order, the level map, the
-three classes in read order and the set of edges it read, so no later step
-scans the tree's incidence lists or rebuilds these. The common-ancestor
+names: within_l, up_l or down_{l+1}. The edges it may read come as a
+byte mask, one byte per edge, 1 for an edge not yet read; the build clears
+each edge's byte as it reads it, so a caller's mask leaves the build without
+the tree's incident edges. The build stores what it saw, once and in the
+order it saw it: the levels in attach order, the level map, the three
+classes and the edges it read, in read order, so no later step scans the
+tree's incidence lists or rebuilds these. The common-ancestor
 frame used by the cycle builders, and its closure of a walk into a cycle
 through the tree, also live here.
 """
@@ -45,21 +48,21 @@ class Skeleton:
     levels: list[list[int]]           # per level, its vertices in attach order
     # What the build saw, set once, left out of == and repr and not to be
     # mutated: vertex -> level; the classes, one list per level in read
-    # order; every edge read (the tree images and the classified edges, that
-    # is every active edge meeting the tree).
+    # order; every edge read, once each and in read order (the tree images
+    # and the classified edges, that is every edge of the mask meeting the
+    # tree, and exactly the edges whose bytes the build cleared).
     level_of: dict[int, int] = field(repr=False, compare=False)
     classes: LevelEdgeClasses = field(repr=False, compare=False)
-    read: set[int] = field(repr=False, compare=False)
+    read: list[int] = field(repr=False, compare=False)
 
     @property
     def height(self) -> int:
         return len(self.levels) - 1
 
 
-def build_skeleton(
-    H: Hypergraph, root: int, active_edges: Optional[Iterable[int]] = None
-) -> Skeleton:
-    """Run the modified BFS from `root` over the given (default: all) edges.
+def build_skeleton(H: Hypergraph, root: int, live: Optional[bytearray] = None) -> Skeleton:
+    """Run the modified BFS from `root` over the edges whose byte in `live`
+    is set (default: all edges), clearing each edge's byte as it reads it.
 
     Deterministic: edges are scanned in canonical index order and, when an
     edge offers two new vertices, the smaller id is attached. An edge read
@@ -68,24 +71,20 @@ def build_skeleton(
     (l, l) file it under within_l, (l, l + 1) under up_l and (l + 1, l + 1)
     under down_{l+1}; any other pair raises ClassificationFailure. The
     skeleton keeps the levels and the classes in the order the build met
-    their members, with the level map and the read set it built.
+    their members, with the level map and the read list it built.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("skeletons are built on 3-graphs")
     if not (0 <= root < H.n):
         raise PreconditionUnmet(f"root {root} out of range")
-    if active_edges is None:
-        active = range(len(H.edges))
-    elif isinstance(active_edges, (set, frozenset)):
-        active = active_edges
-    else:
-        active = set(active_edges)
+    if live is None:
+        live = bytearray(b"\x01") * len(H.edges)
     inc = incidence(H)
     edges = H.edges
     parent: dict[int, int] = {root: -1}
     level: dict[int, int] = {root: 0}
     edge_for: dict[Pair, int] = {}
-    read: set[int] = set()
+    read: list[int] = []
     levels: list[list[int]] = [[root]]
     down: list[list[int]] = [[]]
     within: list[list[int]] = [[]]
@@ -95,9 +94,10 @@ def build_skeleton(
         u = q[0]
         l = level[u]
         for ei in inc[u]:
-            if ei in read or ei not in active:
+            if not live[ei]:
                 continue
-            read.add(ei)
+            live[ei] = 0
+            read.append(ei)
             a, b, c = edges[ei]
             # x < y are the edge's vertices other than u; the smaller fresh one is attached
             x, y = (b, c) if a == u else (a, c) if b == u else (a, b)

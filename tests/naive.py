@@ -132,7 +132,10 @@ def naive_sweep(H, k):
     alive = set(range(len(H.edges)))
     while alive:
         root = min(v for ei in alive for v in H.edges[ei])
-        sk = fd.build_skeleton(H, root, active_edges=alive)
+        live = bytearray(len(H.edges))
+        for ei in alive:
+            live[ei] = 1
+        sk = fd.build_skeleton(H, root, live)
         run = naive_levels_once(H, sk, k)
         if run is not None:
             return run
@@ -257,17 +260,10 @@ def naive_split_by_codegree(H, k):
     return fd.MarkedSlice(entries=tuple(out), covers=covers, max_codegree=top)
 
 
-def _naive_active_set(H, active_edges):
-    if active_edges is None:
-        return range(len(H.edges))
-    if isinstance(active_edges, (set, frozenset)):
-        return active_edges
-    return set(active_edges)
-
-
-def naive_build_skeleton(H, root, active_edges=None):
+def naive_build_skeleton(H, root, live=None):
     """`skeleton.build_skeleton` with its list-building per-edge loop, and
-    its classes by `naive_classify_levels`."""
+    its classes by `naive_classify_levels`. The edges with a set byte in
+    `live` (default: all) are active; the mask is read, never changed."""
     from bergelab.errors import PreconditionUnmet
     from bergelab.graphs import norm_edge
     from bergelab.hypergraph import incidence
@@ -277,12 +273,13 @@ def naive_build_skeleton(H, root, active_edges=None):
         raise PreconditionUnmet("skeletons are built on 3-graphs")
     if not (0 <= root < H.n):
         raise PreconditionUnmet(f"root {root} out of range")
-    active = _naive_active_set(H, active_edges)
+    m = len(H.edges)
+    active = set(range(m)) if live is None else {ei for ei in range(m) if live[ei]}
     inc = incidence(H)
     parent = {root: -1}
     level = {root: 0}
     edge_for = {}
-    processed = set()
+    processed = []
     q = deque([root])
     while q:
         u = q[0]
@@ -297,7 +294,7 @@ def naive_build_skeleton(H, root, active_edges=None):
                 level[v] = level[u] + 1
                 edge_for[norm_edge(u, v)] = ei
                 q.append(v)
-            processed.add(ei)
+            processed.append(ei)
         q.popleft()
     levels = [[] for _ in range(max(level.values()) + 1)]
     for v, l in level.items():

@@ -69,6 +69,16 @@ class TestVerifyPath:
         res = verify_path(H3(), BergePathWitness((0, 1, 2), (0,)))
         assert not res and res.reason == "LengthMismatch"
 
+    def test_too_short(self):
+        # one spine vertex and no edge: the lengths agree, but a path needs an edge
+        res = verify_path(H3(), BergePathWitness((0,), ()))
+        assert not res and res.reason == "TooShort"
+
+    def test_repeated_spine_vertex(self):
+        # 0-1-0 over two distinct edges covering (0, 1) would pass every later check
+        res = verify_path(H3(), BergePathWitness((0, 1, 0), (0, 1)))
+        assert not res and res.reason == "SpineNotDistinct"
+
 
 class TestExtend:
     def test_triangle_extension_exists(self):

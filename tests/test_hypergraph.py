@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -296,6 +297,34 @@ class TestSerialize:
         with mock.patch.object(hg, "_parse_lines", side_effect=AssertionError("per-line")):
             assert hg.parse(hg.serialize(H)) == H
 
+    def test_canonical_read_shares_vertex_ids(self):
+        # ids above 256 are not interpreter-cached ints: the bulk reader hands
+        # every edge through a vertex the same int object for it
+        H, _ = random_linear_r(900, 3, 2000, seed=4)
+        with mock.patch.object(hg, "_parse_lines", side_effect=AssertionError("per-line")):
+            G = hg.parse(hg.serialize(H))
+        assert G == H
+        first: dict[int, int] = {}
+        for e in G.edges:
+            for v in e:
+                assert first.setdefault(v, v) is v
+        # ids above 256 recur, so the sharing was put to the test
+        assert sum(v > 256 for e in G.edges for v in e) > sum(v > 256 for v in first)
+
+    def test_declared_n_above_the_ids_builds_no_pool(self):
+        # a two-line document may declare a million vertices; its bulk read
+        # stays as small as the document
+        text = "3 1000000 1\n0 1 2\n"
+        tracemalloc.start()
+        try:
+            with mock.patch.object(hg, "_parse_lines", side_effect=AssertionError("per-line")):
+                H = hg.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.n == 10**6 and H.edges == ((0, 1, 2),)
+        assert peak < 2**20
+
 
 def parse_outcome(parse, text):
     try:
@@ -541,6 +570,42 @@ class TestIsLinear:
         assert hg.is_linear(fresh) is want
         if kind == "near-linear" and H.edges:
             assert not want
+
+    def test_pair_bitmap_boundary(self, monkeypatch):
+        # The 3-graph scan marks pairs in a byte per possible pair when
+        # n*n <= 16m and keeps a set of pair keys otherwise. Draws with m just
+        # below, at and just above n*n / 16, linear or with one pair shared,
+        # agree with the tuple-pair scan on both sides, and each scan runs.
+        bitmaps = []
+
+        def spy(size):
+            bitmaps.append(size)
+            return bytearray(size)
+
+        monkeypatch.setattr(hg, "bytearray", spy, raising=False)
+        seen = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randrange(7, 40)
+            m = -(-n * n // 16) + rng.randint(-2, 2)
+            edges = list(random_linear_r(n, 3, m, seed=seed)[0].edges)
+            if rng.random() < 0.5 and len(edges) >= 2:
+                # a new edge through a pair of one edge in place of another
+                i, j = rng.sample(range(len(edges)), 2)
+                a, b = rng.sample(edges[i], 2)
+                c = rng.choice([v for v in range(n) if v not in edges[i]])
+                if tuple(sorted((a, b, c))) not in edges:
+                    edges[j] = tuple(sorted((a, b, c)))
+            H = hg.Hypergraph.from_edges(n, edges, uniformity=3)
+            before = len(bitmaps)
+            linear = hg.is_linear(H)
+            assert linear is hg.no_pair_twice(H.edges)
+            used_bitmap = len(bitmaps) > before
+            assert used_bitmap is (n * n <= 16 * len(H.edges))
+            if used_bitmap:
+                assert bitmaps[-1] == n * n
+            seen.add((used_bitmap, linear))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_prefix_3graph(self):
         H4 = hg.Hypergraph.from_edges(9, [(0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 8)])

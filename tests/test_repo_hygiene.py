@@ -3,7 +3,10 @@ the package imports another module's private names or reads another
 module's private attributes."""
 
 import ast
+import os
+import re
 import subprocess
+import sys
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -120,3 +123,24 @@ def test_exhaustive_search_importers():
                 if allowed is not None and path.stem not in allowed:
                     bad.append(f"{path.name}:{node.lineno} imports {name}")
     assert bad == []
+
+
+def test_workflow_test_selectors_collect():
+    # each `tests/<file>.py::<name>` the CI workflow runs on its own still
+    # names a test: a renamed class or function would leave that step
+    # running nothing, or failing for a reason no test states
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    selectors = sorted(set(re.findall(r"tests/[\w/]+\.py::[\w:]+", workflow)))
+    assert selectors
+    res = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *selectors],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        check=False,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    collected = res.stdout.splitlines()
+    for sel in selectors:
+        assert any(line == sel or line.startswith((sel + "::", sel + "[")) for line in collected), sel

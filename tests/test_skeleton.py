@@ -55,7 +55,7 @@ class TestBuild:
         # level map's insertion order, and the classes hold one list per level
         rng = random.Random(seed)
         H = random_input(rng, seed, kind)
-        S = sk.build_skeleton(H, rng.randrange(H.n), random_active(rng, len(H.edges)))
+        S = sk.build_skeleton(H, rng.randrange(H.n), random_live(rng, len(H.edges)))
         assert [v for lv in S.levels for v in lv] == list(S.level_of)
         cl = S.classes
         assert len(cl.down) == len(cl.within) == len(cl.up) == S.height + 1
@@ -73,11 +73,14 @@ class TestClassify:
     def test_fano_partitions(self):
         H = Hypergraph.from_edges(7, FANO)
         for root in range(7):
-            S = sk.build_skeleton(H, root)
+            live = bytearray(b"\x01") * 7
+            S = sk.build_skeleton(H, root, live)
             cl = sk.classify_levels(H, S)
             used = {e for grp in (cl.down, cl.within, cl.up) for lv in grp for e in lv}
             assert used | set(S.edge_for.values()) == set(range(7))
-            assert S.read == set(range(7))
+            assert sorted(S.read) == list(range(7))  # every edge, once
+            assert live == bytearray(7)  # and each one cleared
+            assert sk.build_skeleton(H, root).read == S.read  # as with no mask
 
     def test_star_classes(self):
         H = Hypergraph.from_edges(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5)])
@@ -113,10 +116,13 @@ class TestClassify:
         H = random_3graph(n, m, seed)
         rng = random.Random(seed)
         active = rng.sample(range(len(H.edges)), rng.randint(1, len(H.edges)))
-        S = sk.build_skeleton(H, H.edges[active[0]][0], active)
+        root = H.edges[active[0]][0]
+        live = live_mask(len(H.edges), active)
+        S = sk.build_skeleton(H, root, live)
         cl = sk.classify_levels(H, S)
-        again = sk.build_skeleton(H, H.edges[active[0]][0], set(active))
-        assert sk.classify_levels(H, again) == cl
+        # the same mask built in another order gives the same skeleton
+        again = sk.build_skeleton(H, root, live_mask(len(H.edges), active[::-1]))
+        assert sk.classify_levels(H, again) == cl and again.read == S.read
         classified = [e for grp in (cl.down, cl.within, cl.up) for lv in grp for e in lv]
         assert all(len(grp) == S.height + 1 for grp in (cl.down, cl.within, cl.up))
         expect = {
@@ -125,20 +131,27 @@ class TestClassify:
             if ei not in S.edge_for.values() and set(H.edges[ei]) & tree_vertices(S)
         }
         assert sorted(classified) == sorted(expect)
-        assert S.read == expect | set(S.edge_for.values())
+        assert sorted(S.read) == sorted(expect | set(S.edge_for.values()))
+        # the build cleared exactly what it read: from the same root, the
+        # mask it left reads nothing more
+        assert live == live_mask(len(H.edges), set(active) - set(S.read))
+        assert sk.build_skeleton(H, root, live).read == []
 
     def test_active_set_used_as_given(self):
-        class Probed(set):
+        # the build reads and clears the caller's own mask, not a copy
+        class Probed(bytearray):
             hits = 0
 
-            def __contains__(self, ei):
+            def __getitem__(self, ei):
                 Probed.hits += 1
-                return set.__contains__(self, ei)
+                return bytearray.__getitem__(self, ei)
 
         H = Hypergraph.from_edges(7, FANO)
-        S = sk.build_skeleton(H, 0, Probed(range(6)))
+        live = Probed(b"\x01" * 6 + b"\x00")
+        S = sk.build_skeleton(H, 0, live)
         assert Probed.hits > 0
-        assert 6 not in S.edge_for.values()
+        assert 6 not in S.edge_for.values() and 6 not in S.read
+        assert live == bytearray(7)
 
     @given(st.integers(0, 10**6), st.sampled_from(("linear", "random")))
     @settings(max_examples=200, deadline=None)
@@ -146,7 +159,7 @@ class TestClassify:
         # down_l: levels (l-1, l, l); within_l: (l, l, l); up_l: (l, l, l+1)
         rng = random.Random(seed)
         H = random_input(rng, seed, kind)
-        S = sk.build_skeleton(H, rng.randrange(H.n), random_active(rng, len(H.edges)))
+        S = sk.build_skeleton(H, rng.randrange(H.n), random_live(rng, len(H.edges)))
         cl = sk.classify_levels(H, S)
         level_of = S.level_of
         for l in range(S.height + 1):
@@ -171,7 +184,9 @@ class TestClassify:
         assert cl.within == [[], [3], []]
         assert cl.up == [[], [7], []]
         assert cl.down == [[], [], [6]]
-        assert S.read == set(range(8))
+        # read order: the root's three tree edges, then head 1's 3 and 4,
+        # head 3's 5 and 7, head 5's 6
+        assert S.read == [0, 1, 2, 3, 4, 5, 7, 6]
         assert cl is S.classes  # filed once, by the build
 
 
@@ -182,9 +197,19 @@ def random_input(rng, seed, kind):
     return random_3graph(rng.randrange(5, 12), rng.randrange(1, 40), seed)
 
 
-def random_active(rng, m):
-    ids = rng.sample(range(m), rng.randint(0, m))
-    return rng.choice((None, set(ids), ids, frozenset(ids)))
+def live_mask(m, ids):
+    """The byte mask over m edges with a set byte at each of `ids`."""
+    live = bytearray(m)
+    for ei in ids:
+        live[ei] = 1
+    return live
+
+
+def random_live(rng, m):
+    """None (every edge) or a mask over a random subset of the m edges."""
+    if rng.random() < 0.25:
+        return None
+    return live_mask(m, rng.sample(range(m), rng.randint(0, m)))
 
 
 class TestMatchesGenericLoops:
@@ -194,9 +219,10 @@ class TestMatchesGenericLoops:
         rng = random.Random(seed)
         H = random_input(rng, seed, kind)
         root = rng.randrange(H.n)
-        active = random_active(rng, len(H.edges))
-        want = naive_build_skeleton(H, root, active)
-        got = sk.build_skeleton(H, root, active)
+        live = random_live(rng, len(H.edges))
+        given = None if live is None else bytes(live)
+        want = naive_build_skeleton(H, root, given)
+        got = sk.build_skeleton(H, root, live)
         assert got.root == want.root
         assert list(got.parent.items()) == list(want.parent.items())
         assert list(got.edge_for.items()) == list(want.edge_for.items())
@@ -205,7 +231,11 @@ class TestMatchesGenericLoops:
         for name in ("down", "within", "up"):
             mine, ref = getattr(got.classes, name), getattr(want.classes, name)
             assert tuple(tuple(sorted(lv)) for lv in mine) + ((),) == ref
-        assert got.read == want.read  # the edges the generic loop read
+        assert got.read == want.read  # the edges the generic loop read, in its order
+        assert len(set(got.read)) == len(got.read)
+        if live is not None:  # the build cleared exactly the bytes of the edges it read
+            kept = {i for i, byte in enumerate(given) if byte} - set(got.read)
+            assert live == live_mask(len(H.edges), kept)
         assert got.level_of == {v: i for i, lv in enumerate(got.levels) for v in lv}
 
     def test_classify_needs_3_graph(self):
