@@ -8,9 +8,7 @@ extremal search.
 from .certify import (
     BergeCycleWitness,
     BergePathWitness,
-    Extension,
     VerifyResult,
-    extend,
     verify_cycle,
     verify_path,
 )

@@ -40,13 +40,80 @@ from __future__ import annotations
 
 from bisect import insort
 from itertools import combinations
-from typing import Optional, Sequence
-
-from .certify import Matcher
+from typing import Mapping, Optional, Sequence
 
 
 class _Budget(Exception):
     pass
+
+
+class Matcher:
+    """Injective pair -> covering-edge assignment grown one pair at a time.
+
+    A push whose first covering edge has no owner takes that edge and files
+    a `None` trail, which is what the augmenting search would do there.
+    Any other push finds an augmenting path (covering edges scanned in the
+    order `covers` lists them, a fresh visited set per push). Pop undoes the
+    last push: a `None` trail by freeing its edge, any other along its
+    recorded path.
+    """
+
+    def __init__(self, covers: Mapping[tuple[int, int], Sequence[int]]):
+        self.covers = covers
+        self.pair_at: list[tuple[int, int]] = []
+        self.assign: list[Optional[int]] = []
+        self.owner: dict[int, int] = {}
+        self.trails: list[Optional[list[tuple[int, Optional[int], int]]]] = []
+
+    def push(self, pair: tuple[int, int]) -> bool:
+        cs = self.covers.get(pair)
+        if cs and cs[0] not in self.owner:
+            e = cs[0]
+            self.owner[e] = len(self.pair_at)
+            self.pair_at.append(pair)
+            self.assign.append(e)
+            self.trails.append(None)
+            return True
+        d = len(self.pair_at)
+        self.pair_at.append(pair)
+        self.assign.append(None)
+        trail: list[tuple[int, Optional[int], int]] = []
+        if self._augment(d, set(), trail):
+            self.trails.append(trail)
+            return True
+        self.pair_at.pop()
+        self.assign.pop()
+        return False
+
+    def _augment(self, d: int, visited: set[int], trail) -> bool:
+        for e in self.covers.get(self.pair_at[d], ()):
+            if e in visited:
+                continue
+            visited.add(e)
+            holder = self.owner.get(e)
+            if holder is None or self._augment(holder, visited, trail):
+                trail.append((d, self.assign[d], e))
+                self.assign[d] = e
+                self.owner[e] = d
+                return True
+        return False
+
+    def pop(self) -> None:
+        trail = self.trails.pop()
+        self.pair_at.pop()
+        e = self.assign.pop()
+        if trail is None:
+            del self.owner[e]
+            return
+        # the trail is the augmenting path from its far end: trail[0] took
+        # a free edge, which is freed again, and each step moved pair d from
+        # `old` to `new`, so d gets `old` back (the top pair's step, with
+        # old None, went with the pops above)
+        del self.owner[trail[0][2]]
+        for d, old, _ in trail:
+            if old is not None:
+                self.assign[d] = old
+                self.owner[old] = d
 
 
 class KernelState:

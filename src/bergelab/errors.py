@@ -39,10 +39,6 @@ class Disconnected(PreconditionUnmet):
     pass
 
 
-class EdgeNotInShadow(PreconditionUnmet):
-    pass
-
-
 class InvalidParameters(PreconditionUnmet):
     pass
 

@@ -39,15 +39,12 @@ class Hypergraph:
     n: int
     edges: tuple[tuple[int, ...], ...]
     uniformity: Optional[int] = None
-    # Derived indexes, each built once by incidence() / pair_covers() /
-    # is_linear() (or prefix_3graph(), which knows its result is linear)
-    # and freed with the instance. Declared as fields (left out
-    # of __init__, ==, hash and repr) so that every instance keeps one attribute layout:
-    # adding attributes later would slow every read of `H.edges`.
+    # Derived indexes, each built once by incidence() / is_linear() (or
+    # prefix_3graph(), which knows its result is linear) and freed with the
+    # instance. Declared as fields (left out of __init__, ==, hash and repr)
+    # so that every instance keeps one attribute layout: adding attributes
+    # later would slow every read of `H.edges`.
     _incidence: Optional[tuple[tuple[int, ...], ...]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _pair_covers: Optional[dict[tuple[int, int], tuple[int, ...]]] = field(
         default=None, init=False, repr=False, compare=False
     )
     _linear: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
@@ -329,12 +326,10 @@ def cover_lists(
 
 
 def pair_covers(H: Hypergraph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Map each vertex pair inside some edge to its covering edge indices;
-    built once per instance."""
-    if H._pair_covers is None:
-        cov = cover_lists(H.edges, 2)
-        object.__setattr__(H, "_pair_covers", {p: tuple(ids) for p, ids in cov.items()})
-    return H._pair_covers
+    """Map each vertex pair inside some edge to its covering edge indices,
+    built afresh on each call. Nothing in the package calls it; it stays
+    because `perfbench` traces it by name."""
+    return {p: tuple(ids) for p, ids in cover_lists(H.edges, 2).items()}
 
 
 def average_degree(H: Hypergraph) -> Fraction:

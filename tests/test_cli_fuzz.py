@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from bergelab.cli import main
 from bergelab.hypergraph import parse
 
-from naive import naive_build_skeleton
+from naive import naive_build_skeleton, naive_spectrum
 
 EXIT_CODES = {0, 1, 2, 3}
 FAMILIES = ["completeR", "steinerTriple", "randomLinearR", "tightPath", "bipartiteIncidence"]
@@ -206,6 +206,34 @@ class TestCliFuzz:
         assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
         tree = naive_build_skeleton(H, root).parent
         assert sum(int(row.split(",")[1]) for row in rows) == len(tree)
+
+    @given(max_len=st.integers(-3, 11), budget=st.integers(-2, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_spectrum_option_ranges(self, max_len, budget):
+        # out of range: a --max-len below 0 or above n, or a negative
+        # --budget; anything else prints the lengths found up to max_len,
+        # all of them unless the budget runs out first
+        text = SKELETON_INPUTS["sts7"]  # n = 9, Berge cycles of lengths 3..7
+        with tempfile.TemporaryDirectory() as tmp:
+            hg_path = os.path.join(tmp, "in.hg")
+            with open(hg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = ["spectrum", "--input", hg_path, "--max-len", str(max_len), "--budget", str(budget)]
+            code, out, err = _run(argv)
+        H = parse(text)
+        if max_len < 0 or max_len > H.n or budget < 0:
+            assert code == 2, (argv, code, err)
+            assert err.startswith("precondition unmet: ") and err.count("\n") == 1, (argv, err)
+            return
+        header, *rows = out.splitlines()
+        assert header == "length"
+        want = naive_spectrum(H.n, H.edges, max_len)
+        if code == 3:
+            assert err == "status: budget exhausted, spectrum is partial\n", (argv, err)
+            assert [int(L) for L in rows] == want[: len(rows)]
+        else:
+            assert code == 0 and err == "", (argv, code, err)
+            assert [int(L) for L in rows] == want
 
     @given(jsonl=jsonl_bytes)
     @settings(max_examples=150, deadline=None)

@@ -304,6 +304,20 @@ def short_closure_first(draw):
     return gr.Graph.build(range(n), edges[: m * (n - 1) // 2 + 1]), m
 
 
+class TestCycleIsValid:
+    # the check behind every fundamental cycle: a correct BFS never fails it
+    @pytest.mark.parametrize(
+        "cyc, want",
+        [
+            ([0, 1, 2, 3], True),
+            ([0, 1], False),  # shorter than 3
+            ([0, 1, 0, 3], False),  # a repeated vertex
+        ],
+    )
+    def test_table(self, cyc, want):
+        assert gr._cycle_is_valid(cycle_graph(4).adjacency(), cyc) is want
+
+
 class TestLongCycle:
     def test_k4_hamilton(self):
         cyc = gr.long_cycle_from_density(complete_graph(4), 3)

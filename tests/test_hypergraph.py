@@ -525,9 +525,8 @@ class TestIsLinear:
     def test_matches_pair_cover_definition(self, n, edges):
         edges = {e for e in edges if len(e) >= 2 and e[-1] < n}
         H = hg.Hypergraph.from_edges(n, sorted(edges))
-        want = all(len(ids) <= 1 for ids in hg.pair_covers(H).values())
-        twin = hg.Hypergraph.from_edges(n, sorted(edges))
-        assert hg.is_linear(twin) is want
+        want = all(len(ids) <= 1 for ids in hg.cover_lists(H.edges, 2).values())
+        assert hg.is_linear(H) is want
 
     @given(
         st.integers(0, 10**6),
@@ -620,11 +619,16 @@ class TestIsLinear:
         with pytest.raises(PreconditionUnmet):
             hg.prefix_3graph(hg.Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]))
 
-    def test_builds_no_pair_index(self):
+    def test_builds_no_pair_index(self, monkeypatch):
+        def fail(*args):
+            pytest.fail("built a pair index")
+
+        monkeypatch.setattr(hg, "cover_lists", fail)
+        monkeypatch.setattr(hg, "pair_covers", fail)
         H, K = fano(), complete3(5)
         assert hg.is_linear(H) and not hg.is_linear(K)
-        hg.incidence(H), hg.average_degree(H)
-        assert H._pair_covers is None and K._pair_covers is None
+        assert hg.incidence(H)[0] == (0, 1, 2)
+        assert hg.average_degree(H) == 3 and hg.average_degree(K) == 6
 
     def test_scanned_once_per_instance(self, monkeypatch):
         H = fano()
@@ -715,14 +719,12 @@ class TestDerivedIndex:
     def test_built_once_per_instance(self):
         H = fano()
         assert hg.incidence(H) is hg.incidence(H)
-        assert hg.pair_covers(H) is hg.pair_covers(H)
 
     def test_equal_instance_gets_equal_index(self):
         H, twin = fano(), fano()
         assert H == twin and H is not twin
-        inc, cov = hg.incidence(H), hg.pair_covers(H)
+        inc = hg.incidence(H)
         assert hg.incidence(twin) == inc and hg.incidence(twin) is not inc
-        assert hg.pair_covers(twin) == cov and hg.pair_covers(twin) is not cov
         assert hash(H) == hash(twin)
 
     def test_index_values(self):
@@ -736,7 +738,6 @@ class TestDerivedIndex:
         # an instance no other test builds, so no equal value is indexed
         H = hg.Hypergraph.from_edges(11, [(0, 4, 9), (1, 4, 10), (2, 3, 10)])
         hg.incidence(H)
-        hg.pair_covers(H)
         ref = weakref.ref(H)
         del H
         gc.collect()

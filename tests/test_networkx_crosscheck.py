@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergelab import graphs as gr
-from bergelab._spectrum import spectrum_search
-from bergelab.certify import extend
+from bergelab._spectrum import Matcher, spectrum_search
 from bergelab.errors import Disconnected, NotLinear
 from bergelab.graphs import (
     Graph,
@@ -22,7 +21,7 @@ from bergelab.graphs import (
     norm_edge,
     shortest_path,
 )
-from bergelab.hypergraph import Hypergraph, edge_components, pair_covers
+from bergelab.hypergraph import Hypergraph, cover_lists, edge_components
 from bergelab.generators import random_linear_r
 from bergelab.oracle import oracle_spectrum
 from bergelab.pathtools import linear_xy_path
@@ -191,24 +190,29 @@ def test_edge_components(H, rnd):
 
 @given(hypergraphs(), st.randoms(use_true_random=False))
 @settings(max_examples=100, deadline=None)
-def test_extend_matches_maximum_matching(H, rnd):
-    shadow_pairs = list(pair_covers(H))
-    pairs = [p for p in shadow_pairs if rnd.random() < 0.5]
-    B = nx.Graph()
-    top = [("pair", p) for p in pairs]
-    B.add_nodes_from(top)
-    B.add_nodes_from(("edge", i) for i in range(len(H.edges)))
+def test_matcher_matches_maximum_matching(H, rnd):
+    # by Berge's augmenting-path theorem a push fails exactly when no
+    # matching covers the pairs already pushed plus the new one
+    covers = cover_lists(H.edges, 2)
+    pairs = [p for p in covers if rnd.random() < 0.5]
+    rnd.shuffle(pairs)
+    m = Matcher(covers)
+    pushed = []
     for p in pairs:
-        B.add_edges_from((("pair", p), ("edge", i)) for i in pair_covers(H)[p])
-    matching = nx.algorithms.bipartite.maximum_matching(B, top_nodes=top)
-    covers_all = all(node in matching for node in top)
-    ext = extend(H, pairs)
-    assert (ext is not None) == covers_all
-    if ext is not None:
-        got = dict(ext.mapping)
-        assert sorted(got) == sorted(pairs)
-        assert len(set(got.values())) == len(got)
-        assert all(set(p) <= set(H.edges[i]) for p, i in got.items())
+        want = pushed + [p]
+        B = nx.Graph()
+        top = [("pair", q) for q in want]
+        B.add_nodes_from(top)
+        B.add_nodes_from(("edge", i) for i in range(len(H.edges)))
+        B.add_edges_from((("pair", q), ("edge", i)) for q in want for i in covers[q])
+        matching = nx.algorithms.bipartite.maximum_matching(B, top_nodes=top)
+        ok = m.push(p)
+        assert ok == all(node in matching for node in top)
+        if ok:
+            pushed.append(p)
+        assert m.pair_at == pushed
+        assert len(set(m.assign)) == len(m.assign)
+        assert all(set(q) <= set(H.edges[i]) for q, i in zip(m.pair_at, m.assign))
 
 
 @given(sparse_uniform())

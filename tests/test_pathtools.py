@@ -671,3 +671,40 @@ class TestConsecutiveEvenCycles:
             at = cyc.index(seg[0])
             assert (cyc + cyc)[at : at + len(seg)] == seg
 
+
+class TestPostconditionChecks:
+    """The checks a route's output must pass, each `False` branch planted
+    directly: no correct route reaches them."""
+
+    # the loose path (0,1,2), (2,3,4), (4,5,6), closed back to 0 by (0,6,7)
+    PATH_H = Hypergraph.from_edges(8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 6, 7)])
+
+    @pytest.mark.parametrize(
+        "edges, want",
+        [
+            ([(0, 1, 2), (2, 3, 4), (4, 5, 6)], True),
+            ([(0, 1, 2), (2, 3, 4), (0, 1, 2)], False),  # a repeated id
+            ([(0, 1, 2), (4, 5, 6)], False),  # consecutive edges disjoint
+            ([(0, 1, 2), (2, 3, 4), (4, 5, 6), (0, 6, 7)], False),  # first meets last
+        ],
+    )
+    def test_check_linear_path(self, edges, want):
+        H = self.PATH_H
+        assert pt.check_linear_path(H, [H.edges.index(e) for e in edges]) is want
+
+    # K_3,3 on {0, 1, 2} | {3, 4, 5}, plus the edge (0, 1) closing the triangle 0-1-3
+    EVEN_G = Graph.build(range(6), [(a, b) for a in range(3) for b in range(3, 6)] + [(0, 1)])
+
+    @pytest.mark.parametrize(
+        "run, want",
+        [
+            ([[0, 3, 1, 4], [0, 3, 1, 4, 2, 5]], True),
+            ([[0, 3, 1, 4]], False),  # one cycle for k = 2
+            ([[0, 3, 0, 4], [0, 3, 1, 4, 2, 5]], False),  # a repeated vertex
+            ([[0, 1, 3], [0, 3, 1, 4]], False),  # an odd cycle
+            ([[0, 3], [0, 3, 1, 4]], False),  # a 2-cycle
+            ([[0, 3, 2, 1], [0, 3, 1, 4, 2, 5]], False),  # 2-1 is no edge
+        ],
+    )
+    def test_valid_even_run(self, run, want):
+        assert pt._valid_even_run(self.EVEN_G, run, 2, 4) is want

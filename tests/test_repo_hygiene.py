@@ -1,8 +1,9 @@
-"""No build output or generated file is tracked in git, and no module of
-the package imports another module's private names or reads another
-module's private attributes."""
+"""No build output or generated file is tracked in git, no module of the
+package imports another module's private names or reads another module's
+private attributes, and every name the benchmark reads still resolves."""
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -144,3 +145,24 @@ def test_workflow_test_selectors_collect():
     collected = res.stdout.splitlines()
     for sel in selectors:
         assert any(line == sel or line.startswith((sel + "::", sel + "[")) for line in collected), sel
+
+
+def test_benchmark_pinned_names_resolve():
+    # perfbench patches the functions in `tracing.TARGETS` by module and
+    # name, and `run.py` reads `oracle.kernel_in_use`: renaming or deleting
+    # a target breaks every traced run, and `kernel_in_use` every run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    pkg = ROOT / "src" / "bergelab"
+    targets = [(mod, fname) for mod, fname, _ in tracing.TARGETS if (pkg / f"{mod}.py").is_file()]
+    assert targets
+    missing = [
+        f"{mod}.{fname}"
+        for mod, fname in targets
+        if not callable(getattr(importlib.import_module("bergelab." + mod), fname, None))
+    ]
+    assert missing == []
+    assert callable(getattr(importlib.import_module("bergelab.oracle"), "kernel_in_use", None))
