@@ -3,7 +3,11 @@
 Exhaustive backtracking over cycle spines in the shadow, with an
 incremental injective edge assignment maintained by augmenting paths.
 Spines are enumerated once per rotation/reflection class: the smallest
-vertex comes first and the second vertex is smaller than the last.
+vertex comes first and the second vertex is smaller than the last. One
+`dfs` walks every length L, with L, the path and the used marks rebound per
+length, from one loop over starts. A free start vertex is marked used when
+the loop reaches it, even when it is skipped, and stays marked for the rest
+of L, so a spine started at v never visits a vertex below v.
 
 A spine is a cycle of the shadow, so it lies in one shadow component, and
 in a bipartite component it alternates sides: its length is even and at
@@ -226,109 +230,87 @@ def spectrum_search(
     adj = live.adj
     m = live.matcher
     push, pop, assign = m.push, m.pop, m.assign
-    caps = None if live.wide else _bipartite_caps(n, adj)
-    anchors = list(combinations(through, 2)) if through is not None else None
+    # caps[v] == 0 exactly when v's component is not known to be bipartite
+    caps = [0] * n if live.wide else _bipartite_caps(n, adj)
+    anchored = through is not None
+    # a start is the path's fixed prefix: a pair of `through`, or one vertex
+    starts = list(combinations(through, 2)) if anchored else [(v,) for v in range(n)]
     nodes = 0
     hits = []
 
-    def search_length(L: int):
+    def dfs(depth: int):
         nonlocal nodes
-
-        def can_start(v: int) -> bool:
-            # two shadow neighbours, and room for L when v's component is
-            # bipartite (caps[v] == 0 exactly when it is not)
-            return len(adj[v]) >= 2 and (
-                caps is None or not caps[v] or (L % 2 == 0 and L <= caps[v])
-            )
-
-        path = [0] * L
-        used = [False] * n
-        floor = -1  # later spine vertices exceed it: path[0] unless anchored
-
-        def dfs(depth: int):
-            nonlocal nodes
-            last = path[depth - 1]
-            if depth == L:
-                v1 = path[0]
-                if anchors is not None:
-                    closing = (v1, last) if v1 < last else (last, v1)
-                elif path[1] < last:
-                    closing = (v1, last)
-                else:
-                    return None
-                if closing in cov:
-                    nodes += 1
-                    if nodes > budget:
-                        raise _Budget
-                    if push(closing):
-                        result = (tuple(path), tuple(assign))  # copy now
-                        pop()
-                        return result
+        last = path[depth - 1]
+        if depth == L:
+            v1 = path[0]
+            if anchored:
+                closing = (v1, last) if v1 < last else (last, v1)
+            elif path[1] < last:
+                closing = (v1, last)
+            else:
                 return None
-            for w in adj[last]:
-                if w <= floor or used[w]:
-                    continue
+            if closing in cov:
                 nodes += 1
                 if nodes > budget:
                     raise _Budget
-                if not push((last, w) if last < w else (w, last)):
-                    continue
-                path[depth] = w
-                used[w] = True
-                found = dfs(depth + 1)
-                used[w] = False
-                pop()
-                if found:
-                    return found
-            return None
-
-        # dfs calls itself through its closure cell, a cycle that would keep
-        # this search's state for the cyclic collector; emptying the cell on
-        # the way out leaves it all to reference counting
-        try:
-            if anchors is not None:
-                for a, b in anchors:
-                    if not can_start(a):
-                        continue
-                    nodes += 1
-                    if nodes > budget:
-                        raise _Budget
-                    # the matcher is empty here (each anchor's pushes are
-                    # popped before the next), and (a, b) lies in `through`,
-                    # an edge of `edges`, so it has a covering edge and the
-                    # push takes it
-                    push((a, b))
-                    path[0], path[1] = a, b
-                    used[a] = used[b] = True
-                    found = dfs(2)
-                    used[a] = used[b] = False
+                if push(closing):
+                    result = (tuple(path), tuple(assign))  # copy now
                     pop()
-                    if found:
-                        return found
-                return None
-            for v1 in range(n):
-                if not can_start(v1):
-                    continue
-                floor = v1
-                path[0] = v1
-                used[v1] = True
-                found = dfs(1)
-                used[v1] = False
-                if found:
-                    return found
+                    return result
             return None
-        finally:
-            del dfs
+        for w in adj[last]:
+            if used[w]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _Budget
+            if not push((last, w) if last < w else (w, last)):
+                continue
+            path[depth] = w
+            used[w] = True
+            found = dfs(depth + 1)
+            used[w] = False
+            pop()
+            if found:
+                return found
+        return None
 
     exhausted = False
     try:
-        for L in range(max(min_len, 3), max_len + 1):
-            if L > n or L > len(edges):
-                break
-            found = search_length(L)
-            if found:
-                hits.append((L, *found))
+        for L in range(max(min_len, 3), min(max_len, n, len(edges)) + 1):
+            path = [0] * L
+            used = [False] * n
+            for start in starts:
+                a, b = start[0], start[-1]
+                # a free start stays used for the rest of L, so every later
+                # spine keeps above it; an anchored one is released below
+                used[a] = used[b] = True
+                # two shadow neighbours, and room for L in a bipartite component
+                if len(adj[a]) >= 2 and not (caps[a] and (L % 2 or L > caps[a])):
+                    if anchored:
+                        nodes += 1
+                        if nodes > budget:
+                            raise _Budget
+                        # the matcher is empty here (each anchor's pushes are
+                        # popped before the next), and (a, b) lies in
+                        # `through`, an edge of `edges`, so it has a covering
+                        # edge and the push takes it
+                        push(start)
+                    path[: len(start)] = start
+                    found = dfs(len(start))
+                    if anchored:
+                        pop()
+                    if found:
+                        hits.append((L, *found))
+                        break
+                if anchored:
+                    used[a] = used[b] = False
     except _Budget:
         exhausted = True
         live.matcher = Matcher(cov)  # the search left pairs pushed
+    finally:
+        # dfs calls itself through its closure cell, a cycle that would keep
+        # this call's state for the cyclic collector; emptying the cell on
+        # the way out leaves it all to reference counting
+        del dfs
     return hits, nodes, exhausted

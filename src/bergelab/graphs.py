@@ -268,25 +268,21 @@ def min_degree_core(G: Graph) -> Graph:
 
 
 def _maximal_extend(adj: dict[int, list[int]], path: list[int]) -> list[int]:
+    """Grow `path` in place at its tail, then at its head, each step taking
+    the end's first neighbour in `adj` order that is off the path, until
+    neither end has one; return it. The head grows as the tail of the
+    reversed path, which is then reversed back."""
     inpath = set(path)
-    grown = True
-    while grown:
-        grown = False
-        for w in adj[path[-1]]:
-            if w not in inpath:
-                path.append(w)
-                inpath.add(w)
-                grown = True
+    for _ in range(2):
+        while True:
+            for w in adj[path[-1]]:
+                if w not in inpath:
+                    path.append(w)
+                    inpath.add(w)
+                    break
+            else:
                 break
-    grown = True
-    while grown:
-        grown = False
-        for w in adj[path[0]]:
-            if w not in inpath:
-                path.insert(0, w)
-                inpath.add(w)
-                grown = True
-                break
+        path.reverse()
     return path
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -1168,3 +1169,89 @@ class TestFindGeneralR:
         run = fd.find_general_r(H, 1)
         assert run is not None
         check_run(H, run, 1)
+
+
+# the Fano plane and its skeleton from root 0, for the argument checks
+FANO = steiner_triple(7)
+FANO_SKELETON = build_skeleton(FANO, 0)
+LEVEL_CHECK = "need k >= 1 and a level inside the tree"
+
+
+class TestArgumentChecks:
+    """Each public entry point refuses arguments outside its hypothesis."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: fd.skeleton_sweep(complete_r(5, 4), 2),
+                "sweep needs a 3-graph",
+                id="sweep-4-graph",
+            ),
+            pytest.param(lambda: fd.skeleton_sweep(FANO, 0), "k must be at least 1", id="sweep-k-0"),
+            pytest.param(
+                lambda: fd.cycles_from_down_edges(FANO, FANO_SKELETON, 0, 1),
+                LEVEL_CHECK,
+                id="down-level-0",
+            ),
+            pytest.param(
+                lambda: fd.cycles_from_down_edges(FANO, FANO_SKELETON, FANO_SKELETON.height + 1, 1),
+                LEVEL_CHECK,
+                id="down-above-top",
+            ),
+            pytest.param(
+                lambda: fd.cycles_or_level_bound(FANO, FANO_SKELETON, 0, 1),
+                LEVEL_CHECK,
+                id="dichotomy-level-0",
+            ),
+            pytest.param(
+                lambda: fd.cycles_or_level_bound(FANO, FANO_SKELETON, FANO_SKELETON.height + 1, 1),
+                LEVEL_CHECK,
+                id="dichotomy-above-top",
+            ),
+            pytest.param(
+                lambda: fd.find_linear_r(complete_r(4, 2), 1),
+                "need a uniform hypergraph with r >= 3",
+                id="linear-r-2-graph",
+            ),
+            pytest.param(
+                lambda: fd.split_by_codegree(Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]), 1),
+                "uniform hypergraph required",
+                id="split-mixed-sizes",
+            ),
+            pytest.param(
+                lambda: fd.split_by_codegree(FANO, 0), "k must be at least 1", id="split-k-0"
+            ),
+            pytest.param(
+                lambda: fd.min_codegree_cycles(complete_r(4, 2), 1),
+                "need r >= 3",
+                id="codegree-2-graph",
+            ),
+            pytest.param(
+                lambda: fd.min_codegree_cycles(complete_r(5, 3), 0),
+                "k must be at least 1",
+                id="codegree-k-0",
+            ),
+            pytest.param(
+                lambda: fd.find_general_3(complete_r(5, 4), 1),
+                "need a 3-graph",
+                id="general-3-4-graph",
+            ),
+            pytest.param(
+                lambda: fd.find_general_3(FANO, 0), "k must be at least 1", id="general-3-k-0"
+            ),
+            pytest.param(
+                lambda: fd.find_general_r(complete_r(4, 2), 1),
+                "need a uniform hypergraph with r >= 3",
+                id="general-r-2-graph",
+            ),
+            pytest.param(
+                lambda: fd.find_general_r(complete_r(5, 4), 0),
+                "k must be at least 1",
+                id="general-r-k-0",
+            ),
+        ],
+    )
+    def test_table(self, call, message):
+        with pytest.raises(PreconditionUnmet, match=f"^{re.escape(message)}$"):
+            call()

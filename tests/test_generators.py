@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import combinations
 
 import pytest
@@ -132,6 +133,31 @@ class TestOthers:
     def test_bipartite_empty_side(self, a, b):
         with pytest.raises(InvalidParameters, match="^both sides must be nonempty$"):
             complete_bipartite_incidence(a, b)
+
+    @pytest.mark.parametrize(
+        "make, args, message",
+        [
+            (complete_r, (2, 3), "complete_r needs n >= r >= 2, got n=2 r=3"),
+            (complete_r, (5, 1), "complete_r needs n >= r >= 2, got n=5 r=1"),
+            (tight_path_hypergraph, (0, 3), "tight path needs m >= 1, r >= 2"),
+            (tight_path_hypergraph, (3, 1), "tight path needs m >= 1, r >= 2"),
+            (random_linear_r, (3, 4, 1), "need n >= r >= 2 and m >= 0"),
+            (random_linear_r, (5, 3, -1), "need n >= r >= 2 and m >= 0"),
+            (random_linear_r, (5, 1, 2), "need n >= r >= 2 and m >= 0"),
+        ],
+        ids=[
+            "complete-n-below-r",
+            "complete-r-1",
+            "tight-m-0",
+            "tight-r-1",
+            "linear-n-below-r",
+            "linear-m-negative",
+            "linear-r-1",
+        ],
+    )
+    def test_parameter_checks(self, make, args, message):
+        with pytest.raises(InvalidParameters, match=f"^{re.escape(message)}$"):
+            make(*args)
 
     def test_random_linear_deterministic(self):
         a, ga = random_linear_r(20, 3, 25, seed=5)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -316,6 +317,27 @@ class TestCycleIsValid:
     )
     def test_table(self, cyc, want):
         assert gr._cycle_is_valid(cycle_graph(4).adjacency(), cyc) is want
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: gr.Graph.build(range(3), [(0, 5)]),
+                "bad edge (0,5)",
+                id="build-edge-off-the-vertices",
+            ),
+            pytest.param(
+                lambda: gr.long_path_from_density(gr.Graph.build(range(3), [(0, 1)]), -1),
+                "m must be nonnegative",
+                id="long-path-m-negative",
+            ),
+        ],
+    )
+    def test_table(self, call, message):
+        with pytest.raises(PreconditionUnmet, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestLongCycle:

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -770,3 +771,26 @@ class TestRestrict:
     def test_out_of_range_rejected(self, ids):
         with pytest.raises(PreconditionUnmet):
             fano().restrict(ids)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda: hg.Hypergraph(-1, ()),
+                VertexOutOfRange,
+                "vertex count must be nonnegative",
+                id="negative-n",
+            ),
+            pytest.param(
+                lambda: hg.parse("a b c\n"),
+                MalformedLine,
+                "non-integer header field in 'a b c'",
+                id="header-not-integers",
+            ),
+        ],
+    )
+    def test_table(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()

@@ -1,8 +1,9 @@
 import pytest
 
 from bergelab.errors import NotLinear, PreconditionUnmet
-from bergelab.generators import permuted, steiner_triple
-from bergelab.lengthcontrol import length_controlled_search, threshold_met
+from bergelab.generators import complete_r, permuted, steiner_triple
+from bergelab.hypergraph import Hypergraph
+from bergelab.lengthcontrol import LevelGrowthReport, length_controlled_search, threshold_met
 from bergelab.certify import verify_cycle
 
 
@@ -16,8 +17,6 @@ class TestThreshold:
             assert not threshold_met(H, 2, 3)
 
     def test_threshold_algebra(self):
-        from bergelab.hypergraph import Hypergraph
-
         # fabricated counts drive the integer comparison both ways
         H = Hypergraph.from_edges(4, [(0, 1, 2)])
         assert not threshold_met(H, 2, 2)
@@ -48,8 +47,6 @@ class TestSearch:
                 break
 
     def test_not_linear(self):
-        from bergelab.generators import complete_r
-
         with pytest.raises(NotLinear):
             length_controlled_search(complete_r(6, 3), 2, 2)
 
@@ -59,3 +56,14 @@ class TestSearch:
             length_controlled_search(H, 1, 2)
         with pytest.raises(PreconditionUnmet):
             length_controlled_search(H, 2, 1)
+
+    def test_no_edges(self):
+        H = Hypergraph.from_edges(9, [], 3)
+        assert length_controlled_search(H, 2, 2) == (
+            None,
+            LevelGrowthReport(9, 0, 2, 2, False, 0, ()),
+        )
+
+    def test_not_a_3_graph(self):
+        with pytest.raises(PreconditionUnmet, match="^need a 3-graph$"):
+            length_controlled_search(complete_r(5, 4), 2, 2)

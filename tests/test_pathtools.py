@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -708,3 +709,65 @@ class TestPostconditionChecks:
     )
     def test_valid_even_run(self, run, want):
         assert pt._valid_even_run(self.EVEN_G, run, 2, 4) is want
+
+
+# one transversal edge over the parts {0} | {1} | {2}, a loose path of three
+# edges and a 6-cycle
+ONE_EDGE = Hypergraph.from_edges(3, [(0, 1, 2)])
+LOOSE = Hypergraph.from_edges(7, [(0, 1, 2), (2, 3, 4), (4, 5, 6)])
+HEXAGON = Graph.build(range(6), [(i, (i + 1) % 6) for i in range(6)])
+
+
+class TestArgumentChecks:
+    """Each public entry point refuses arguments outside its hypothesis."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(
+                lambda: pt.special_linear_path(
+                    Hypergraph.from_edges(4, [(0, 1), (1, 2, 3)]), [1, 2], 1, [0, 1]
+                ),
+                "uniform hypergraph required",
+                id="special-mixed-sizes",
+            ),
+            pytest.param(
+                lambda: pt.special_linear_path(LOOSE, [2, 1, 1], 0, [0, 1, 2]),
+                "p must be at least 1",
+                id="special-p-0",
+            ),
+            pytest.param(
+                lambda: pt.special_linear_path(LOOSE, [1, 1, 1], 1, [0, 1, 2]),
+                "both colors must appear",
+                id="special-one-color",
+            ),
+            pytest.param(
+                lambda: pt.tripartite_ladder(ONE_EDGE, ([0], [1], [2]), 0, [0]),
+                "p must be at least 1",
+                id="ladder-p-0",
+            ),
+            pytest.param(
+                lambda: pt.tripartite_ladder(ONE_EDGE, ([0], [1], [2]), 1, []),
+                "no edges",
+                id="ladder-no-ids",
+            ),
+            pytest.param(
+                lambda: pt.tripartite_ladder(ONE_EDGE, ([0, 1], [1], [2]), 1, [0]),
+                "parts must be disjoint",
+                id="ladder-overlapping-parts",
+            ),
+            pytest.param(
+                lambda: pt.tripartite_ladder(ONE_EDGE, ([0], [1], [2]), 1, [0]),
+                "need d >= 3/2, have 1",
+                id="ladder-below-3p/2",
+            ),
+            pytest.param(
+                lambda: pt.consecutive_even_cycles(HEXAGON, 0),
+                "k must be at least 1",
+                id="even-k-0",
+            ),
+        ],
+    )
+    def test_table(self, call, message):
+        with pytest.raises(PreconditionUnmet, match=f"^{re.escape(message)}$"):
+            call()

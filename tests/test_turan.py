@@ -230,10 +230,13 @@ class TestKernelState:
 
     def test_anchored_calls_leave_it_empty(self):
         live = KernelState(7)
-        for budget in (10**6, 1, 10**6):
+        for budget in (10**6, 1, 0, 10**6):
             got = spectrum_search(7, self.CYCLIC, 3, 3, budget, (2, 3, 4), live)
             assert got == spectrum_search(7, self.CYCLIC, 3, 3, budget, (2, 3, 4))
             assert _matcher_empty(live)
+            if budget == 0:
+                # the first anchor push is over the budget
+                assert got == ([], 1, True)
 
 
 @lru_cache(maxsize=None)
