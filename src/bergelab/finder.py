@@ -344,10 +344,17 @@ def _bc_ladder_route(H, sk, i, k, n3, s1, s2, frame, level_of):
 def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
     """Take roots in increasing vertex order; at each vertex with an alive
     edge build a skeleton over the alive edges, try every level, and delete
-    every edge the build read (the tree's incident edges). The alive edges
-    are one byte mask, one byte per edge, that each build consumes: it
-    clears an edge's byte as it reads the edge, so the deletion is done
-    when the build returns.
+    every edge the build read. The alive edges are one byte mask, one byte
+    per edge, that each build consumes: it clears an edge's byte as it
+    reads the edge, so the deletion is done when the build returns.
+
+    The build is handed the down threshold k + 2 and stops at the first
+    level i whose down class reaches (k + 2)|L_i|, since nothing below it
+    can change the result: `_levels_once` takes that same level first, and
+    `cycles_from_down_edges` reads only levels up to i (the class, and the
+    tree paths to the root), so the run is the one the whole skeleton
+    gives, and the sweep returns it. A build that does not stop has read
+    every alive edge incident to its tree, and those are deleted.
 
     Guaranteed to find a run when the average degree is at least 21(k+1),
     whatever the order of roots: a skeleton whose levels all certify has
@@ -377,7 +384,7 @@ def skeleton_sweep(H: Hypergraph, k: int) -> Optional[ConsecutiveRun]:
                 break
         else:  # no alive edge at root
             continue
-        sk = build_skeleton(H, root, alive)
+        sk = build_skeleton(H, root, alive, k + 2)
         nt = len(sk.parent)
         if len(sk.read) >= nt:  # the build filed an edge; a tree alone certifies at 0
             run = _levels_once(H, sk, k)

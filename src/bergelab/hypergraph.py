@@ -306,10 +306,16 @@ def incidence(H: Hypergraph) -> tuple[tuple[int, ...], ...]:
     """For each vertex, the sorted tuple of incident edge indices."""
     if H._incidence is None:
         inc: list[list[int]] = [[] for _ in range(H.n)]
-        for i, e in enumerate(H.edges):
-            for v in e:
-                inc[v].append(i)
-        object.__setattr__(H, "_incidence", tuple(tuple(lst) for lst in inc))
+        if H.uniformity == 3:  # the one hot case, unrolled
+            for i, (a, b, c) in enumerate(H.edges):
+                inc[a].append(i)
+                inc[b].append(i)
+                inc[c].append(i)
+        else:
+            for i, e in enumerate(H.edges):
+                for v in e:
+                    inc[v].append(i)
+        object.__setattr__(H, "_incidence", tuple(map(tuple, inc)))
     return H._incidence
 
 

@@ -10,17 +10,20 @@ level l or l + 1, and the edge goes to the one class the pair of levels
 names: within_l, up_l or down_{l+1}. The edges it may read come as a
 byte mask, one byte per edge, 1 for an edge not yet read; the build clears
 each edge's byte as it reads it, so a caller's mask leaves the build without
-the tree's incident edges. The build stores what it saw, once and in the
-order it saw it: the levels in attach order, the level map, the three
-classes and the edges it read, in read order, so no later step scans the
-tree's incidence lists or rebuilds these. The common-ancestor
-frame used by the cycle builders, and its closure of a walk into a cycle
-through the tree, also live here.
+the tree's incident edges. The queue is the levels themselves: the heads
+are dequeued level by level, in attach order. A caller that only wants
+the first level l whose down class is heavy (|down_l| >= heavy * |L_l|)
+can stop the build there, before any head on level l reads: L_l and
+down_l are final once the heads on level l - 1 have read. The build
+stores what it saw, once and in the order it saw it: the levels in attach
+order, the level map, the three classes and the edges it read, in read
+order, so no later step scans the tree's incidence lists or rebuilds
+these. The common-ancestor frame used by the cycle builders, and its
+closure of a walk into a cycle through the tree, also live here.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -50,7 +53,8 @@ class Skeleton:
     # mutated: vertex -> level; the classes, one list per level in read
     # order; every edge read, once each and in read order (the tree images
     # and the classified edges, that is every edge of the mask meeting the
-    # tree, and exactly the edges whose bytes the build cleared).
+    # tree unless the build stopped at a heavy level, and exactly the edges
+    # whose bytes the build cleared).
     level_of: dict[int, int] = field(repr=False, compare=False)
     classes: LevelEdgeClasses = field(repr=False, compare=False)
     read: list[int] = field(repr=False, compare=False)
@@ -60,7 +64,9 @@ class Skeleton:
         return len(self.levels) - 1
 
 
-def build_skeleton(H: Hypergraph, root: int, live: Optional[bytearray] = None) -> Skeleton:
+def build_skeleton(
+    H: Hypergraph, root: int, live: Optional[bytearray] = None, heavy: Optional[int] = None
+) -> Skeleton:
     """Run the modified BFS from `root` over the edges whose byte in `live`
     is set (default: all edges), clearing each edge's byte as it reads it.
 
@@ -72,6 +78,12 @@ def build_skeleton(H: Hypergraph, root: int, live: Optional[bytearray] = None) -
     under down_{l+1}; any other pair raises ClassificationFailure. The
     skeleton keeps the levels and the classes in the order the build met
     their members, with the level map and the read list it built.
+
+    The heads are dequeued level by level, so once every head on level
+    l - 1 has read, L_l and down_l are final. With `heavy` set, the build
+    stops there at the first level l >= 1 with |down_l| >= heavy * |L_l|:
+    the skeleton holds levels 0..l, within_l and up_l are empty, and the
+    edges that heads on level l or deeper would read keep their bytes.
     """
     if H.uniformity != 3:
         raise PreconditionUnmet("skeletons are built on 3-graphs")
@@ -87,48 +99,50 @@ def build_skeleton(H: Hypergraph, root: int, live: Optional[bytearray] = None) -
     read: list[int] = []
     levels: list[list[int]] = [[root]]
     down: list[list[int]] = [[]]
-    within: list[list[int]] = [[]]
-    up: list[list[int]] = [[]]
-    q: deque[int] = deque([root])
-    while q:
-        u = q[0]
-        l = level[u]
-        for ei in inc[u]:
-            if not live[ei]:
-                continue
-            live[ei] = 0
-            read.append(ei)
-            a, b, c = edges[ei]
-            # x < y are the edge's vertices other than u; the smaller fresh one is attached
-            x, y = (b, c) if a == u else (a, c) if b == u else (a, b)
-            if x not in parent:
-                v = x
-            elif y not in parent:
-                v = y
-            else:
-                lx, ly = level[x], level[y]
-                if lx == ly == l:
-                    within[l].append(ei)
-                elif lx == ly == l + 1:
-                    down[l + 1].append(ei)
-                elif (lx, ly) in ((l, l + 1), (l + 1, l)):
-                    up[l].append(ei)
+    within: list[list[int]] = []
+    up: list[list[int]] = []
+    for l, heads in enumerate(levels):  # the BFS queue: `levels` grows as heads attach
+        within_l: list[int] = []
+        up_l: list[int] = []
+        within.append(within_l)
+        up.append(up_l)
+        if l and heavy is not None and len(down[l]) >= heavy * len(heads):
+            break
+        nxt: list[int] = []
+        down_nxt: list[int] = []
+        for u in heads:
+            for ei in inc[u]:
+                if not live[ei]:
+                    continue
+                live[ei] = 0
+                read.append(ei)
+                a, b, c = edges[ei]
+                # x < y are the edge's vertices other than u; the smaller fresh one is attached
+                x, y = (b, c) if a == u else (a, c) if b == u else (a, b)
+                if x not in parent:
+                    v = x
+                elif y not in parent:
+                    v = y
                 else:
-                    raise ClassificationFailure(
-                        f"edge {ei} read from level {l} meets levels {lx} and {ly}"
-                    )
-                continue
-            parent[v] = u
-            level[v] = l + 1
-            edge_for[(u, v) if u < v else (v, u)] = ei
-            q.append(v)
-            if len(levels) == l + 1:  # v opens a level
-                levels.append([])
-                down.append([])
-                within.append([])
-                up.append([])
-            levels[l + 1].append(v)
-        q.popleft()
+                    lx, ly = level[x], level[y]
+                    if lx == ly == l:
+                        within_l.append(ei)
+                    elif lx == ly == l + 1:
+                        down_nxt.append(ei)
+                    elif (lx, ly) in ((l, l + 1), (l + 1, l)):
+                        up_l.append(ei)
+                    else:
+                        raise ClassificationFailure(
+                            f"edge {ei} read from level {l} meets levels {lx} and {ly}"
+                        )
+                    continue
+                parent[v] = u
+                level[v] = l + 1
+                edge_for[(u, v) if u < v else (v, u)] = ei
+                nxt.append(v)
+        if nxt:  # down_{l+1} needs two vertices on level l + 1
+            levels.append(nxt)
+            down.append(down_nxt)
     return Skeleton(
         root=root,
         parent=parent,

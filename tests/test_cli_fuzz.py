@@ -12,8 +12,13 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from itertools import combinations
+
+from bergelab.certify import verify_cycle
 from bergelab.cli import main
-from bergelab.hypergraph import parse
+from bergelab.generators import complete_r, steiner_triple
+from bergelab.hypergraph import is_linear, parse, serialize
+from bergelab.reports import witness_from_json
 
 from naive import naive_build_skeleton, naive_spectrum
 
@@ -27,6 +32,17 @@ small = st.integers(-2, 9)
 SKELETON_INPUTS = {
     "sts7": "3 9 7\n0 1 2\n0 3 4\n0 5 6\n1 3 5\n1 4 6\n2 3 6\n2 4 5\n",
     "4-uniform": "4 6 2\n0 1 2 3\n0 1 4 5\n",
+}
+
+# `find` inputs: linear 3-graphs with and without a run at small k, a
+# non-linear 3-graph, linear and non-linear 4-graphs, and a graph
+FIND_INPUTS = {
+    "sts7": SKELETON_INPUTS["sts7"],
+    "sts13": serialize(steiner_triple(13)),
+    "k5": serialize(complete_r(5, 3)),
+    "4-uniform": SKELETON_INPUTS["4-uniform"],
+    "linear4": "4 12 6\n0 1 2 6\n0 4 5 10\n1 3 10 11\n1 5 7 9\n2 3 8 9\n6 7 8 11\n",
+    "triangle": "2 3 3\n0 1\n0 2\n1 2\n",
 }
 
 
@@ -206,6 +222,119 @@ class TestCliFuzz:
         assert [int(row.split(",")[0]) for row in rows] == list(range(len(rows)))
         tree = naive_build_skeleton(H, root).parent
         assert sum(int(row.split(",")[1]) for row in rows) == len(tree)
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        params=st.fixed_dictionaries(
+            {},
+            optional={
+                "n": st.integers(-2, 13),
+                "r": st.integers(-1, 5),
+                "m": st.integers(-1, 14),
+                "a": small,
+                "b": small,
+            },
+        ),
+        seed=small,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gen_option_ranges(self, family, params, seed):
+        # out of range: a missing parameter of the family, or one outside
+        # its range; the options a family does not read are ignored. A
+        # family in range prints its instance, and randomLinearR says on
+        # stderr when it falls short of --m
+        argv = ["gen", "--family", family, "--seed", str(seed)]
+        for key, val in params.items():
+            argv += [f"--{key}", str(val)]
+        code, out, err = _run(argv)
+        n, r, m, a, b = (params.get(key) for key in "nrmab")
+        needs = {
+            "completeR": (n, r),
+            "steinerTriple": (n,),
+            "randomLinearR": (n, r, m),
+            "tightPath": (m, r),
+            "bipartiteIncidence": (a, b),
+        }[family]
+        rejects = None in needs or {
+            "completeR": lambda: r < 2 or n < r,
+            "steinerTriple": lambda: n < 3 or n % 6 not in (1, 3),
+            "randomLinearR": lambda: r < 2 or n < r or m < 0,
+            "tightPath": lambda: m < 1 or r < 2,
+            "bipartiteIncidence": lambda: a < 1 or b < 1,
+        }[family]()
+        if rejects:
+            assert code == 2 and out == "", (argv, code, err)
+            assert err.startswith("precondition unmet: ") and err.count("\n") == 1, (argv, err)
+            return
+        H = parse(out)
+        if family == "completeR":
+            assert H.n == n and list(H.edges) == list(combinations(range(n), r))
+        elif family == "steinerTriple":
+            assert H.n == n and len(H.edges) == n * (n - 1) // 6 and is_linear(H)
+        elif family == "randomLinearR":
+            assert H.n == n and len(H.edges) <= m and is_linear(H)
+            assert all(len(e) == r for e in H.edges)
+            if len(H.edges) < m:
+                assert err == f"requested {m} edges, achieved {len(H.edges)}\n", (argv, err)
+                return
+        elif family == "tightPath":
+            assert list(H.edges) == [tuple(range(i, i + r)) for i in range(m)]
+        else:
+            assert list(H.edges) == [(i, a + j) for i in range(a) for j in range(b)]
+        assert code == 0 and err == "", (argv, code, err)
+
+    @given(
+        kind=st.sampled_from(sorted(FIND_INPUTS)),
+        mode=st.sampled_from(MODES),
+        k=st.integers(-1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_find_option_ranges(self, kind, mode, k):
+        # out of range: a --k below 1, an input that is not uniform of rank
+        # at least 3, a 3-graph mode on another rank, or a linear mode on a
+        # non-linear input (auto picks a mode the input meets). Anything
+        # else prints k consecutive lengths whose witnesses verify, or no
+        # row and the status line
+        text = FIND_INPUTS[kind]
+        H = parse(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            hg_path, w_path = os.path.join(tmp, "in.hg"), os.path.join(tmp, "w.jsonl")
+            with open(hg_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = ["find", "--k", str(k), "--mode", mode, "--input", hg_path,
+                    "--emit-witnesses", w_path]
+            code, out, err = _run(argv)
+            witnesses = ""
+            if os.path.exists(w_path):
+                with open(w_path, encoding="utf-8") as fh:
+                    witnesses = fh.read()
+        r = H.uniformity
+        if k < 1:
+            assert (code, out, err) == (2, "", "--k must be at least 1\n"), (argv, code, err)
+            return
+        if (
+            r is None
+            or r < 3
+            or (mode in ("linear3", "general3") and r != 3)
+            or (mode in ("linear3", "linearR") and not is_linear(H))
+        ):
+            assert code == 2 and out == "", (argv, code, err)
+            assert err.startswith("precondition unmet: ") and err.count("\n") == 1, (argv, err)
+            return
+        assert code == 0, (argv, code, err)
+        header, *rows = out.splitlines()
+        assert header == "length,shortest_bound"
+        if not rows:
+            assert err.startswith("status: no run found (mode ") and witnesses == "", (argv, err)
+            return
+        assert err == "", (argv, err)
+        lengths = [int(row.split(",")[0]) for row in rows]
+        bounds = {int(row.split(",")[1]) for row in rows}
+        assert lengths == list(range(lengths[0], lengths[0] + k))
+        assert len(bounds) == 1 and lengths[0] <= min(bounds)
+        cycles = [witness_from_json(line) for line in witnesses.splitlines()]
+        assert [w.length for w in cycles] == lengths
+        assert all(verify_cycle(H, w) for w in cycles)
 
     @given(max_len=st.integers(-3, 11), budget=st.integers(-2, 300))
     @settings(max_examples=150, deadline=None)

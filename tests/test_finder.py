@@ -3,7 +3,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -700,14 +700,14 @@ def _loose_path(m):
 
 
 def _sweep_trace(monkeypatch, sweep, H, k):
-    """(root, sorted tree vertices) per skeleton the sweep builds, and its
+    """(root, levels, edges read) per skeleton the sweep builds, and its
     result or the repr of the error it raised."""
     seq = []
     build = fd.build_skeleton
 
-    def recording(H_, root, live=None):
-        sk = build(H_, root, live)
-        seq.append((root, tuple(sorted(sk.parent))))
+    def recording(H_, root, live=None, heavy=None):
+        sk = build(H_, root, live, heavy)
+        seq.append((root, tuple(map(tuple, sk.levels)), tuple(sk.read)))
         return sk
 
     with monkeypatch.context() as mp:
@@ -717,6 +717,24 @@ def _sweep_trace(monkeypatch, sweep, H, k):
         except Exception as exc:  # compared by value against the reference
             out = repr(exc)
     return seq, out
+
+
+def _assert_same_sweep(got, want):
+    """`_sweep_trace` of the sweep against that of `naive_sweep`: the same
+    result and the same skeletons from the same roots, tree by tree, except
+    that the sweep's last build may stop at the heavy down class that gives
+    the run, so its levels and the edges it read are prefixes of the full
+    skeleton's."""
+    (trees, out), (ref_trees, ref_out) = got, want
+    assert out == ref_out
+    assert len(trees) == len(ref_trees)
+    assert trees[:-1] == ref_trees[:-1]
+    if out is None:  # no run, so no build stopped
+        assert trees == ref_trees
+    elif trees:
+        (root, levels, read), (ref_root, ref_levels, ref_read) = trees[-1], ref_trees[-1]
+        assert root == ref_root
+        assert levels == ref_levels[: len(levels)] and read == ref_read[: len(read)]
 
 
 def _sparse_union(seed):
@@ -741,7 +759,7 @@ class TestSweepIdentity:
         assert len(edge_components(H, range(len(H.edges)))) >= 2
         for k in (1, 2):
             got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
-            assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
+            _assert_same_sweep(got, _sweep_trace(monkeypatch, naive_sweep, H, k))
             assert got[0]
 
     @pytest.mark.parametrize("seed", range(20))
@@ -749,7 +767,7 @@ class TestSweepIdentity:
         m = random.Random(seed).randint(1, 150)
         H = permuted(_loose_path(m), seed)
         got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 2)
-        assert got == _sweep_trace(monkeypatch, naive_sweep, H, 2)
+        _assert_same_sweep(got, _sweep_trace(monkeypatch, naive_sweep, H, 2))
         assert got[1] is None
 
     @pytest.mark.parametrize("seed", range(20))
@@ -758,7 +776,7 @@ class TestSweepIdentity:
         H = _union([_loose_cycle(rng.randint(3, 40)) for _ in range(rng.randint(1, 6))], seed)
         for k in (1, 2):
             got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
-            assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
+            _assert_same_sweep(got, _sweep_trace(monkeypatch, naive_sweep, H, k))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_chorded_cycle_unions(self, monkeypatch, seed):
@@ -777,15 +795,37 @@ class TestSweepIdentity:
             with monkeypatch.context() as mp:
                 mp.setattr(fd, "_levels_once", levels_recording)
                 got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
-            assert got == _sweep_trace(monkeypatch, naive_sweep, H, k)
+            _assert_same_sweep(got, _sweep_trace(monkeypatch, naive_sweep, H, k))
             assert checked and all(len(sk.read) >= len(sk.parent) for sk in checked)
 
     def test_run_found_after_sparse_components(self, monkeypatch):
         # only the STS(13) part yields a run; both sweeps reach it by the same roots
         H = _union([_loose_path(30), steiner_triple(13), _loose_cycle(9)], 5)
         got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 1)
-        assert got == _sweep_trace(monkeypatch, naive_sweep, H, 1)
+        _assert_same_sweep(got, _sweep_trace(monkeypatch, naive_sweep, H, 1))
         assert isinstance(got[1], fd.ConsecutiveRun)
+
+    def test_build_stops_at_the_heavy_level(self, monkeypatch):
+        # A Steiner triple system's skeletons have two levels, and the run's
+        # down_2 is heavy, so the sweep's build stops before level 2's heads
+        # read their within edges; with a loose path hanging off the system,
+        # some runs' skeletons also lose the path's levels below. Both cuts
+        # leave the run as the whole skeleton gives it.
+        fewer_reads = fewer_levels = 0
+        for n, tail, seed, k in product((15, 19, 31), (0, 3), range(3), (1, 2)):
+            edges, v = list(steiner_triple(n).edges), n - 1
+            for j in range(n, n + 2 * tail, 2):
+                edges.append((v, j, j + 1))
+                v = j + 1
+            H = permuted(Hypergraph.from_edges(n + 2 * tail, edges, uniformity=3), seed)
+            got = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, k)
+            want = _sweep_trace(monkeypatch, naive_sweep, H, k)
+            _assert_same_sweep(got, want)
+            if isinstance(got[1], fd.ConsecutiveRun):
+                (_, levels, read), (_, ref_levels, ref_read) = got[0][-1], want[0][-1]
+                fewer_reads += len(read) < len(ref_read)
+                fewer_levels += len(levels) < len(ref_levels)
+        assert fewer_reads > 0 and fewer_levels > 0
 
 
 @st.composite
@@ -857,10 +897,11 @@ class TestSweepGuarantee:
         trees, run = _sweep_trace(monkeypatch, fd.skeleton_sweep, H, 1)
         assert isinstance(run, fd.ConsecutiveRun)  # not the "sweep exhaustion" repr
         check_run(H, run, 1)
-        roots = [root for root, _ in trees]
+        roots = [root for root, _, _ in trees]
         assert max(roots[:-1]) < roots[-1] == base - 127  # the STS part comes last
         seen = set()
-        for _, tree in trees:
+        for _, levels, _ in trees:
+            tree = {v for lv in levels for v in lv}
             assert seen.isdisjoint(tree)
             seen.update(tree)
 
@@ -912,8 +953,8 @@ class TestSweepWorkBound:
         built, checked = [], []
         build, levels_once = fd.build_skeleton, fd._levels_once
 
-        def recording(H_, root, live=None):
-            sk = build(H_, root, live)
+        def recording(H_, root, live=None, heavy=None):
+            sk = build(H_, root, live, heavy)
             built.append(sk)
             return sk
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bergelab import skeleton as sk
 from bergelab.errors import PreconditionUnmet
-from bergelab.generators import random_linear_r
+from bergelab.generators import permuted, random_linear_r, steiner_triple
 from bergelab.hypergraph import Hypergraph
 
 from naive import naive_build_skeleton, naive_frame, tree_vertices
@@ -242,6 +242,100 @@ class TestMatchesGenericLoops:
         S = sk.build_skeleton(Hypergraph.from_edges(3, [(0, 1, 2)]), 0)
         with pytest.raises(PreconditionUnmet):
             sk.classify_levels(Hypergraph.from_edges(4, [(0, 1, 2, 3)]), S)
+
+
+def stop_input(rng, seed, kind):
+    """A random linear 3-graph, a relabelled Steiner triple system, or a
+    relabelled union of loose paths, loose cycles and small systems."""
+    if kind == "linear":
+        return random_input(rng, seed, kind)
+    if kind == "steiner":
+        return permuted(steiner_triple(rng.choice((7, 9, 13, 15, 19, 21, 25, 27, 31))), seed)
+    edges, base = [], 0
+    for _ in range(rng.randint(2, 5)):
+        shape, size = rng.choice(("path", "cycle", "steiner")), rng.randint(1, 12)
+        if shape == "steiner":
+            part = steiner_triple(rng.choice((7, 9, 13)))
+            n, part_edges = part.n, part.edges
+        elif shape == "path":
+            n, part_edges = 2 * size + 1, [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(size)]
+        else:
+            n = 2 * size + 4
+            part_edges = [(2 * i, 2 * i + 1, (2 * i + 2) % n) for i in range(size + 2)]
+        edges.extend(tuple(sorted(v + base for v in e)) for e in part_edges)
+        base += n
+    return permuted(Hypergraph.from_edges(base, edges, uniformity=3), seed)
+
+
+class TestHeavyStop:
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(("linear", "steiner", "union")),
+        st.one_of(st.none(), st.integers(0, 6)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_build_cut(self, seed, kind, heavy):
+        # The build told `heavy` is the whole build cut at the first level
+        # i >= 1 with |down_i| >= heavy * |L_i|: levels 0..i and their tree,
+        # down_0..down_i, within and up below i (empty at i), and the edges
+        # the heads above level i read, which are the bytes it cleared.
+        rng = random.Random(seed)
+        H = stop_input(rng, seed, kind)
+        root = rng.randrange(H.n)
+        live = random_live(rng, len(H.edges))
+        given = bytes(live) if live is not None else b"\x01" * len(H.edges)
+        full = sk.build_skeleton(H, root, bytearray(given))
+        got = sk.build_skeleton(H, root, live, heavy)
+        cl = full.classes
+        i = next(
+            (
+                l
+                for l in range(1, full.height + 1)
+                if heavy is not None and len(cl.down[l]) >= heavy * len(full.levels[l])
+            ),
+            None,
+        )
+        if i is None:  # no level is heavy: the whole build
+            assert got == full and got.level_of == full.level_of
+            assert got.classes == cl and got.read == full.read
+        else:
+            kept = {v for lv in full.levels[: i + 1] for v in lv}
+            assert got.root == root
+            assert got.levels == full.levels[: i + 1]
+            assert list(got.parent.items()) == [(v, p) for v, p in full.parent.items() if v in kept]
+            assert list(got.level_of.items()) == [
+                (v, l) for v, l in full.level_of.items() if v in kept
+            ]
+            assert list(got.edge_for.items()) == [
+                (pair, ei) for pair, ei in full.edge_for.items() if kept.issuperset(pair)
+            ]
+            assert got.classes.down == cl.down[: i + 1]
+            assert got.classes.within == cl.within[:i] + [[]]
+            assert got.classes.up == cl.up[:i] + [[]]
+            assert got.read == full.read[: len(got.read)]
+            filed = cl.within[:i] + cl.up[:i] + cl.down[: i + 1]
+            assert sorted(got.read) == sorted([*got.edge_for.values(), *sum(filed, [])])
+        if live is not None:
+            kept_edges = {ei for ei, byte in enumerate(given) if byte} - set(got.read)
+            assert live == live_mask(len(H.edges), kept_edges)
+
+    def test_stops_before_the_heavy_level_reads(self):
+        # STS(13) from 0: |L_2| = 6 and down_2 holds 9 edges. Told heavy = 1,
+        # the build stops before level 2's heads read, so the one within_2
+        # edge, 14, keeps its byte.
+        H = steiner_triple(13)
+        full = sk.build_skeleton(H, 0)
+        assert [len(c) for c in full.classes.down] == [0, 0, 9]
+        live = bytearray(b"\x01") * len(H.edges)
+        S = sk.build_skeleton(H, 0, live, heavy=1)
+        assert S.levels == full.levels and S.read == full.read[:-1]
+        assert full.classes.within[2] == [14] and S.classes.within[2] == []
+        assert [ei for ei, byte in enumerate(live) if byte] == [14]
+        # 9 < 2 * 6, so told heavy = 2 the build runs to the end
+        assert sk.build_skeleton(H, 0, heavy=2).read == full.read
+        # told heavy = 0, the empty down_1 stops it: the root's edges alone
+        S = sk.build_skeleton(H, 0, heavy=0)
+        assert S.levels == [[0], [1, 3, 4, 5, 8, 9]] and S.read == [0, 1, 2, 3, 4, 5]
 
 
 class TestFrameFromParent:
